@@ -24,7 +24,7 @@ from .fuzzy import (
     register_reference,
     weighted_sum,
 )
-from .ica import Country, Empire, IcaConfig, IterationRecord, RunReport
+from .ica import IcaConfig, IterationRecord, RunReport
 from .io import bundled_instance, bundled_names, load_instance, loads_instance, write_instance
 from .model import (
     CertificateReport,
@@ -62,8 +62,6 @@ __all__ = [
     "ref_pseudo_inverse",
     "register_reference",
     "weighted_sum",
-    "Country",
-    "Empire",
     "IcaConfig",
     "IterationRecord",
     "RunReport",

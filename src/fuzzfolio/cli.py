@@ -34,6 +34,19 @@ PUBLISHED_RESULTS = {
 
 DEFAULT_INSTANCE = "paper_table1"
 
+# longest seed list --seeds accepts; checked before the list is built
+MAX_SEEDS = 10_000
+
+# ICA and penalty config fields set by a solve flag
+_FLAGS = {
+    "n_countries": "--countries",
+    "n_imperialists": "--imperialists",
+    "revolution_rate": "--revolution",
+    "max_iterations": "--iters",
+    "epsilon": "--epsilon",
+    "eq_factor": "--eq-factor",
+}
+
 
 def _parse_seeds(text: str) -> list[int]:
     seeds = []
@@ -47,12 +60,16 @@ def _parse_seeds(text: str) -> list[int]:
                 raise argparse.ArgumentTypeError(f"bad seed range {token!r}")
             if b < a:
                 raise argparse.ArgumentTypeError(f"empty seed range {token!r}")
+            if len(seeds) + (b - a + 1) > MAX_SEEDS:
+                raise argparse.ArgumentTypeError(f"seed list {text!r} is longer than {MAX_SEEDS} seeds")
             seeds.extend(range(a, b + 1))
         else:
             try:
                 seeds.append(int(token))
             except ValueError:
                 raise argparse.ArgumentTypeError(f"bad seed {token!r}")
+            if len(seeds) > MAX_SEEDS:
+                raise argparse.ArgumentTypeError(f"seed list {text!r} is longer than {MAX_SEEDS} seeds")
     return seeds
 
 
@@ -189,17 +206,26 @@ def _emit(rows, args, meta) -> None:
         sys.stdout.write(text)
 
 
+def _configs(args) -> tuple[PenaltyConfig, ica.IcaConfig]:
+    try:
+        return (
+            PenaltyConfig(eq_factor=args.eq_factor, enforce_threshold=args.enforce_threshold),
+            ica.IcaConfig(
+                n_countries=args.countries,
+                n_imperialists=args.imperialists,
+                revolution_rate=args.revolution,
+                max_iterations=args.iters,
+                epsilon=args.epsilon,
+            ),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{_FLAGS.get(exc.field, exc.field)}: {exc}") from None
+
+
 def _cmd_solve(args) -> int:
+    penalty_cfg, base_ica = _configs(args)
     instance, source = _resolve_instance(args.instance)
     pairs = _level_pairs(args)
-    penalty_cfg = PenaltyConfig(eq_factor=args.eq_factor, enforce_threshold=args.enforce_threshold)
-    base_ica = ica.IcaConfig(
-        n_countries=args.countries,
-        n_imperialists=args.imperialists,
-        revolution_rate=args.revolution,
-        max_iterations=args.iters,
-        epsilon=args.epsilon,
-    )
     rows: list[SweepRow] = []
     all_satisfied = True
     for lam, eta in pairs:

@@ -2,7 +2,14 @@
 
 
 class ValidationError(ValueError):
-    """An instance, config, or input file violates a structural invariant."""
+    """An instance, config, or input file violates a structural invariant.
+
+    ``field`` names the offending config field, when there is one.
+    """
+
+    def __init__(self, message: str = "", field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class BudgetInfeasibleError(ValidationError):

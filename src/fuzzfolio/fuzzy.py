@@ -100,6 +100,14 @@ class ReferenceFunction:
 LINEAR = ReferenceFunction("linear")
 
 
+def _require_finite(record, fields: tuple[str, ...]) -> None:
+    # NaN slips through every ordering check below (NaN < 0 is false)
+    for name in fields:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ValueError(f"field {name!r} must be finite, got {value}")
+
+
 @dataclass(frozen=True, slots=True)
 class LRFuzzyNumber:
     """Fuzzy quantity with peak [a0, a1] and left/right spreads beta, gamma."""
@@ -112,6 +120,7 @@ class LRFuzzyNumber:
     right_ref: ReferenceFunction = LINEAR
 
     def __post_init__(self):
+        _require_finite(self, ("a0", "a1", "beta", "gamma"))
         if not self.a0 <= self.a1:
             raise ValueError(f"peak interval requires a0 <= a1, got ({self.a0}, {self.a1})")
         if self.beta < 0 or self.gamma < 0:
@@ -136,6 +145,7 @@ class FuzzyRandomReturn:
     gamma: float
 
     def __post_init__(self):
+        _require_finite(self, ("r0", "r1", "r2", "beta", "gamma"))
         if not self.r0 <= self.r1:
             raise ValueError(f"base peaks require r0 <= r1, got ({self.r0}, {self.r1})")
         if self.r2 < 0:
@@ -152,6 +162,7 @@ class RandomFactor:
     std_dev: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, ("mean", "std_dev"))
         if not self.std_dev > 0:
             raise ValueError(f"std_dev must be positive, got {self.std_dev}")
 

@@ -8,6 +8,13 @@ colony that overtakes its imperialist swaps roles (exchange), and the
 weakest empire loses its weakest colony to a roulette-selected rival
 (competition), collapsing once it has none left.
 
+The population is held in two arrays, positions (N, n) and costs (N,).
+An empire is an index array into them: the imperialist first, then its
+colonies in a fixed order.  That order decides which rows of the random
+draws a colony receives and how ties break.  Every iteration draws the
+random numbers empire by empire, then moves all colonies of all empires
+in one assimilation batch and one revolution batch.
+
 Costs are minimized internally (cost = -penalized objective) so that
 lower cost means stronger throughout.  A run is a pure function of its
 inputs including the seed.
@@ -15,47 +22,32 @@ inputs including the seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
+from .errors import ValidationError
 from .model import DeterministicLP, ResidualReport, Tolerances, objective, residuals
 from .penalty import PenaltyConfig, penalized_objective_batch, repair
 
 __all__ = [
-    "Country",
-    "Empire",
     "IcaConfig",
     "IterationRecord",
     "RunReport",
     "cost_function",
     "initialize",
     "form_empires",
+    "draw",
     "assimilate",
     "revolve",
     "exchange",
-    "empire_power",
     "compete",
     "run",
 ]
 
 CostFn = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(eq=False)
-class Country:
-    position: np.ndarray
-    cost: float
-
-
-@dataclass(eq=False)
-class Empire:
-    imperialist: Country
-    colonies: list[Country]
-
-    def members(self) -> list[Country]:
-        return [self.imperialist, *self.colonies]
 
 
 @dataclass(frozen=True)
@@ -69,18 +61,19 @@ class IcaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.n_imperialists < self.n_countries:
-            raise ValueError(
-                f"need 1 <= n_imperialists < n_countries, got {self.n_imperialists} of {self.n_countries}"
-            )
-        if not 0.0 <= self.revolution_rate <= 1.0:
-            raise ValueError(f"revolution_rate must lie in [0, 1], got {self.revolution_rate}")
-        if not 0.0 < self.epsilon < 0.1:
-            raise ValueError(f"epsilon must lie in (0, 0.1), got {self.epsilon}")
-        if not self.assimilation_beta > 1.0:
-            raise ValueError(f"assimilation_beta must exceed 1, got {self.assimilation_beta}")
-        if self.max_iterations < 0:
-            raise ValueError(f"max_iterations must be nonnegative, got {self.max_iterations}")
+        rules = (
+            ("n_imperialists", self.n_imperialists >= 1, "must be at least 1"),
+            ("n_countries", self.n_countries > self.n_imperialists,
+             f"must exceed n_imperialists ({self.n_imperialists})"),
+            ("revolution_rate", 0.0 <= self.revolution_rate <= 1.0, "must lie in [0, 1]"),
+            ("epsilon", 0.0 < self.epsilon < 0.1, "must lie in (0, 0.1)"),
+            ("assimilation_beta", math.isfinite(self.assimilation_beta) and self.assimilation_beta > 1.0,
+             "must be finite and exceed 1"),
+            ("max_iterations", self.max_iterations >= 0, "must be nonnegative"),
+        )
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValidationError(f"{name} {rule}, got {getattr(self, name)}", field=name)
 
 
 @dataclass(frozen=True)
@@ -116,29 +109,27 @@ def cost_function(lp: DeterministicLP, cfg: PenaltyConfig = PenaltyConfig()) -> 
     return cost
 
 
-def initialize(cost_fn: CostFn, config: IcaConfig, bounds: np.ndarray, rng: np.random.Generator) -> list[Country]:
-    """Draw the initial population uniformly inside the box."""
+def initialize(
+    cost_fn: CostFn, config: IcaConfig, bounds: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the initial positions (N, n) uniformly inside the box, with their costs (N,)."""
     bounds = np.asarray(bounds, dtype=float)
     positions = rng.uniform(0.0, bounds, size=(config.n_countries, bounds.size))
-    costs = np.atleast_1d(cost_fn(positions))
-    return [Country(positions[i].copy(), float(costs[i])) for i in range(config.n_countries)]
+    return positions, np.atleast_1d(cost_fn(positions))
 
 
-def form_empires(countries: Sequence[Country], config: IcaConfig, rng: np.random.Generator) -> list[Empire]:
+def form_empires(costs: np.ndarray, config: IcaConfig, rng: np.random.Generator) -> list[np.ndarray]:
     """Split the population into empires with power-proportional colony counts."""
-    ranked = sorted(countries, key=lambda c: c.cost)
+    ranked = np.argsort(costs, kind="stable")
     imperialists = ranked[: config.n_imperialists]
     colonists = ranked[config.n_imperialists:]
-    shares = _power_shares(np.array([imp.cost for imp in imperialists]))
-    counts = _largest_remainder(shares, len(colonists))
-    order = rng.permutation(len(colonists))
-    empires = []
-    start = 0
-    for imp, k in zip(imperialists, counts):
-        picks = [colonists[i] for i in order[start: start + k]]
-        start += k
-        empires.append(Empire(imperialist=imp, colonies=picks))
-    return empires
+    counts = _largest_remainder(_power_shares(costs[imperialists]), colonists.size)
+    shuffled = colonists[rng.permutation(colonists.size)]
+    ends = np.cumsum(counts)
+    return [
+        np.concatenate(([imp], shuffled[end - k: end]))
+        for imp, k, end in zip(imperialists, counts, ends)
+    ]
 
 
 def _power_shares(costs: np.ndarray) -> np.ndarray:
@@ -164,70 +155,93 @@ def _largest_remainder(shares: np.ndarray, total: int) -> list[int]:
     return counts.tolist()
 
 
+def _colonies(empires: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Every colony in empire order, and the imperialist ruling each."""
+    colonies = np.concatenate([e[1:] for e in empires])
+    rulers = np.repeat([e[0] for e in empires], [e.size - 1 for e in empires])
+    return colonies, rulers
+
+
+def draw(
+    empires: list[np.ndarray], config: IcaConfig, bounds: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one iteration's random numbers, empire by empire.
+
+    An empire with k colonies takes k x n assimilation steps, then k
+    revolution trials, then m x n fresh positions for the m > 0 trials
+    that hit; an empire without colonies draws nothing.  Returns the
+    steps (one row per colony) and hit flags (one per colony), both in
+    the colony order of ``_colonies``, and the fresh positions (one row
+    per hit, in the same order).
+    """
+    n = bounds.size
+    steps, hits, fresh = [], [], [np.empty((0, n))]
+    for empire in empires:
+        k = empire.size - 1
+        if k == 0:
+            continue
+        # steps and trials are adjacent in the stream: one call draws both
+        u = rng.random(k * (n + 1))
+        steps.append(u[: k * n].reshape(k, n))
+        hit = u[k * n:] < config.revolution_rate
+        hits.append(hit)
+        m = int(np.count_nonzero(hit))
+        if m:
+            fresh.append(rng.random((m, n)))
+    # bounds * random() has the values and the stream of
+    # rng.uniform(0.0, bounds, (m, n)), which computes 0 + bounds * random()
+    return np.concatenate(steps), np.concatenate(hits), bounds * np.concatenate(fresh)
+
+
 def assimilate(
-    empire: Empire,
+    positions: np.ndarray,
+    costs: np.ndarray,
+    colonies: np.ndarray,
+    rulers: np.ndarray,
+    steps: np.ndarray,
     cost_fn: CostFn,
     config: IcaConfig,
     bounds: np.ndarray,
-    rng: np.random.Generator,
-) -> Empire:
-    """Move every colony toward its imperialist by a random per-axis step."""
-    if not empire.colonies:
-        return empire
-    positions = np.stack([c.position for c in empire.colonies])
-    steps = rng.random(positions.shape)
-    target = empire.imperialist.position
-    moved = positions + config.assimilation_beta * steps * (target - positions)
+) -> None:
+    """Move each colony toward its ruler by the given per-axis steps, in place."""
+    here = positions[colonies]
+    moved = here + config.assimilation_beta * steps * (positions[rulers] - here)
     np.clip(moved, 0.0, bounds, out=moved)
-    costs = np.atleast_1d(cost_fn(moved))
-    for i, colony in enumerate(empire.colonies):
-        colony.position = moved[i]
-        colony.cost = float(costs[i])
-    return empire
+    costs[colonies] = cost_fn(moved)
+    positions[colonies] = moved
 
 
-def revolve(
-    empire: Empire,
-    cost_fn: CostFn,
-    config: IcaConfig,
-    bounds: np.ndarray,
-    rng: np.random.Generator,
-) -> Empire:
-    """Redraw each colony, independently, with the revolution probability."""
-    if not empire.colonies:
-        return empire
-    hit = rng.random(len(empire.colonies)) < config.revolution_rate
-    chosen = [c for c, h in zip(empire.colonies, hit) if h]
-    if not chosen:
-        return empire
-    bounds = np.asarray(bounds, dtype=float)
-    fresh = rng.uniform(0.0, bounds, size=(len(chosen), bounds.size))
-    costs = np.atleast_1d(cost_fn(fresh))
-    for i, colony in enumerate(chosen):
-        colony.position = fresh[i]
-        colony.cost = float(costs[i])
-    return empire
+def revolve(positions: np.ndarray, costs: np.ndarray, chosen: np.ndarray, fresh: np.ndarray, cost_fn: CostFn) -> None:
+    """Replace the chosen countries by the fresh positions, in place."""
+    if chosen.size:
+        costs[chosen] = cost_fn(fresh)
+        positions[chosen] = fresh
 
 
-def exchange(empire: Empire) -> Empire:
-    """Swap the imperialist with its best colony if that colony is strictly better."""
-    if not empire.colonies:
-        return empire
-    best = min(range(len(empire.colonies)), key=lambda i: empire.colonies[i].cost)
-    if empire.colonies[best].cost < empire.imperialist.cost:
-        empire.colonies[best], empire.imperialist = empire.imperialist, empire.colonies[best]
-    return empire
+def exchange(costs: np.ndarray, empires: list[np.ndarray]) -> None:
+    """Swap each imperialist with its best colony if that colony is strictly better."""
+    for empire in empires:
+        if empire.size > 1:
+            best = 1 + int(costs[empire[1:]].argmin())
+            if costs[empire[best]] < costs[empire[0]]:
+                empire[0], empire[best] = empire[best], empire[0]
 
 
-def empire_power(empire: Empire, config: IcaConfig) -> float:
-    """Total cost of the empire; higher means weaker."""
-    if not empire.colonies:
-        return empire.imperialist.cost
-    mean_colony = sum(c.cost for c in empire.colonies) / len(empire.colonies)
-    return empire.imperialist.cost + config.epsilon * mean_colony
+def _powers(costs: np.ndarray, empires: list[np.ndarray], config: IcaConfig) -> np.ndarray:
+    """Total cost of each empire; higher means weaker."""
+    powers = []
+    for empire in empires:
+        power = costs[empire[0]]
+        if empire.size > 1:
+            # a left-to-right sum: np.sum adds pairwise and can round differently
+            power = power + config.epsilon * (sum(costs[empire[1:]].tolist()) / (empire.size - 1))
+        powers.append(power)
+    return np.array(powers)
 
 
-def compete(empires: list[Empire], config: IcaConfig, rng: np.random.Generator) -> list[Empire]:
+def compete(
+    costs: np.ndarray, empires: list[np.ndarray], config: IcaConfig, rng: np.random.Generator
+) -> list[np.ndarray]:
     """Transfer the weakest empire's weakest colony to a roulette winner.
 
     The collapsing side is excluded from the roulette; an empire left
@@ -236,20 +250,22 @@ def compete(empires: list[Empire], config: IcaConfig, rng: np.random.Generator) 
     """
     if len(empires) < 2:
         return empires
-    powers = np.array([empire_power(e, config) for e in empires])
-    weakest = int(np.argmax(powers))
+    powers = _powers(costs, empires, config)
+    weakest = int(powers.argmax())
     candidates = [i for i in range(len(empires)) if i != weakest]
     shares = _power_shares(powers[candidates])
     pick = int(np.searchsorted(np.cumsum(shares), rng.random(), side="right"))
-    winner = empires[candidates[min(pick, len(candidates) - 1)]]
-    weak = empires[weakest]
-    if weak.colonies:
-        worst = max(range(len(weak.colonies)), key=lambda i: weak.colonies[i].cost)
-        winner.colonies.append(weak.colonies.pop(worst))
-    if not weak.colonies:
-        winner.colonies.append(weak.imperialist)
-        return [e for i, e in enumerate(empires) if i != weakest]
-    return empires
+    winner = candidates[min(pick, len(candidates) - 1)]
+    out = list(empires)
+    weak = out[weakest]
+    if weak.size > 1:
+        worst = 1 + int(costs[weak[1:]].argmax())
+        out[winner] = np.append(out[winner], weak[worst])
+        weak = out[weakest] = np.delete(weak, worst)
+    if weak.size == 1:
+        out[winner] = np.append(out[winner], weak[0])
+        del out[weakest]
+    return out
 
 
 def run(
@@ -281,19 +297,19 @@ def run(
             best_position = np.atleast_2d(x)[i].copy()
         return costs
 
-    countries = initialize(tracked, ica_cfg, bounds, rng)
-    empires = form_empires(countries, ica_cfg, rng)
+    positions, costs = initialize(tracked, ica_cfg, bounds, rng)
+    empires = form_empires(costs, ica_cfg, rng)
     trace = []
     for iteration in range(1, ica_cfg.max_iterations + 1):
-        for empire in empires:
-            assimilate(empire, tracked, ica_cfg, bounds, rng)
-            revolve(empire, tracked, ica_cfg, bounds, rng)
-            exchange(empire)
-        empires = compete(empires, ica_cfg, rng)
-        for empire in empires:
-            exchange(empire)
+        colonies, rulers = _colonies(empires)
+        steps, hits, fresh = draw(empires, ica_cfg, bounds, rng)
+        assimilate(positions, costs, colonies, rulers, steps, tracked, ica_cfg, bounds)
+        revolve(positions, costs, colonies[hits], fresh, tracked)
+        exchange(costs, empires)
+        empires = compete(costs, empires, ica_cfg, rng)
+        exchange(costs, empires)
         trace.append(IterationRecord(iteration, best_cost, len(empires)))
-        _check_invariants(empires, ica_cfg, bounds)
+        _check_invariants(positions, costs, empires, ica_cfg, bounds)
         if len(empires) == 1:
             break
 
@@ -309,9 +325,15 @@ def run(
     )
 
 
-def _check_invariants(empires: list[Empire], config: IcaConfig, bounds: np.ndarray) -> None:
-    # debug-run assertions; stripped under python -O
-    assert sum(len(e.members()) for e in empires) == config.n_countries
-    for e in empires:
-        assert all(np.all(m.position >= 0.0) and np.all(m.position <= bounds) for m in e.members())
-        assert all(e.imperialist.cost <= c.cost for c in e.colonies)
+def _check_invariants(
+    positions: np.ndarray, costs: np.ndarray, empires: list[np.ndarray], config: IcaConfig, bounds: np.ndarray
+) -> None:
+    # explicit raises rather than asserts, so the checks also run under python -O
+    members = np.sort(np.concatenate(empires))
+    if not np.array_equal(members, np.arange(config.n_countries)):
+        raise RuntimeError("ICA invariant violated: the empires do not partition the population")
+    if not ((positions >= 0.0).all() and (positions <= bounds).all()):
+        raise RuntimeError("ICA invariant violated: a country lies outside the box")
+    colonies, rulers = _colonies(empires)
+    if not (costs[rulers] <= costs[colonies]).all():
+        raise RuntimeError("ICA invariant violated: an imperialist is weaker than one of its colonies")

@@ -14,6 +14,7 @@ Schema, all fields required:
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -58,26 +59,26 @@ def loads_instance(text: str, source: str = "<string>") -> PortfolioInstance:
     factor_raw = raw["factor"]
     if not isinstance(factor_raw, dict):
         raise ValidationError(f"{source}: 'factor' must be an object")
+    mean = _number(factor_raw, "mean", f"{source}: factor")
+    std_dev = _number(factor_raw, "std_dev", f"{source}: factor")
     try:
-        factor = RandomFactor(
-            mean=_number(factor_raw, "mean", f"{source}: factor"),
-            std_dev=_number(factor_raw, "std_dev", f"{source}: factor"),
-        )
+        factor = RandomFactor(mean=mean, std_dev=std_dev)
     except ValueError as exc:
         raise ValidationError(f"{source}: factor: {exc}") from exc
 
     bounds = raw["upper_bounds"]
-    if not isinstance(bounds, list) or not all(isinstance(b, (int, float)) for b in bounds):
+    if not isinstance(bounds, list):
         raise ValidationError(f"{source}: 'upper_bounds' must be an array of numbers")
-    if not isinstance(raw["total_fund"], (int, float)):
-        raise ValidationError(f"{source}: 'total_fund' must be a number")
+    where = f"{source}: upper_bounds"
+    upper = tuple(_finite(b, where, i) for i, b in enumerate(bounds))
+    total_fund = _number(raw, "total_fund", source)
 
     try:
         return PortfolioInstance(
             assets=tuple(parsed),
             target=target,
-            total_fund=float(raw["total_fund"]),
-            upper_bounds=tuple(float(b) for b in bounds),
+            total_fund=total_fund,
+            upper_bounds=upper,
             factor=factor,
         )
     except ValidationError as exc:
@@ -98,9 +99,15 @@ def _parse_return(raw, where: str) -> FuzzyRandomReturn:
 def _number(raw: dict, key: str, where: str) -> float:
     if key not in raw:
         raise ValidationError(f"{where}: missing field {key!r}")
-    v = raw[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"{where}: field {key!r} must be a number, got {v!r}")
+    return _finite(raw[key], where, key)
+
+
+def _finite(v, where: str, key: str | int) -> float:
+    # key is an object's field name or an array's index
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        what = f"{where}[{key}]" if isinstance(key, int) else f"{where}: field {key!r}"
+        rule = "be finite" if isinstance(v, float) else "be a number"
+        raise ValidationError(f"{what} must {rule}, got {v!r}")
     return float(v)
 
 

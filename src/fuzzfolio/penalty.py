@@ -8,11 +8,12 @@ penalized; ``enforce_threshold`` restores the fully penalized form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetInfeasibleError
+from .errors import BudgetInfeasibleError, ValidationError
 from .model import DeterministicLP
 
 __all__ = ["PenaltyConfig", "penalized_objective", "penalized_objective_batch", "repair"]
@@ -36,10 +37,13 @@ class PenaltyConfig:
     enforce_threshold: bool = False
 
     def __post_init__(self):
-        if self.eq_factor <= 0 or self.ineq_factor <= 0:
-            raise ValueError("penalty factors must be positive")
-        if self.eq_exponent not in (1.0, 2.0) or self.ineq_exponent not in (1.0, 2.0):
-            raise ValueError("penalty exponents must be 1 or 2")
+        for name in ("eq_factor", "ineq_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and positive, got {value}", field=name)
+        for name in ("eq_exponent", "ineq_exponent"):
+            if getattr(self, name) not in (1.0, 2.0):
+                raise ValidationError(f"{name} must be 1 or 2, got {getattr(self, name)}", field=name)
 
 
 def penalized_objective(lp: DeterministicLP, x, cfg: PenaltyConfig = PenaltyConfig()) -> float:

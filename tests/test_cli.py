@@ -1,10 +1,12 @@
+import argparse
 import csv
 import io
 import json
+import time
 
 import pytest
 
-from fuzzfolio.cli import main
+from fuzzfolio.cli import MAX_SEEDS, _parse_seeds, main
 from fuzzfolio.errors import BudgetInfeasibleError, ValidationError
 from fuzzfolio.io import bundled_instance, bundled_names, load_instance, write_instance
 from fuzzfolio.report import CSV_COLUMNS
@@ -90,6 +92,41 @@ def test_load_missing_field(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_instance(bad)
     assert "gamma" in str(err.value) and "assets[0]" in str(err.value)
+
+
+# every number of an instance file, as (path into the JSON, how errors name it)
+NUMBER_FIELDS = (
+    [(("assets", 1, f), f"assets[1]: field {f!r}") for f in ("r0", "r1", "r2", "beta", "gamma")]
+    + [(("target", f), f"target: field {f!r}") for f in ("r0", "r1", "r2", "beta", "gamma")]
+    + [(("factor", "mean"), "factor: field 'mean'"), (("factor", "std_dev"), "factor: field 'std_dev'")]
+    + [(("total_fund",), "field 'total_fund'"), (("upper_bounds", 3), "upper_bounds[3]")]
+)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("path, named", NUMBER_FIELDS)
+def test_load_rejects_non_finite_numbers(tmp_path, path, named, value):
+    src = tmp_path / "src.json"
+    write_instance(bundled_instance("paper_table1"), src)
+    data = json.loads(src.read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))  # NaN / Infinity / -Infinity tokens
+    with pytest.raises(ValidationError) as err:
+        load_instance(bad)
+    assert str(err.value) == f"{bad}: {named} must be finite, got {value!r}"
+
+
+def test_non_finite_instance_exit_code(tmp_path, capsys):
+    src = tmp_path / "inst.json"
+    write_instance(bundled_instance("paper_table1"), src)
+    src.write_text(src.read_text().replace('"beta": 0.2', '"beta": NaN', 1))
+    code, _, err = run_cli(["solve", "--instance", str(src)], capsys)
+    assert code == 2
+    assert err == f"error: {src}: assets[0]: field 'beta' must be finite, got nan\n"
 
 
 # --- solve command ---------------------------------------------------------------
@@ -207,6 +244,40 @@ def test_seed_range_forms(capsys):
     assert [r["seed"] for r in parse_csv(out)] == ["2", "5", "6", "7"]
     code, _, _ = run_cli(["solve", "--seeds", "bogus"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--countries", "5", "--imperialists", "10"], "--countries"),
+    (["--countries", "1"], "--countries"),
+    (["--imperialists", "0"], "--imperialists"),
+    (["--epsilon", "0.5"], "--epsilon"),
+    (["--epsilon", "nan"], "--epsilon"),
+    (["--revolution", "2"], "--revolution"),
+    (["--revolution", "-0.1"], "--revolution"),
+    (["--iters", "-1"], "--iters"),
+    (["--eq-factor", "0"], "--eq-factor"),
+    (["--eq-factor", "nan"], "--eq-factor"),
+    (["--eq-factor", "inf"], "--eq-factor"),
+])
+def test_invalid_ica_flag_exits_2_with_one_line(flags, named, capsys):
+    code, out, err = run_cli(["solve", "--solver", "ica", *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {named}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+def test_seed_list_is_bounded(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(["solve", "--seeds", "1..1000000000000"], capsys)
+    assert code == 2
+    assert f"longer than {MAX_SEEDS} seeds" in err
+    assert time.perf_counter() - start < 5.0
+    assert len(_parse_seeds(f"1..{MAX_SEEDS}")) == MAX_SEEDS
+    for text in (f"0,1..{MAX_SEEDS}", f"1..{MAX_SEEDS},0", ",".join(["7"] * (MAX_SEEDS + 1))):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_seeds(text)
 
 
 # --- reproduce-paper ---------------------------------------------------------------

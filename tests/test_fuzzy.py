@@ -46,6 +46,22 @@ def test_invalid_lr_numbers_rejected():
         RandomFactor(0.0, 0.0)
 
 
+VALID_FIELDS = {
+    LRFuzzyNumber: {"a0": 1.0, "a1": 2.0, "beta": 0.1, "gamma": 0.1},
+    FuzzyRandomReturn: {"r0": 1.0, "r1": 1.2, "r2": 0.5, "beta": 0.1, "gamma": 0.1},
+    RandomFactor: {"mean": 0.0, "std_dev": 1.0},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, field", [(cls, f) for cls, fields in VALID_FIELDS.items() for f in fields])
+def test_non_finite_fields_rejected(cls, field, value):
+    cls(**VALID_FIELDS[cls])
+    with pytest.raises(ValueError) as err:
+        cls(**{**VALID_FIELDS[cls], field: value})
+    assert str(err.value) == f"field {field!r} must be finite, got {value}"
+
+
 def test_reference_function_endpoints():
     assert LINEAR.evaluate(0.0) == 1.0
     assert LINEAR.evaluate(1.0) == 0.0

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fuzzfolio.errors import BudgetInfeasibleError
+from fuzzfolio.errors import BudgetInfeasibleError, ValidationError
 from fuzzfolio.model import ConfidenceLevels, DeterministicLP, objective
 from fuzzfolio.penalty import PenaltyConfig, penalized_objective, penalized_objective_batch, repair
 
@@ -19,6 +19,19 @@ def test_config_validation():
         PenaltyConfig(eq_factor=0.0)
     with pytest.raises(ValueError):
         PenaltyConfig(eq_exponent=3.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eq_factor", float("nan")),
+    ("eq_factor", float("inf")),
+    ("ineq_factor", -1.0),
+    ("ineq_exponent", 0.5),
+])
+def test_config_errors_name_the_field(field, value):
+    with pytest.raises(ValidationError) as err:
+        PenaltyConfig(**{field: value})
+    assert err.value.field == field
+    assert str(err.value).startswith(f"{field} must be")
 
 
 def test_feasible_point_pays_nothing():
