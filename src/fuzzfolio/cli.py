@@ -134,19 +134,28 @@ def _resolve_instance(name_or_path: str) -> tuple[PortfolioInstance, str]:
     )
 
 
-def _level_pairs(args) -> list[tuple[float, float]]:
+def _levels(args) -> list[ConfidenceLevels]:
     decoupled = args.lam is not None or args.eta is not None
     if decoupled:
         if args.levels:
             raise ValidationError("--lambda/--eta cannot be combined with --levels")
         if args.lam is None or args.eta is None:
             raise ValidationError("--lambda and --eta must be given together")
-        return [(args.lam, args.eta)]
-    if args.levels:
-        flat = [v for chunk in args.levels for v in chunk]
+        pairs = [(args.lam, args.eta)]
+        flags = {"lam": "--lambda", "eta": "--eta"}
     else:
-        flat = list(BENCHMARK_LEVELS)
-    return sorted({(v, v) for v in flat})
+        if args.levels:
+            flat = [v for chunk in args.levels for v in chunk]
+            if not flat:
+                raise ValidationError("--levels: no level given")
+        else:
+            flat = list(BENCHMARK_LEVELS)
+        pairs = sorted({(v, v) for v in flat})
+        flags = {"lam": "--levels", "eta": "--levels"}
+    try:
+        return [ConfidenceLevels(lam, eta) for lam, eta in pairs]
+    except ValidationError as exc:
+        raise ValidationError(f"{flags[exc.field]}: {exc}") from None
 
 
 def _exact_row(lp, solution, published=None) -> SweepRow:
@@ -167,7 +176,7 @@ def _exact_row(lp, solution, published=None) -> SweepRow:
         threshold=lp.threshold,
         threshold_ok=solution.threshold_satisfied,
         budget_residual=res.budget_residual,
-        allocation=tuple(float(v) for v in solution.x),
+        allocation=tuple(solution.x.tolist()),
         published_objective=pub_obj,
         published_gap=pub_gap,
     )
@@ -201,7 +210,10 @@ def _emit(rows, args, meta) -> None:
     else:
         text = render_table(rows)
     if args.out is not None:
-        args.out.write_text(text)
+        try:
+            args.out.write_text(text)
+        except OSError as exc:
+            raise ValidationError(f"--out: cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -225,11 +237,10 @@ def _configs(args) -> tuple[PenaltyConfig, ica.IcaConfig]:
 def _cmd_solve(args) -> int:
     penalty_cfg, base_ica = _configs(args)
     instance, source = _resolve_instance(args.instance)
-    pairs = _level_pairs(args)
     rows: list[SweepRow] = []
     all_satisfied = True
-    for lam, eta in pairs:
-        lp = reformulate(instance, ConfidenceLevels(lam, eta))
+    for levels in _levels(args):
+        lp = reformulate(instance, levels)
         exact = solve_exact(lp)
         if exact.status == BUDGET_INFEASIBLE:
             raise BudgetInfeasibleError("upper bounds cannot absorb the total fund")

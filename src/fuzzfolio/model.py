@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -80,6 +81,11 @@ class PortfolioInstance:
     def n_assets(self) -> int:
         return len(self.assets)
 
+    @cached_property
+    def _asset_columns(self) -> np.ndarray:
+        """The assets' r0, r2 and beta as three rows of a (3, n) array."""
+        return np.array([(a.r0, a.r2, a.beta) for a in self.assets], dtype=float).T
+
 
 @dataclass(frozen=True)
 class ConfidenceLevels:
@@ -89,9 +95,12 @@ class ConfidenceLevels:
     eta: float
 
     def __post_init__(self):
-        for name, v in (("lambda", self.lam), ("eta", self.eta)):
+        for name, field_name, v in (("lambda", "lam", self.lam), ("eta", "eta", self.eta)):
             if not 0.0 < v < 1.0:
-                raise ValidationError(f"{name} must lie strictly in (0, 1), got {v}")
+                raise ValidationError(f"{name} must lie strictly in (0, 1), got {v}", field=field_name)
+        # reformulate takes the normal quantile at 1 - lambda, which must stay below 1
+        if 1.0 - self.lam == 1.0:
+            raise ValidationError(f"lambda {self.lam} is too close to 0: 1 - lambda rounds to 1", field="lam")
 
 
 @dataclass(frozen=True)
@@ -131,9 +140,8 @@ def reformulate(instance: PortfolioInstance, levels: ConfidenceLevels) -> Determ
     """
     t_star = normal_quantile(1.0 - levels.lam, instance.factor)
     l_star = LINEAR.pseudo_inverse(1.0 - levels.eta)
-    c = np.array(
-        [a.r0 + t_star * a.r2 - l_star * a.beta for a in instance.assets], dtype=float
-    )
+    r0, r2, beta = instance._asset_columns
+    c = r0 + t_star * r2 - l_star * beta
     tgt = instance.target
     threshold = tgt.r0 + t_star * tgt.r2 - tgt.beta * l_star
     return DeterministicLP(c, instance.total_fund, instance.upper_bounds, threshold, levels)

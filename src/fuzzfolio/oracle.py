@@ -50,15 +50,12 @@ def solve_exact(lp: DeterministicLP) -> ExactSolution:
     if float(u.sum()) < lp.total_fund:
         obj = float(c @ u)
         return ExactSolution(u.copy(), obj, obj >= lp.threshold, BUDGET_INFEASIBLE)
-    order = sorted(range(lp.n), key=lambda j: (-c[j], j))
+    order = np.argsort(-c, kind="stable")
+    caps = u[order]
+    # the fund left before each asset, subtracted left to right
+    left = np.subtract.accumulate(np.concatenate(([lp.total_fund], caps[:-1])))
     x = np.zeros(lp.n)
-    remaining = lp.total_fund
-    for j in order:
-        take = min(float(u[j]), remaining)
-        x[j] = take
-        remaining -= take
-        if remaining <= 0.0:
-            break
+    x[order] = np.clip(left, 0.0, caps)
     obj = float(c @ x)
     ok = obj >= lp.threshold
     return ExactSolution(x, obj, ok, OPTIMAL if ok else THRESHOLD_INFEASIBLE)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import statistics
 from dataclasses import dataclass
 
@@ -123,33 +124,51 @@ def _pct(value: float) -> str:
     return format(value, ".3%")
 
 
+def _memo_num():
+    """_num with one format call per distinct value, for repeated entries."""
+    memo: dict = {}
+
+    def num(value: float) -> str:
+        # -0.0 == 0.0 with the same hash, yet it formats as "-0"
+        key = value if value else (value, math.copysign(1.0, value))
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _num(value)
+        return text
+
+    return num
+
+
 def render_table(rows: list[SweepRow]) -> str:
     """Per-level summary: the exact row as is, ICA seeds aggregated."""
+    groups: dict[tuple[float, float], list[SweepRow]] = {}
+    for r in rows:
+        groups.setdefault((r.lam, r.eta), []).append(r)
+    num = _memo_num()
     lines = []
-    levels = sorted({(r.lam, r.eta) for r in rows})
-    for lam, eta in levels:
+    for lam, eta in sorted(groups):
         lines.append(f"lambda={_fmt(lam)} eta={_fmt(eta)}")
-        group = [r for r in rows if (r.lam, r.eta) == (lam, eta)]
+        group = groups[lam, eta]
         exact = [r for r in group if r.solver == "exact"]
         ica = [r for r in group if r.solver == "ica"]
         for r in exact:
             lines.append(
-                f"  exact   objective {_num(r.objective):>10}  threshold {_num(r.threshold)}"
-                f"  satisfied {_fmt(r.threshold_ok)}  x = [{', '.join(_num(v) for v in r.allocation)}]"
+                f"  exact   objective {num(r.objective):>10}  threshold {num(r.threshold)}"
+                f"  satisfied {_fmt(r.threshold_ok)}  x = [{', '.join(map(num, r.allocation))}]"
             )
             if r.published_objective is not None:
                 lines.append(
-                    f"          published {_num(r.published_objective):>10}"
+                    f"          published {num(r.published_objective):>10}"
                     f"  deviation {_pct(r.published_gap)}"
                 )
         if ica:
             objs = [r.objective for r in ica]
             best = max(ica, key=lambda r: r.objective)
             lines.append(
-                f"  ica     seeds {len(ica):>3}  best {_num(max(objs))}  median {_num(statistics.median(objs))}"
-                f"  worst {_num(min(objs))}  gap(best) {_pct(best.rel_gap)}"
+                f"  ica     seeds {len(ica):>3}  best {num(max(objs))}  median {num(statistics.median(objs))}"
+                f"  worst {num(min(objs))}  gap(best) {_pct(best.rel_gap)}"
             )
             lines.append(
-                f"          best x = [{', '.join(_num(v) for v in best.allocation)}] (seed {best.seed})"
+                f"          best x = [{', '.join(map(num, best.allocation))}] (seed {best.seed})"
             )
     return "\n".join(lines) + "\n"

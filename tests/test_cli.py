@@ -9,7 +9,7 @@ import pytest
 from fuzzfolio.cli import MAX_SEEDS, _parse_seeds, main
 from fuzzfolio.errors import BudgetInfeasibleError, ValidationError
 from fuzzfolio.io import bundled_instance, bundled_names, load_instance, write_instance
-from fuzzfolio.report import CSV_COLUMNS
+from fuzzfolio.report import CSV_COLUMNS, SweepRow, render_table
 
 
 def run_cli(args, capsys):
@@ -217,6 +217,13 @@ def test_default_levels_and_table_format(capsys):
     assert "exact" in out
 
 
+def test_table_keeps_the_sign_of_zero():
+    row = SweepRow(lam=0.5, eta=0.5, solver="exact", seed=None, status="optimal",
+                   objective=1.0, oracle_objective=1.0, rel_gap=0.0, threshold=0.0,
+                   threshold_ok=True, budget_residual=0.0, allocation=(0.0, 2.0, -0.0, 0.0))
+    assert "x = [0, 2, -0, 0]" in render_table([row])
+
+
 def test_json_format(capsys):
     code, out, _ = run_cli(["solve", "--levels", "0.4", "--format", "json"], capsys)
     assert code == 0
@@ -260,7 +267,34 @@ def test_seed_range_forms(capsys):
     (["--eq-factor", "inf"], "--eq-factor"),
 ])
 def test_invalid_ica_flag_exits_2_with_one_line(flags, named, capsys):
-    code, out, err = run_cli(["solve", "--solver", "ica", *flags], capsys)
+    assert_one_line_error(*run_cli(["solve", "--solver", "ica", *flags], capsys), named)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["solve", "--levels", ","], "--levels"),
+    (["solve", "--levels", ",", "--format", "json"], "--levels"),
+    (["solve", "--levels", "nan"], "--levels"),
+    (["solve", "--levels", "inf"], "--levels"),
+    (["solve", "--levels=-inf"], "--levels"),
+    (["solve", "--levels", "0.5,1"], "--levels"),
+    # 1 - lambda rounds to 1, where the normal quantile is undefined
+    (["solve", "--levels", "1e-17"], "--levels"),
+    (["solve", "--lambda", "1e-17", "--eta", "0.5"], "--lambda"),
+    (["solve", "--lambda", "nan", "--eta", "0.5"], "--lambda"),
+    (["solve", "--lambda", "inf", "--eta", "0.5"], "--lambda"),
+    (["solve", "--lambda", "0.5", "--eta", "nan"], "--eta"),
+    (["solve", "--lambda", "0.5", "--eta=-inf"], "--eta"),
+    (["solve", "--out", "{tmp}"], "--out"),
+    (["solve", "--out", "{tmp}/missing/out.txt"], "--out"),
+    (["reproduce-paper", "--seeds", "1", "--out", "{tmp}"], "--out"),
+    (["reproduce-paper", "--seeds", "1", "--out", "{tmp}/missing/out.csv"], "--out"),
+])
+def test_invalid_level_or_out_flag_exits_2_with_one_line(argv, named, tmp_path, capsys):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert_one_line_error(*run_cli(argv, capsys), named)
+
+
+def assert_one_line_error(code, out, err, named):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {named}: ")

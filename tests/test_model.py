@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fuzzfolio.errors import BudgetInfeasibleError, ValidationError
-from fuzzfolio.fuzzy import FuzzyRandomReturn, RandomFactor
+from fuzzfolio.fuzzy import LINEAR, FuzzyRandomReturn, RandomFactor, normal_quantile
 from fuzzfolio.io import bundled_instance
 from fuzzfolio.model import (
     ConfidenceLevels,
@@ -62,6 +62,12 @@ def test_levels_validation():
     with pytest.raises(ValidationError):
         ConfidenceLevels(0.5, 1.0)
     ConfidenceLevels(0.5, 0.5)
+    # 1 - lambda must stay below 1 for the normal quantile; eta has no such limit
+    with pytest.raises(ValidationError) as err:
+        ConfidenceLevels(1e-17, 0.5)
+    assert err.value.field == "lam"
+    tiny = ConfidenceLevels(2.0 ** -53, 2.0 ** -60)
+    assert np.all(np.isfinite(reformulate(bundled_instance("paper_table1"), tiny).coefficients))
 
 
 # --- reformulation ------------------------------------------------------------
@@ -97,6 +103,17 @@ def test_reformulate_deterministic(table1):
     b = reformulate(table1, lv)
     assert a.coefficients.tobytes() == b.coefficients.tobytes()
     assert a.threshold == b.threshold
+
+
+def test_reformulate_matches_the_per_asset_formula():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        inst = random_instance(rng, n_assets=int(rng.integers(1, 40)))
+        lv = ConfidenceLevels(float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.01, 0.99)))
+        t_star = normal_quantile(1.0 - lv.lam, inst.factor)
+        l_star = LINEAR.pseudo_inverse(1.0 - lv.eta)
+        want = np.array([a.r0 + t_star * a.r2 - l_star * a.beta for a in inst.assets])
+        assert reformulate(inst, lv).coefficients.tobytes() == want.tobytes()
 
 
 def test_coefficients_monotone_in_levels(table1):

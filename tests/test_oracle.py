@@ -42,6 +42,36 @@ def test_greedy_tie_breaks_by_index():
     assert sol.x.tolist() == [60.0, 20.0]
 
 
+def greedy_loop(lp):
+    """The per-asset greedy fill, the reference for the array form."""
+    c, u = lp.coefficients, lp.upper_bounds
+    x = np.zeros(lp.n)
+    remaining = lp.total_fund
+    for j in sorted(range(lp.n), key=lambda j: (-c[j], j)):
+        take = min(float(u[j]), remaining)
+        x[j] = take
+        remaining -= take
+        if remaining <= 0.0:
+            break
+    return x
+
+
+def test_greedy_fill_matches_the_per_asset_loop():
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        # few distinct values, so ties and budgets that fill an asset exactly are common
+        c = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0, float(rng.normal())], size=n)
+        u = rng.choice([1.0, 2.5, 10.0, float(rng.uniform(0.1, 20.0))], size=n)
+        m0 = float(rng.choice([u.sum(), u[:int(rng.integers(1, n + 1))].sum(),
+                               rng.uniform(0.01, 1.0) * u.sum()]))
+        lp = make_lp(c, min(m0, float(u.sum())), u)
+        sol = solve_exact(lp)
+        want = greedy_loop(lp)
+        assert sol.x.tobytes() == want.tobytes()
+        assert sol.objective == float(lp.coefficients @ want)
+
+
 def test_budget_infeasible_status():
     sol = solve_exact(make_lp([1.0, 2.0], 100.0, [30.0, 30.0]))
     assert sol.status == BUDGET_INFEASIBLE
