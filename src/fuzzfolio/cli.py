@@ -80,8 +80,17 @@ def _parse_levels(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad level list {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a value argparse rejects as one ``error: <flag>: ...`` line,
+    like every other validation failure, instead of the usage block."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message.removeprefix('argument ')}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # subparsers are built with the parser's own class
+    parser = _Parser(
         prog="fuzzfolio",
         description="Portfolio selection under fuzzy random returns.",
     )

@@ -1,10 +1,11 @@
 """LR fuzzy numbers, fuzzy random returns, and necessity measures.
 
-An LR fuzzy number has a flat peak interval [a0, a1] and two shoulders
-shaped by reference functions: membership rises as L((a0 - x) / beta) on
-the left and falls as R((x - a1) / gamma) on the right.  A fuzzy random
-return shifts the peak interval by t * r2 for a normal draw t, keeping
-the spreads fixed, so every observation is again an LR fuzzy number.
+An LR fuzzy number has a flat peak interval [a0, a1] and two linear
+shoulders: membership rises as 1 - (a0 - x) / beta on the left and falls
+as 1 - (x - a1) / gamma on the right.  Linear shoulders are the form for
+which the model's reformulation is exact.  A fuzzy random return shifts
+the peak interval by t * r2 for a normal draw t, keeping the spreads
+fixed, so every observation is again an LR fuzzy number.
 
 Degrees of necessity are computed two ways: a closed form for scalar
 thresholds (used by the model reformulation) and a direct grid evaluation
@@ -16,14 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "ReferenceFunction",
-    "LINEAR",
-    "register_reference",
     "LRFuzzyNumber",
     "FuzzyRandomReturn",
     "RandomFactor",
@@ -33,71 +31,11 @@ __all__ = [
     "observe",
     "weighted_sum",
     "normal_quantile",
-    "ref_pseudo_inverse",
     "necessity_geq_scalar",
     "necessity_geq_fuzzy",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-# kind -> (evaluate, pseudo_inverse or None for bisection fallback);
-# evaluate must work elementwise on floats and numpy arrays alike
-_REFERENCE_KINDS: dict[str, tuple[Callable, Callable | None]] = {
-    "linear": (lambda t: 1.0 - t, lambda alpha: 1.0 - alpha),
-}
-
-
-def register_reference(kind: str, evaluate: Callable, pseudo_inverse: Callable | None = None) -> None:
-    """Register a new reference-function kind.
-
-    ``evaluate`` must be a strictly decreasing continuous map of [0, 1]
-    onto [0, 1] with evaluate(0) = 1 and evaluate(1) = 0, and must accept
-    numpy arrays elementwise.  Without an explicit ``pseudo_inverse`` the
-    generalized inverse is computed by bisection.
-    """
-    e0 = float(evaluate(0.0))
-    e1 = float(evaluate(1.0))
-    if abs(e0 - 1.0) > 1e-12 or abs(e1) > 1e-12:
-        raise ValueError(f"reference {kind!r} must satisfy evaluate(0)=1, evaluate(1)=0")
-    _REFERENCE_KINDS[kind] = (evaluate, pseudo_inverse)
-
-
-@dataclass(frozen=True)
-class ReferenceFunction:
-    """A shoulder shape for LR fuzzy numbers, identified by kind."""
-
-    kind: str = "linear"
-
-    def __post_init__(self):
-        if self.kind not in _REFERENCE_KINDS:
-            raise ValueError(f"unknown reference kind {self.kind!r}")
-
-    def evaluate(self, t):
-        return _REFERENCE_KINDS[self.kind][0](t)
-
-    def pseudo_inverse(self, alpha: float) -> float:
-        """Largest t in [0, 1] with evaluate(t) >= alpha."""
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-        inv = _REFERENCE_KINDS[self.kind][1]
-        if inv is not None:
-            return float(inv(alpha))
-        if alpha <= 0.0:
-            return 1.0
-        if float(self.evaluate(1.0)) >= alpha:
-            return 1.0
-        # invariant: evaluate(lo) >= alpha > evaluate(hi)
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if float(self.evaluate(mid)) >= alpha:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-
-LINEAR = ReferenceFunction("linear")
 
 
 def _require_finite(record, fields: tuple[str, ...]) -> None:
@@ -116,8 +54,6 @@ class LRFuzzyNumber:
     a1: float
     beta: float
     gamma: float
-    left_ref: ReferenceFunction = LINEAR
-    right_ref: ReferenceFunction = LINEAR
 
     def __post_init__(self):
         _require_finite(self, ("a0", "a1", "beta", "gamma"))
@@ -182,33 +118,25 @@ def membership(a: LRFuzzyNumber, x):
     """
     arr = np.asarray(x, dtype=float)
     deg = np.where((arr >= a.a0) & (arr <= a.a1), 1.0, 0.0)
+    # the clips keep each shoulder's ratio in [0, 1]; np.where discards
+    # the values off the shoulder
     if a.beta > 0:
         m = (arr >= a.a0 - a.beta) & (arr < a.a0)
-        if np.any(m):
-            deg = np.where(m, _eval_masked(a.left_ref, (a.a0 - arr) / a.beta, m), deg)
+        deg = np.where(m, 1.0 - np.clip((a.a0 - arr) / a.beta, 0.0, 1.0), deg)
     if a.gamma > 0:
         m = (arr > a.a1) & (arr <= a.a1 + a.gamma)
-        if np.any(m):
-            deg = np.where(m, _eval_masked(a.right_ref, (arr - a.a1) / a.gamma, m), deg)
+        deg = np.where(m, 1.0 - np.clip((arr - a.a1) / a.gamma, 0.0, 1.0), deg)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(deg)
     return deg
-
-
-def _eval_masked(ref: ReferenceFunction, ratio, mask):
-    # keep the reference function's argument inside its [0, 1] domain; the
-    # off-mask entries are discarded by np.where
-    vals = np.zeros_like(ratio)
-    vals[mask] = ref.evaluate(np.clip(ratio[mask], 0.0, 1.0))
-    return vals
 
 
 def alpha_cut(a: LRFuzzyNumber, alpha: float) -> tuple[float, float]:
     """Closed interval of points with membership at least alpha, 0 < alpha <= 1."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    lo = a.a0 - a.beta * a.left_ref.pseudo_inverse(alpha)
-    hi = a.a1 + a.gamma * a.right_ref.pseudo_inverse(alpha)
+    lo = a.a0 - a.beta * (1.0 - alpha)
+    hi = a.a1 + a.gamma * (1.0 - alpha)
     return (lo, hi)
 
 
@@ -221,27 +149,20 @@ def observe(frv: FuzzyRandomReturn, t: float) -> LRFuzzyNumber:
 def weighted_sum(observations: Sequence[LRFuzzyNumber], x: Sequence[float]) -> LRFuzzyNumber:
     """Nonnegative linear combination of LR fuzzy numbers.
 
-    Peaks and spreads combine componentwise, which is exact only when all
-    terms share the same reference functions.
+    Peaks and spreads combine componentwise, which is exact because all
+    shoulders are linear.
     """
     if len(observations) != len(x):
         raise ValueError(f"length mismatch: {len(observations)} observations vs {len(x)} weights")
     if any(w < 0 for w in x):
         raise ValueError("weights must be nonnegative")
-    if observations:
-        left = observations[0].left_ref
-        right = observations[0].right_ref
-        if any(o.left_ref != left or o.right_ref != right for o in observations[1:]):
-            raise ValueError("componentwise combination requires identical reference functions")
-    else:
-        left = right = LINEAR
     a0 = a1 = beta = gamma = 0.0
     for o, w in zip(observations, x):
         a0 += o.a0 * w
         a1 += o.a1 * w
         beta += o.beta * w
         gamma += o.gamma * w
-    return LRFuzzyNumber(a0, a1, beta, gamma, left, right)
+    return LRFuzzyNumber(a0, a1, beta, gamma)
 
 
 def normal_quantile(p: float, factor: RandomFactor = STANDARD_NORMAL) -> float:
@@ -265,24 +186,21 @@ def normal_quantile(p: float, factor: RandomFactor = STANDARD_NORMAL) -> float:
     return factor.mean + factor.std_dev * z
 
 
-def ref_pseudo_inverse(rf: ReferenceFunction, alpha: float) -> float:
-    """sup{t in [0, 1] | rf.evaluate(t) >= alpha}; 1 - alpha for the linear kind."""
-    return rf.pseudo_inverse(alpha)
-
-
 def necessity_geq_scalar(a: LRFuzzyNumber, f: float) -> float:
     """Degree to which a is necessarily at least the scalar f.
 
     Closed form for LR numbers: certain (1) once f clears the left edge
     of the support, impossible (0) once f exceeds the left peak, and
-    1 - L((a0 - f) / beta) on the left shoulder in between.  Equivalently
-    the degree is at least eta iff f <= a0 - beta * L*(1 - eta).
+    (a0 - f) / beta on the left shoulder in between.  Equivalently the
+    degree is at least eta iff f <= a0 - beta * eta.
     """
     if f <= a.a0 - a.beta:
         return 1.0
     if f > a.a0:
         return 0.0
-    return 1.0 - float(a.left_ref.evaluate((a.a0 - f) / a.beta))
+    # one minus the membership of f, not the ratio itself: the two can
+    # differ in the last bit
+    return 1.0 - (1.0 - (a.a0 - f) / a.beta)
 
 
 def necessity_geq_fuzzy(a: LRFuzzyNumber, b: LRFuzzyNumber, grid: int = 1000) -> float:

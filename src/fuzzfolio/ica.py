@@ -29,14 +29,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .model import DeterministicLP, ResidualReport, Tolerances, objective, residuals
-from .penalty import PenaltyConfig, penalized_objective_batch, repair
+from .model import DeterministicLP, ResidualReport, objective, residuals
+from .penalty import PenaltyConfig, penalized_objective_batch, penalized_objective_bound, repair
 
 __all__ = [
     "IcaConfig",
     "IterationRecord",
     "RunReport",
-    "cost_function",
     "initialize",
     "form_empires",
     "draw",
@@ -49,6 +48,10 @@ __all__ = [
 
 CostFn = Callable[[np.ndarray], np.ndarray]
 
+# a colony moves by up to twice its distance to the imperialist on each
+# axis, so it can overshoot it (Atashpaz-Gargari & Lucas, 2007)
+ASSIMILATION_BETA = 2.0
+
 
 @dataclass(frozen=True)
 class IcaConfig:
@@ -57,7 +60,6 @@ class IcaConfig:
     revolution_rate: float = 0.2
     max_iterations: int = 25
     epsilon: float = 0.05
-    assimilation_beta: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
@@ -67,8 +69,6 @@ class IcaConfig:
              f"must exceed n_imperialists ({self.n_imperialists})"),
             ("revolution_rate", 0.0 <= self.revolution_rate <= 1.0, "must lie in [0, 1]"),
             ("epsilon", 0.0 < self.epsilon < 0.1, "must lie in (0, 0.1)"),
-            ("assimilation_beta", math.isfinite(self.assimilation_beta) and self.assimilation_beta > 1.0,
-             "must be finite and exceed 1"),
             ("max_iterations", self.max_iterations >= 0, "must be nonnegative"),
         )
         for name, ok, rule in rules:
@@ -98,15 +98,6 @@ class RunReport:
     trace: tuple[IterationRecord, ...]
     residuals: ResidualReport
     seed: int
-
-
-def cost_function(lp: DeterministicLP, cfg: PenaltyConfig = PenaltyConfig()) -> CostFn:
-    """Minimization cost over one allocation (n,) or a batch (k, n)."""
-
-    def cost(x: np.ndarray) -> np.ndarray:
-        return -penalized_objective_batch(lp, x, cfg)
-
-    return cost
 
 
 def initialize(
@@ -205,7 +196,7 @@ def assimilate(
 ) -> None:
     """Move each colony toward its ruler by the given per-axis steps, in place."""
     here = positions[colonies]
-    moved = here + config.assimilation_beta * steps * (positions[rulers] - here)
+    moved = here + ASSIMILATION_BETA * steps * (positions[rulers] - here)
     np.clip(moved, 0.0, bounds, out=moved)
     costs[colonies] = cost_fn(moved)
     positions[colonies] = moved
@@ -272,24 +263,30 @@ def run(
     lp: DeterministicLP,
     penalty_cfg: PenaltyConfig = PenaltyConfig(),
     ica_cfg: IcaConfig = IcaConfig(),
-    tol: Tolerances = Tolerances(),
 ) -> RunReport:
     """Full optimization loop; deterministic given the config seed.
 
     The global best is tracked across every cost evaluation, so positions
     visited and then lost to revolution still count.  The returned
     allocation is the repaired best with its residual diagnostics.
+    Raises ValidationError when a cost in the box could overflow.
     """
+    # power shares and empire powers sum up to n_countries costs or cost
+    # differences, each at most twice the largest cost in magnitude
+    if not math.isfinite(4.0 * ica_cfg.n_countries * penalized_objective_bound(lp, penalty_cfg)):
+        raise ValidationError(
+            "the penalized objective overflows inside the box; rescale the instance for the ICA solver"
+        )
     rng = np.random.default_rng(ica_cfg.seed)
     bounds = lp.upper_bounds
-    raw_cost = cost_function(lp, penalty_cfg)
 
     best_cost = np.inf
     best_position: np.ndarray | None = None
 
     def tracked(x: np.ndarray) -> np.ndarray:
         nonlocal best_cost, best_position
-        costs = raw_cost(x)
+        # a module-global lookup per call, so a traced or patched binding is used
+        costs = -penalized_objective_batch(lp, x, penalty_cfg)
         flat = np.atleast_1d(costs)
         i = int(np.argmin(flat))
         if flat[i] < best_cost:
@@ -320,7 +317,7 @@ def run(
         best_cost=best_cost,
         best_objective=objective(lp, repaired),
         trace=tuple(trace),
-        residuals=residuals(lp, repaired, tol),
+        residuals=residuals(lp, repaired),
         seed=ica_cfg.seed,
     )
 

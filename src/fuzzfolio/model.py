@@ -7,11 +7,12 @@ over dollar allocations x:
     maximize   c . x
     subject to sum(x) = total_fund,  0 <= x_j <= U_j
 
-with c_j = r0_j + T*(1 - lambda) * r2_j - L*(1 - eta) * beta_j, where T*
-is the normal quantile of the random factor and L* the pseudo-inverse of
-the (linear) left reference.  The return-floor constraint has the same
-left side as the objective, so it is carried as a scalar threshold and
-checked against the optimal value instead of being kept as a row.
+with c_j = r0_j + T*(1 - lambda) * r2_j - eta * beta_j, where T* is the
+normal quantile of the random factor; the reformulation is exact
+because the left shoulders are linear.  The return-floor constraint has
+the same left side as the objective, so it is carried as a scalar
+threshold and checked against the optimal value instead of being kept
+as a row.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 
 from .errors import BudgetInfeasibleError, ValidationError
 from .fuzzy import (
-    LINEAR,
     FuzzyRandomReturn,
     RandomFactor,
     necessity_geq_scalar,
@@ -139,7 +139,10 @@ def reformulate(instance: PortfolioInstance, levels: ConfidenceLevels) -> Determ
     vectors.
     """
     t_star = normal_quantile(1.0 - levels.lam, instance.factor)
-    l_star = LINEAR.pseudo_inverse(1.0 - levels.eta)
+    # eta, taken through 1 - eta as the shoulder's inverse gives it: the
+    # round trip moves some levels (0.1 among them) one ulp, and the
+    # reported coefficients keep that rounding
+    l_star = 1.0 - (1.0 - levels.eta)
     r0, r2, beta = instance._asset_columns
     c = r0 + t_star * r2 - l_star * beta
     tgt = instance.target

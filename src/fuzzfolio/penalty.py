@@ -16,12 +16,12 @@ import numpy as np
 from .errors import BudgetInfeasibleError, ValidationError
 from .model import DeterministicLP
 
-__all__ = ["PenaltyConfig", "penalized_objective", "penalized_objective_batch", "repair"]
+__all__ = ["PenaltyConfig", "penalized_objective_batch", "penalized_objective_bound", "repair"]
 
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Penalty factors and exponents for the unconstrained objective.
+    """Penalty factors for the unconstrained objective; both charges are quadratic.
 
     The defaults are deliberately mild: the final answer is budget-repaired
     anyway, and a heavy equality penalty makes cost differences reflect
@@ -32,8 +32,6 @@ class PenaltyConfig:
 
     eq_factor: float = 0.5
     ineq_factor: float = 0.5
-    eq_exponent: float = 2.0
-    ineq_exponent: float = 2.0
     enforce_threshold: bool = False
 
     def __post_init__(self):
@@ -41,25 +39,29 @@ class PenaltyConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValidationError(f"{name} must be finite and positive, got {value}", field=name)
-        for name in ("eq_exponent", "ineq_exponent"):
-            if getattr(self, name) not in (1.0, 2.0):
-                raise ValidationError(f"{name} must be 1 or 2, got {getattr(self, name)}", field=name)
-
-
-def penalized_objective(lp: DeterministicLP, x, cfg: PenaltyConfig = PenaltyConfig()) -> float:
-    """c . x minus the penalty charges (maximization convention)."""
-    return float(penalized_objective_batch(lp, np.asarray(x, dtype=float), cfg))
 
 
 def penalized_objective_batch(lp: DeterministicLP, x: np.ndarray, cfg: PenaltyConfig = PenaltyConfig()) -> np.ndarray:
-    """Penalized objective for a single allocation (n,) or a batch (k, n)."""
+    """c . x minus the penalty charges, for one allocation (n,) or a batch (k, n)."""
     x = np.asarray(x, dtype=float)
     value = x @ lp.coefficients
-    penalty = cfg.eq_factor * np.abs(x.sum(axis=-1) - lp.total_fund) ** cfg.eq_exponent
+    penalty = cfg.eq_factor * np.abs(x.sum(axis=-1) - lp.total_fund) ** 2.0
     if cfg.enforce_threshold:
         shortfall = np.maximum(0.0, lp.threshold - value)
-        penalty = penalty + cfg.ineq_factor * shortfall ** cfg.ineq_exponent
+        penalty = penalty + cfg.ineq_factor * shortfall ** 2.0
     return value - penalty
+
+
+def penalized_objective_bound(lp: DeterministicLP, cfg: PenaltyConfig = PenaltyConfig()) -> float:
+    """Upper bound on |penalized objective| over the box; inf when it overflows."""
+    with np.errstate(over="ignore"):
+        value = float(np.abs(lp.coefficients) @ lp.upper_bounds)
+        drift = max(lp.total_fund, float(lp.upper_bounds.sum()) - lp.total_fund)
+    bound = value + cfg.eq_factor * drift * drift
+    if cfg.enforce_threshold:
+        shortfall = abs(lp.threshold) + value
+        bound += cfg.ineq_factor * shortfall * shortfall
+    return bound
 
 
 def repair(x, m0: float, upper) -> np.ndarray:

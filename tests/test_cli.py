@@ -1,14 +1,20 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fuzzfolio.cli import MAX_SEEDS, _parse_seeds, main
 from fuzzfolio.errors import BudgetInfeasibleError, ValidationError
+from fuzzfolio.fuzzy import FuzzyRandomReturn, RandomFactor
 from fuzzfolio.io import bundled_instance, bundled_names, load_instance, write_instance
+from fuzzfolio.model import PortfolioInstance
 from fuzzfolio.report import CSV_COLUMNS, SweepRow, render_table
 
 
@@ -48,6 +54,50 @@ def test_round_trip(tmp_path):
     out = tmp_path / "copy.json"
     write_instance(inst, out)
     assert load_instance(out) == inst
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def fuzzy_returns(draw):
+    r0, r1 = sorted((draw(FINITE), draw(FINITE)))
+    return FuzzyRandomReturn(r0, r1, draw(NONNEGATIVE), draw(NONNEGATIVE), draw(NONNEGATIVE))
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 6))
+    bounds = draw(st.lists(POSITIVE, min_size=n, max_size=n))
+    fund = draw(st.floats(min_value=0.0, max_value=min(sum(bounds), sys.float_info.max), exclude_min=True))
+    return PortfolioInstance(
+        assets=tuple(draw(fuzzy_returns()) for _ in range(n)),
+        target=draw(fuzzy_returns()),
+        total_fund=fund,
+        upper_bounds=tuple(bounds),
+        factor=RandomFactor(draw(FINITE), draw(POSITIVE)),
+    )
+
+
+def _numbers(value):
+    # every number of an instance, in field order, nested records flattened
+    if isinstance(value, tuple):
+        return [v for item in value for v in _numbers(item)]
+    return [value]
+
+
+@given(instances())
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_random_instances_round_trip(tmp_path, inst):
+    out = tmp_path / "copy.json"
+    write_instance(inst, out)
+    loaded = load_instance(out)
+    assert loaded == inst
+    # float.hex tells -0.0 from 0.0, which == does not
+    want = [v.hex() for v in _numbers(dataclasses.astuple(inst))]
+    assert [v.hex() for v in _numbers(dataclasses.astuple(loaded))] == want
 
 
 def test_load_rejects_negative_spread(tmp_path):
@@ -209,6 +259,21 @@ def test_budget_infeasible_instance_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_ica_rejects_an_instance_whose_penalty_overflows(tmp_path, capsys):
+    src = tmp_path / "inst.json"
+    write_instance(bundled_instance("paper_table1"), src)
+    data = json.loads(src.read_text())
+    data["total_fund"] = 1e200
+    data["upper_bounds"] = [1e200] * 5
+    src.write_text(json.dumps(data))
+    code, out, _ = run_cli(["solve", "--instance", str(src), "--format", "csv"], capsys)
+    assert code == 0
+    assert [float(r["budget_residual"]) for r in parse_csv(out)] == [0.0] * 4
+    code, out, err = run_cli(["solve", "--instance", str(src), "--solver", "ica", "--seeds", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: the penalized objective overflows inside the box; rescale the instance for the ICA solver\n"
+
+
 def test_default_levels_and_table_format(capsys):
     code, out, _ = run_cli(["solve"], capsys)
     assert code == 0
@@ -288,6 +353,14 @@ def test_invalid_ica_flag_exits_2_with_one_line(flags, named, capsys):
     (["solve", "--out", "{tmp}/missing/out.txt"], "--out"),
     (["reproduce-paper", "--seeds", "1", "--out", "{tmp}"], "--out"),
     (["reproduce-paper", "--seeds", "1", "--out", "{tmp}/missing/out.csv"], "--out"),
+    # values argparse itself rejects
+    (["solve", "--levels", "abc"], "--levels"),
+    (["solve", "--seeds", "bogus"], "--seeds"),
+    (["solve", "--iters", "x"], "--iters"),
+    (["solve", "--lambda", "x", "--eta", "0.5"], "--lambda"),
+    (["solve", "--format", "xml"], "--format"),
+    (["solve", "--solver", "simplex"], "--solver"),
+    (["reproduce-paper", "--seeds", "3..1"], "--seeds"),
 ])
 def test_invalid_level_or_out_flag_exits_2_with_one_line(argv, named, tmp_path, capsys):
     argv = [arg.format(tmp=tmp_path) for arg in argv]

@@ -6,19 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzfolio.fuzzy import (
-    LINEAR,
     FuzzyRandomReturn,
     LRFuzzyNumber,
     RandomFactor,
-    ReferenceFunction,
     alpha_cut,
     membership,
     necessity_geq_fuzzy,
     necessity_geq_scalar,
     normal_quantile,
     observe,
-    ref_pseudo_inverse,
-    register_reference,
     weighted_sum,
 )
 
@@ -60,13 +56,6 @@ def test_non_finite_fields_rejected(cls, field, value):
     with pytest.raises(ValueError) as err:
         cls(**{**VALID_FIELDS[cls], field: value})
     assert str(err.value) == f"field {field!r} must be finite, got {value}"
-
-
-def test_reference_function_endpoints():
-    assert LINEAR.evaluate(0.0) == 1.0
-    assert LINEAR.evaluate(1.0) == 0.0
-    with pytest.raises(ValueError):
-        ReferenceFunction("no_such_kind")
 
 
 # --- membership --------------------------------------------------------------
@@ -239,26 +228,6 @@ def test_quantile_symmetry(p):
     assert abs(normal_quantile(p) + normal_quantile(1 - p)) <= 1e-8
 
 
-# --- pseudo-inverse -----------------------------------------------------------
-
-def test_ref_pseudo_inverse_linear():
-    assert ref_pseudo_inverse(LINEAR, 0.0) == 1.0
-    assert ref_pseudo_inverse(LINEAR, 1.0) == 0.0
-    assert ref_pseudo_inverse(LINEAR, 0.9) == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        ref_pseudo_inverse(LINEAR, 1.5)
-
-
-def test_pseudo_inverse_bisection_fallback():
-    # quadratic shoulder registered without an explicit inverse
-    register_reference("sq_test", lambda t: (1.0 - np.asarray(t, dtype=float)) ** 2)
-    sq = ReferenceFunction("sq_test")
-    for alpha in (0.0, 0.04, 0.25, 0.81, 1.0):
-        t = sq.pseudo_inverse(alpha)
-        assert float(sq.evaluate(t)) >= alpha  # defining property
-        assert t == pytest.approx(1.0 - math.sqrt(alpha), abs=1e-12)
-
-
 # --- necessity vs scalar ------------------------------------------------------
 
 def test_necessity_scalar_examples():
@@ -266,6 +235,10 @@ def test_necessity_scalar_examples():
     assert necessity_geq_scalar(a, 8.0) == 1.0
     assert necessity_geq_scalar(a, 9.0) == pytest.approx(0.5)
     assert necessity_geq_scalar(a, 11.0) == 0.0
+    # on the shoulder the degree is one minus the membership of f, bit for
+    # bit; at a ratio of 1/3 that differs from the ratio itself in the last bit
+    b = LRFuzzyNumber(10, 12, 3, 3)
+    assert necessity_geq_scalar(b, 9.0) == 1.0 - membership(b, 9.0)
 
 
 def test_necessity_scalar_zero_spread():

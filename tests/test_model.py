@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fuzzfolio.errors import BudgetInfeasibleError, ValidationError
-from fuzzfolio.fuzzy import LINEAR, FuzzyRandomReturn, RandomFactor, normal_quantile
+from fuzzfolio.fuzzy import FuzzyRandomReturn, RandomFactor, normal_quantile
 from fuzzfolio.io import bundled_instance
 from fuzzfolio.model import (
     ConfidenceLevels,
@@ -111,7 +111,7 @@ def test_reformulate_matches_the_per_asset_formula():
         inst = random_instance(rng, n_assets=int(rng.integers(1, 40)))
         lv = ConfidenceLevels(float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.01, 0.99)))
         t_star = normal_quantile(1.0 - lv.lam, inst.factor)
-        l_star = LINEAR.pseudo_inverse(1.0 - lv.eta)
+        l_star = 1.0 - (1.0 - lv.eta)
         want = np.array([a.r0 + t_star * a.r2 - l_star * a.beta for a in inst.assets])
         assert reformulate(inst, lv).coefficients.tobytes() == want.tobytes()
 
