@@ -14,7 +14,7 @@ from pathlib import Path
 from . import ica
 from .errors import BudgetInfeasibleError, ValidationError
 from .io import bundled_instance, bundled_names, load_instance
-from .model import ConfidenceLevels, PortfolioInstance, reformulate, residuals
+from .model import ConfidenceLevels, PortfolioInstance, reformulate
 from .oracle import BUDGET_INFEASIBLE, solve_exact
 from .penalty import PenaltyConfig
 from .report import SweepRow, render_csv, render_json, render_table
@@ -52,24 +52,18 @@ def _parse_seeds(text: str) -> list[int]:
     seeds = []
     for token in text.split(","):
         token = token.strip()
-        if ".." in token:
-            lo, _, hi = token.partition("..")
-            try:
-                a, b = int(lo), int(hi)
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"bad seed range {token!r}")
-            if b < a:
-                raise argparse.ArgumentTypeError(f"empty seed range {token!r}")
-            if len(seeds) + (b - a + 1) > MAX_SEEDS:
-                raise argparse.ArgumentTypeError(f"seed list {text!r} is longer than {MAX_SEEDS} seeds")
-            seeds.extend(range(a, b + 1))
-        else:
-            try:
-                seeds.append(int(token))
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"bad seed {token!r}")
-            if len(seeds) > MAX_SEEDS:
-                raise argparse.ArgumentTypeError(f"seed list {text!r} is longer than {MAX_SEEDS} seeds")
+        # a single seed a is the range a..a
+        lo, dots, hi = token.partition("..")
+        try:
+            a = int(lo)
+            b = int(hi) if dots else a
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad seed range {token!r}" if dots else f"bad seed {token!r}")
+        if b < a:
+            raise argparse.ArgumentTypeError(f"empty seed range {token!r}")
+        if len(seeds) + (b - a + 1) > MAX_SEEDS:
+            raise argparse.ArgumentTypeError(f"seed list {text!r} is longer than {MAX_SEEDS} seeds")
+        seeds.extend(range(a, b + 1))
     return seeds
 
 
@@ -167,47 +161,25 @@ def _levels(args) -> list[ConfidenceLevels]:
         raise ValidationError(f"{flags[exc.field]}: {exc}") from None
 
 
-def _exact_row(lp, solution, published=None) -> SweepRow:
-    pub_obj = pub_gap = None
-    if published is not None:
-        pub_obj = published[1]
-        pub_gap = (solution.objective - pub_obj) / pub_obj
-    res = residuals(lp, solution.x)
+def _row(lp, oracle, solver, seed, status, x, objective, published=None) -> SweepRow:
+    """One report row for allocation x at lp's levels; oracle is the exact
+    optimum there and published, if given, the published objective."""
     return SweepRow(
         lam=lp.levels.lam,
         eta=lp.levels.eta,
-        solver="exact",
-        seed=None,
-        status=solution.status,
-        objective=solution.objective,
-        oracle_objective=solution.objective,
-        rel_gap=0.0,
+        solver=solver,
+        seed=seed,
+        status=status,
+        objective=objective,
+        oracle_objective=oracle,
+        # exactly 0.0 for the exact row, whose objective is the finite oracle
+        rel_gap=(oracle - objective) / abs(oracle) if oracle != 0.0 else 0.0,
         threshold=lp.threshold,
-        threshold_ok=solution.threshold_satisfied,
-        budget_residual=res.budget_residual,
-        allocation=tuple(solution.x.tolist()),
-        published_objective=pub_obj,
-        published_gap=pub_gap,
-    )
-
-
-def _ica_row(lp, report, oracle_objective) -> SweepRow:
-    gap = 0.0
-    if oracle_objective != 0.0:
-        gap = (oracle_objective - report.best_objective) / abs(oracle_objective)
-    return SweepRow(
-        lam=lp.levels.lam,
-        eta=lp.levels.eta,
-        solver="ica",
-        seed=report.seed,
-        status="heuristic",
-        objective=report.best_objective,
-        oracle_objective=oracle_objective,
-        rel_gap=gap,
-        threshold=lp.threshold,
-        threshold_ok=report.best_objective >= lp.threshold,
-        budget_residual=report.residuals.budget_residual,
-        allocation=tuple(float(v) for v in report.best_position),
+        threshold_ok=objective >= lp.threshold,
+        budget_residual=float(x.sum() - lp.total_fund),
+        allocation=tuple(x.tolist()),
+        published_objective=published,
+        published_gap=None if published is None else (objective - published) / published,
     )
 
 
@@ -243,24 +215,37 @@ def _configs(args) -> tuple[PenaltyConfig, ica.IcaConfig]:
         raise ValidationError(f"{_FLAGS.get(exc.field, exc.field)}: {exc}") from None
 
 
-def _cmd_solve(args) -> int:
-    penalty_cfg, base_ica = _configs(args)
-    instance, source = _resolve_instance(args.instance)
+def _sweep(instance, levels, exact_rows, seeds, penalty_cfg, ica_cfg, published=None):
+    """The exact row (when exact_rows) and one ICA row per seed at every
+    level, sorted, and whether the return floor holds at every level.
+
+    published maps a coupled level to its published (allocation, objective).
+    """
     rows: list[SweepRow] = []
     all_satisfied = True
-    for levels in _levels(args):
-        lp = reformulate(instance, levels)
+    for level in levels:
+        lp = reformulate(instance, level)
         exact = solve_exact(lp)
         if exact.status == BUDGET_INFEASIBLE:
             raise BudgetInfeasibleError("upper bounds cannot absorb the total fund")
         all_satisfied &= exact.threshold_satisfied
-        if args.solver == "exact":
-            rows.append(_exact_row(lp, exact))
-        else:
-            for seed in args.seeds:
-                report = ica.run(lp, penalty_cfg, dataclasses.replace(base_ica, seed=seed))
-                rows.append(_ica_row(lp, report, exact.objective))
+        if exact_rows:
+            pub = None if published is None else published[level.lam][1]
+            rows.append(_row(lp, exact.objective, "exact", None, exact.status, exact.x, exact.objective, pub))
+        for seed in seeds:
+            report = ica.run(lp, penalty_cfg, dataclasses.replace(ica_cfg, seed=seed))
+            rows.append(_row(lp, exact.objective, "ica", seed, "heuristic",
+                             report.best_position, report.best_objective))
     rows.sort(key=lambda r: (r.lam, r.eta, r.solver, r.seed if r.seed is not None else -1))
+    return rows, all_satisfied
+
+
+def _cmd_solve(args) -> int:
+    penalty_cfg, ica_cfg = _configs(args)
+    instance, source = _resolve_instance(args.instance)
+    exact_rows = args.solver == "exact"
+    rows, all_satisfied = _sweep(instance, _levels(args), exact_rows, [] if exact_rows else args.seeds,
+                                 penalty_cfg, ica_cfg)
     _emit(rows, args, {"instance": source, "solver": args.solver})
     if args.enforce_threshold and not all_satisfied:
         print("return threshold unsatisfiable at one or more levels", file=sys.stderr)
@@ -269,18 +254,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    instance = bundled_instance(DEFAULT_INSTANCE)
-    penalty_cfg = PenaltyConfig()
-    base_ica = ica.IcaConfig()  # the published parameter set is the default config
-    rows: list[SweepRow] = []
-    for level in BENCHMARK_LEVELS:
-        lp = reformulate(instance, ConfidenceLevels(level, level))
-        exact = solve_exact(lp)
-        rows.append(_exact_row(lp, exact, published=PUBLISHED_RESULTS[level]))
-        for seed in args.seeds:
-            report = ica.run(lp, penalty_cfg, dataclasses.replace(base_ica, seed=seed))
-            rows.append(_ica_row(lp, report, exact.objective))
-    rows.sort(key=lambda r: (r.lam, r.eta, r.solver, r.seed if r.seed is not None else -1))
+    # the published parameter set is the default config
+    rows, _ = _sweep(bundled_instance(DEFAULT_INSTANCE), [ConfidenceLevels(v, v) for v in BENCHMARK_LEVELS],
+                     True, args.seeds, PenaltyConfig(), ica.IcaConfig(), PUBLISHED_RESULTS)
     _emit(rows, args, {"instance": f"bundled:{DEFAULT_INSTANCE}", "solver": "exact+ica"})
     return 0
 

@@ -191,7 +191,6 @@ def assimilate(
     rulers: np.ndarray,
     steps: np.ndarray,
     cost_fn: CostFn,
-    config: IcaConfig,
     bounds: np.ndarray,
 ) -> None:
     """Move each colony toward its ruler by the given per-axis steps, in place."""
@@ -300,7 +299,7 @@ def run(
     for iteration in range(1, ica_cfg.max_iterations + 1):
         colonies, rulers = _colonies(empires)
         steps, hits, fresh = draw(empires, ica_cfg, bounds, rng)
-        assimilate(positions, costs, colonies, rulers, steps, tracked, ica_cfg, bounds)
+        assimilate(positions, costs, colonies, rulers, steps, tracked, bounds)
         revolve(positions, costs, colonies[hits], fresh, tracked)
         exchange(costs, empires)
         empires = compete(costs, empires, ica_cfg, rng)

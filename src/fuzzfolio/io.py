@@ -31,15 +31,19 @@ def load_instance(path: str | Path) -> PortfolioInstance:
     """Parse and validate an instance file; errors carry file locations."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     return loads_instance(text, source=str(path))
 
 
 def loads_instance(text: str, source: str = "<string>") -> PortfolioInstance:
     try:
-        raw = json.loads(text)
+        # integers read as floats: one past the float range reads as inf and
+        # is rejected by field, as is one too long for int()
+        raw = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):

@@ -38,7 +38,6 @@ __all__ = [
     "PortfolioInstance",
     "ConfidenceLevels",
     "DeterministicLP",
-    "Tolerances",
     "ResidualReport",
     "CertificateReport",
     "reformulate",
@@ -158,13 +157,10 @@ def objective(lp: DeterministicLP, x: Sequence[float]) -> float:
     return float(lp.coefficients @ x)
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Feasibility tolerances: budget equality, threshold, box bounds."""
-
-    eq: float = 1e-6
-    ineq: float = 1e-9
-    box: float = 1e-9
+# feasibility tolerances of residuals: budget equality, threshold, box bounds
+EQ_TOL = 1e-6
+INEQ_TOL = 1e-9
+BOX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -175,7 +171,7 @@ class ResidualReport:
     feasible: bool
 
 
-def residuals(lp: DeterministicLP, x: Sequence[float], tol: Tolerances = Tolerances()) -> ResidualReport:
+def residuals(lp: DeterministicLP, x: Sequence[float]) -> ResidualReport:
     """Constraint diagnostics for an allocation, with a feasibility verdict."""
     x = np.asarray(x, dtype=float)
     if x.shape != lp.coefficients.shape:
@@ -184,7 +180,7 @@ def residuals(lp: DeterministicLP, x: Sequence[float], tol: Tolerances = Toleran
     thresh = objective(lp, x) - lp.threshold
     viol = np.maximum(x - lp.upper_bounds, 0.0) + np.maximum(-x, 0.0)
     feasible = (
-        abs(budget) <= tol.eq and thresh >= -tol.ineq and float(viol.max()) <= tol.box
+        abs(budget) <= EQ_TOL and thresh >= -INEQ_TOL and float(viol.max()) <= BOX_TOL
     )
     return ResidualReport(budget, thresh, viol, feasible)
 

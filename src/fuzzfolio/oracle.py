@@ -10,11 +10,12 @@ small trusted base beats one for refereeing the metaheuristic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationLimitError
+from .errors import EnumerationLimitError, ValidationError
 from .model import DeterministicLP
 
 __all__ = ["ExactSolution", "solve_exact", "brute_force"]
@@ -43,20 +44,27 @@ def solve_exact(lp: DeterministicLP) -> ExactSolution:
     ``budget_infeasible`` and x is the all-at-bounds allocation; the
     threshold can never be an obstacle to solving because its left side
     equals the objective, so a shortfall only flips the status to
-    ``threshold_infeasible``.
+    ``threshold_infeasible``.  Raises ValidationError when the optimal
+    objective overflows.
     """
     c = lp.coefficients
     u = lp.upper_bounds
-    if float(u.sum()) < lp.total_fund:
-        obj = float(c @ u)
-        return ExactSolution(u.copy(), obj, obj >= lp.threshold, BUDGET_INFEASIBLE)
-    order = np.argsort(-c, kind="stable")
-    caps = u[order]
-    # the fund left before each asset, subtracted left to right
-    left = np.subtract.accumulate(np.concatenate(([lp.total_fund], caps[:-1])))
-    x = np.zeros(lp.n)
-    x[order] = np.clip(left, 0.0, caps)
-    obj = float(c @ x)
+    # an infinite bound sum still compares right, and a -inf fund left clips to 0
+    with np.errstate(over="ignore"):
+        if float(u.sum()) < lp.total_fund:
+            obj = float(c @ u)
+            return ExactSolution(u.copy(), obj, obj >= lp.threshold, BUDGET_INFEASIBLE)
+        order = np.argsort(-c, kind="stable")
+        caps = u[order]
+        # the fund left before each asset, subtracted left to right
+        left = np.subtract.accumulate(np.concatenate(([lp.total_fund], caps[:-1])))
+        x = np.zeros(lp.n)
+        x[order] = np.clip(left, 0.0, caps)
+        obj = float(c @ x)
+    if not math.isfinite(obj):
+        raise ValidationError(
+            f"the optimal objective overflows at lambda={lp.levels.lam}, eta={lp.levels.eta}; rescale the instance"
+        )
     ok = obj >= lp.threshold
     return ExactSolution(x, obj, ok, OPTIMAL if ok else THRESHOLD_INFEASIBLE)
 

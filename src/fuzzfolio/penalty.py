@@ -18,12 +18,16 @@ from .model import DeterministicLP
 
 __all__ = ["PenaltyConfig", "penalized_objective_batch", "penalized_objective_bound", "repair"]
 
+# factor of the quadratic return-floor charge under enforce_threshold
+INEQ_FACTOR = 0.5
+
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Penalty factors for the unconstrained objective; both charges are quadratic.
+    """The budget penalty factor, and whether the return floor is charged too
+    (at INEQ_FACTOR); both charges are quadratic.
 
-    The defaults are deliberately mild: the final answer is budget-repaired
+    The factors are deliberately mild: the final answer is budget-repaired
     anyway, and a heavy equality penalty makes cost differences reflect
     budget noise instead of allocation quality, which measurably stalls
     the population search.  A quadratic factor F caps the search's budget
@@ -31,14 +35,13 @@ class PenaltyConfig:
     """
 
     eq_factor: float = 0.5
-    ineq_factor: float = 0.5
     enforce_threshold: bool = False
 
     def __post_init__(self):
-        for name in ("eq_factor", "ineq_factor"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be finite and positive, got {value}", field=name)
+        if not (math.isfinite(self.eq_factor) and self.eq_factor > 0):
+            raise ValidationError(
+                f"eq_factor must be finite and positive, got {self.eq_factor}", field="eq_factor"
+            )
 
 
 def penalized_objective_batch(lp: DeterministicLP, x: np.ndarray, cfg: PenaltyConfig = PenaltyConfig()) -> np.ndarray:
@@ -48,7 +51,7 @@ def penalized_objective_batch(lp: DeterministicLP, x: np.ndarray, cfg: PenaltyCo
     penalty = cfg.eq_factor * np.abs(x.sum(axis=-1) - lp.total_fund) ** 2.0
     if cfg.enforce_threshold:
         shortfall = np.maximum(0.0, lp.threshold - value)
-        penalty = penalty + cfg.ineq_factor * shortfall ** 2.0
+        penalty = penalty + INEQ_FACTOR * shortfall ** 2.0
     return value - penalty
 
 
@@ -60,7 +63,7 @@ def penalized_objective_bound(lp: DeterministicLP, cfg: PenaltyConfig = PenaltyC
     bound = value + cfg.eq_factor * drift * drift
     if cfg.enforce_threshold:
         shortfall = abs(lp.threshold) + value
-        bound += cfg.ineq_factor * shortfall * shortfall
+        bound += INEQ_FACTOR * shortfall * shortfall
     return bound
 
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 __all__ = ["SweepRow", "CSV_COLUMNS", "render_csv", "render_json", "render_table"]
 
-CSV_COLUMNS = (
-    "lambda",
+# (CSV column and JSON key, SweepRow attribute): every column shows the
+# attribute of its name but "lambda", a Python keyword, which shows lam
+_COLUMNS = (("lambda", "lam"),) + tuple((name, name) for name in (
     "eta",
     "solver",
     "seed",
@@ -31,7 +32,8 @@ CSV_COLUMNS = (
     "published_objective",
     "published_gap",
     "allocation",
-)
+))
+CSV_COLUMNS = tuple(column for column, _ in _COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -59,26 +61,9 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".12g")
+    if isinstance(value, tuple):
+        return ";".join(map(_fmt, value))
     return str(value)
-
-
-def _cells(row: SweepRow) -> list[str]:
-    return [
-        _fmt(row.lam),
-        _fmt(row.eta),
-        row.solver,
-        _fmt(row.seed),
-        row.status,
-        _fmt(row.objective),
-        _fmt(row.oracle_objective),
-        _fmt(row.rel_gap),
-        _fmt(row.threshold),
-        _fmt(row.threshold_ok),
-        _fmt(row.budget_residual),
-        _fmt(row.published_objective),
-        _fmt(row.published_gap),
-        ";".join(_fmt(v) for v in row.allocation),
-    ]
 
 
 def render_csv(rows: list[SweepRow]) -> str:
@@ -86,34 +71,14 @@ def render_csv(rows: list[SweepRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow(_cells(row))
+        writer.writerow([_fmt(getattr(row, attr)) for _, attr in _COLUMNS])
     return buf.getvalue()
 
 
 def render_json(rows: list[SweepRow], meta: dict) -> str:
-    payload = {
-        **meta,
-        "rows": [
-            {
-                "lambda": r.lam,
-                "eta": r.eta,
-                "solver": r.solver,
-                "seed": r.seed,
-                "status": r.status,
-                "objective": r.objective,
-                "oracle_objective": r.oracle_objective,
-                "rel_gap": r.rel_gap,
-                "threshold": r.threshold,
-                "threshold_ok": r.threshold_ok,
-                "budget_residual": r.budget_residual,
-                "published_objective": r.published_objective,
-                "published_gap": r.published_gap,
-                "allocation": list(r.allocation),
-            }
-            for r in rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    # json writes the allocation tuple as an array
+    records = [{column: getattr(row, attr) for column, attr in _COLUMNS} for row in rows]
+    return json.dumps({**meta, "rows": records}, indent=2) + "\n"
 
 
 def _num(value: float) -> str:

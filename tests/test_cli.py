@@ -5,6 +5,7 @@ import io
 import json
 import sys
 import time
+from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -170,6 +171,33 @@ def test_load_rejects_non_finite_numbers(tmp_path, path, named, value):
     assert str(err.value) == f"{bad}: {named} must be finite, got {value!r}"
 
 
+PAPER_JSON = resources.files("fuzzfolio.data").joinpath("paper_table1.json").read_text()
+
+# instance files the loader rejects: not JSON, not UTF-8, or holding
+# integers past the float range; each must exit 2 with one line
+BAD_INSTANCES = {
+    "malformed.json": b"{",
+    "not_utf8.json": b"\xff\xfe{",
+    "huge_fund.json": PAPER_JSON.replace('"total_fund": 200', '"total_fund": 1' + "0" * 400).encode(),
+    "huge_bound.json": PAPER_JSON.replace('"upper_bounds": [60,', '"upper_bounds": [1' + "0" * 400 + ",").encode(),
+    # longer than the 4300 digits int() parses
+    "long_int.json": PAPER_JSON.replace('"total_fund": 200', '"total_fund": ' + "1" * 4301).encode(),
+}
+
+
+@pytest.mark.parametrize("name, named", [
+    ("huge_fund.json", "field 'total_fund'"),
+    ("huge_bound.json", "upper_bounds[0]"),
+    ("long_int.json", "field 'total_fund'"),
+])
+def test_load_names_an_integer_past_the_float_range(tmp_path, name, named):
+    bad = tmp_path / name
+    bad.write_bytes(BAD_INSTANCES[name])
+    with pytest.raises(ValidationError) as err:
+        load_instance(bad)
+    assert str(err.value) == f"{bad}: {named} must be finite, got inf"
+
+
 def test_non_finite_instance_exit_code(tmp_path, capsys):
     src = tmp_path / "inst.json"
     write_instance(bundled_instance("paper_table1"), src)
@@ -274,6 +302,23 @@ def test_ica_rejects_an_instance_whose_penalty_overflows(tmp_path, capsys):
     assert err == "error: the penalized objective overflows inside the box; rescale the instance for the ICA solver\n"
 
 
+def test_exact_solver_rejects_an_instance_whose_objective_overflows(tmp_path, capsys):
+    src = tmp_path / "inst.json"
+    write_instance(bundled_instance("paper_table1"), src)
+    data = json.loads(src.read_text())
+    data["total_fund"] = 1e308
+    data["upper_bounds"] = [1.7e308] * 5  # their sum overflows to inf
+    src.write_text(json.dumps(data))
+    code, out, err = run_cli(["solve", "--instance", str(src), "--levels", "0.4", "--format", "csv"], capsys)
+    assert (code, err) == (0, "")
+    [row] = parse_csv(out)
+    assert row["allocation"] == "0;0;0;0;1e+308"
+    assert float(row["objective"]) < float("inf")
+    code, out, err = run_cli(["solve", "--instance", str(src), "--levels", "0.1", "--format", "csv"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: the optimal objective overflows at lambda=0.1, eta=0.1; rescale the instance\n"
+
+
 def test_default_levels_and_table_format(capsys):
     code, out, _ = run_cli(["solve"], capsys)
     assert code == 0
@@ -361,10 +406,19 @@ def test_invalid_ica_flag_exits_2_with_one_line(flags, named, capsys):
     (["solve", "--format", "xml"], "--format"),
     (["solve", "--solver", "simplex"], "--solver"),
     (["reproduce-paper", "--seeds", "3..1"], "--seeds"),
+    # malformed instance files (BAD_INSTANCES), named by their path
+    (["solve", "--instance", "{tmp}"], "{tmp}"),
+    (["solve", "--instance", "{tmp}/malformed.json"], "{tmp}/malformed.json:1:2"),
+    (["solve", "--instance", "{tmp}/not_utf8.json"], "{tmp}/not_utf8.json"),
+    (["solve", "--instance", "{tmp}/huge_fund.json"], "{tmp}/huge_fund.json"),
+    (["solve", "--instance", "{tmp}/huge_bound.json"], "{tmp}/huge_bound.json"),
+    (["solve", "--instance", "{tmp}/long_int.json"], "{tmp}/long_int.json"),
 ])
 def test_invalid_level_or_out_flag_exits_2_with_one_line(argv, named, tmp_path, capsys):
+    for name, content in BAD_INSTANCES.items():
+        (tmp_path / name).write_bytes(content)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    assert_one_line_error(*run_cli(argv, capsys), named)
+    assert_one_line_error(*run_cli(argv, capsys), named.format(tmp=tmp_path))
 
 
 def assert_one_line_error(code, out, err, named):
@@ -409,6 +463,21 @@ def test_reproduce_rows_and_published_comparison(capsys):
         published = float(r["published_objective"])
         assert abs(float(r["objective"]) - published) / published < 0.005
         assert abs(float(r["published_gap"])) < 0.005
+
+
+def test_reproduce_rows_equal_solve_rows(capsys):
+    code, out, _ = run_cli(["reproduce-paper", "--seeds", "1..3", "--format", "csv"], capsys)
+    assert code == 0
+    rows = parse_csv(out)
+    code, out, _ = run_cli(["solve", "--solver", "ica", "--seeds", "1..3", "--format", "csv"], capsys)
+    assert code == 0
+    assert [r for r in rows if r["solver"] == "ica"] == parse_csv(out)
+    code, out, _ = run_cli(["solve", "--format", "csv"], capsys)
+    assert code == 0
+    exact = [r for r in rows if r["solver"] == "exact"]
+    unpublished = [{**r, "published_objective": "", "published_gap": ""} for r in exact]
+    assert unpublished == parse_csv(out)
+    assert all(r["published_objective"] for r in exact)
 
 
 def test_reproduce_table_shows_deviation(capsys):

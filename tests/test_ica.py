@@ -171,26 +171,24 @@ def test_draw_follows_the_per_empire_stream():
 # --- assimilation / revolution ----------------------------------------------------
 
 def test_assimilate_mirror_point_then_clamp():
-    cfg = ica.IcaConfig(n_countries=10, n_imperialists=2)
     assert ica.ASSIMILATION_BETA == 2.0
     positions = np.array([[50.0, 10.0], [10.0, 50.0]])
     costs = np.zeros(2)
     # u = 1 everywhere: the colony lands at the mirror 2*imp - colony, clamped
     ica.assimilate(positions, costs, np.array([1]), np.array([0]), np.ones((1, 2)),
-                   sum_cost, cfg, np.array([60.0, 60.0]))
+                   sum_cost, np.array([60.0, 60.0]))
     assert positions[1].tolist() == [60.0, 0.0]  # (90, -30) clamped
     assert positions[0].tolist() == [50.0, 10.0]
     assert costs.tolist() == [0.0, -60.0]
 
 
 def test_assimilate_fixed_point_and_bounds():
-    cfg = ica.IcaConfig(n_countries=10, n_imperialists=2)
     rng = np.random.default_rng(3)
     positions = np.array([[30.0, 30.0], [30.0, 30.0], [0.0, 60.0]])
     costs = np.zeros(3)
     for _ in range(25):
         ica.assimilate(positions, costs, np.array([1, 2]), np.array([0, 0]), rng.random((2, 2)),
-                       sum_cost, cfg, np.array([60.0, 60.0]))
+                       sum_cost, np.array([60.0, 60.0]))
         assert positions[1].tolist() == [30.0, 30.0]
         assert np.all(positions[2] >= 0.0) and np.all(positions[2] <= 60.0)
 

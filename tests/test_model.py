@@ -7,7 +7,6 @@ from fuzzfolio.io import bundled_instance
 from fuzzfolio.model import (
     ConfidenceLevels,
     PortfolioInstance,
-    Tolerances,
     necessity_certificate,
     objective,
     reformulate,
@@ -170,7 +169,7 @@ def test_residuals_examples(table1):
     assert over.bound_violations[0] == pytest.approx(10.0)
     assert not over.feasible
 
-    under = residuals(lp, [-3.0, 0.0, 23.0, 60.0, 60.0], Tolerances())
+    under = residuals(lp, [-3.0, 0.0, 23.0, 60.0, 60.0])
     assert under.bound_violations[0] == pytest.approx(3.0)
     assert not under.feasible
 

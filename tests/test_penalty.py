@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from fuzzfolio.errors import BudgetInfeasibleError, ValidationError
 from fuzzfolio.model import ConfidenceLevels, DeterministicLP, objective
-from fuzzfolio.penalty import PenaltyConfig, penalized_objective_batch, penalized_objective_bound, repair
+from fuzzfolio.penalty import (
+    INEQ_FACTOR,
+    PenaltyConfig,
+    penalized_objective_batch,
+    penalized_objective_bound,
+    repair,
+)
 
 LEVELS = ConfidenceLevels(0.5, 0.5)
 
@@ -25,7 +31,7 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("eq_factor", float("nan")),
     ("eq_factor", float("inf")),
-    ("ineq_factor", -1.0),
+    ("eq_factor", -1.0),
 ])
 def test_config_errors_name_the_field(field, value):
     with pytest.raises(ValidationError) as err:
@@ -59,13 +65,13 @@ def test_threshold_charge_only_when_enforced():
     x = [6.0, 4.0]  # objective 10, shortfall 40
     off = penalized_objective_batch(lp, x, PenaltyConfig(enforce_threshold=False))
     assert off == pytest.approx(10.0)
-    on = penalized_objective_batch(lp, x, PenaltyConfig(ineq_factor=2.0, enforce_threshold=True))
-    assert on == pytest.approx(10.0 - 2.0 * 40.0**2)
+    on = penalized_objective_batch(lp, x, PenaltyConfig(enforce_threshold=True))
+    assert on == pytest.approx(10.0 - INEQ_FACTOR * 40.0**2)
 
 
 def test_batch_matches_scalar():
     lp = make_lp([2.0, 1.0, 0.5], 10.0, [8.0, 8.0, 8.0], threshold=9.0)
-    cfg = PenaltyConfig(eq_factor=3.0, ineq_factor=7.0, enforce_threshold=True)
+    cfg = PenaltyConfig(eq_factor=3.0, enforce_threshold=True)
     xs = np.random.default_rng(0).uniform(0, 8, size=(20, 3))
     batch = penalized_objective_batch(lp, xs, cfg)
     for row, got in zip(xs, batch):
@@ -77,7 +83,7 @@ def test_bound_covers_the_box_and_overflows_to_inf():
     corners = np.array(list(itertools.product((0.0, 8.0), repeat=3)))
     xs = np.vstack([corners, np.random.default_rng(1).uniform(0, 8, size=(200, 3))])
     for enforce in (False, True):
-        cfg = PenaltyConfig(eq_factor=3.0, ineq_factor=7.0, enforce_threshold=enforce)
+        cfg = PenaltyConfig(eq_factor=3.0, enforce_threshold=enforce)
         assert np.abs(penalized_objective_batch(lp, xs, cfg)).max() <= penalized_objective_bound(lp, cfg)
     huge = make_lp([1.0, 1.0], 1e200, [1e200, 1e200])
     assert penalized_objective_bound(huge) == math.inf
