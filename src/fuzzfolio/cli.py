@@ -7,7 +7,6 @@ instance, 4 threshold infeasible when --enforce-threshold is set.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -232,9 +231,8 @@ def _sweep(instance, levels, exact_rows, seeds, penalty_cfg, ica_cfg, published=
         if exact_rows:
             pub = None if published is None else published[level.lam][1]
             rows.append(_row(lp, exact.objective, "exact", None, exact.status, exact.x, exact.objective, pub))
-        for seed in seeds:
-            report = ica.run(lp, penalty_cfg, dataclasses.replace(ica_cfg, seed=seed))
-            rows.append(_row(lp, exact.objective, "ica", seed, "heuristic",
+        for report in ica.run(lp, penalty_cfg, ica_cfg, seeds) if seeds else ():
+            rows.append(_row(lp, exact.objective, "ica", report.seed, "heuristic",
                              report.best_position, report.best_objective))
     rows.sort(key=lambda r: (r.lam, r.eta, r.solver, r.seed if r.seed is not None else -1))
     return rows, all_satisfied

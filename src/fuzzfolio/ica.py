@@ -8,28 +8,27 @@ colony that overtakes its imperialist swaps roles (exchange), and the
 weakest empire loses its weakest colony to a roulette-selected rival
 (competition), collapsing once it has none left.
 
-The population is held in two arrays, positions (N, n) and costs (N,).
-An empire is an index array into them: the imperialist first, then its
-colonies in a fixed order.  That order decides which rows of the random
-draws a colony receives and how ties break.  Every iteration draws the
-random numbers empire by empire, then moves all colonies of all empires
-in one assimilation batch and one revolution batch.
-
-Costs are minimized internally (cost = -penalized objective) so that
-lower cost means stronger throughout.  A run is a pure function of its
-inputs including the seed.
+All seeds of a run evolve together: for S seeds of N countries over n
+assets, positions (S, N, n) and costs (S, N), each country's empire
+label owner (S, N), each empire's ruling country imperialist (S, K) and
+alive flag (S, K), and the running seeds active (S,).  Each phase
+evaluates the costs of all seeds in one batch.  A seed's results never
+depend on the seeds it runs with: it has its own generator (one draw
+per iteration, see ``draw``), every reduction runs over its row alone,
+and costs are computed row by row.  A seed left with one empire stops.
+Costs are minimized (cost = -penalized objective): lower is stronger.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import DeterministicLP, ResidualReport, objective, residuals
+from .model import DeterministicLP, objective
 from .penalty import PenaltyConfig, penalized_objective_batch, penalized_objective_bound, repair
 
 __all__ = [
@@ -46,11 +45,14 @@ __all__ = [
     "run",
 ]
 
-CostFn = Callable[[np.ndarray], np.ndarray]
+CostFn = Callable[[np.ndarray], np.ndarray]  # positions (S, N, n) -> costs (S, N)
 
 # a colony moves by up to twice its distance to the imperialist on each
 # axis, so it can overshoot it (Atashpaz-Gargari & Lucas, 2007)
 ASSIMILATION_BETA = 2.0
+
+# most seeds evolved together; it bounds memory and cannot change a result
+SEED_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,6 @@ class IcaConfig:
     revolution_rate: float = 0.2
     max_iterations: int = 25
     epsilon: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         rules = (
@@ -85,42 +86,47 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Outcome of a seeded run.
+    """Outcome of one seed's run.
 
     ``best_position`` is the budget-repaired best allocation ever
     evaluated and ``best_objective`` its plain (unpenalized) objective;
     ``best_cost`` is the raw internal cost of the unrepaired best.
+    ``history`` (T, 2) holds the best cost so far and the number of
+    empires after each of the T iterations, an array as a run keeps every
+    seed's report until it ends; ``trace`` gives them as records.
     """
 
     best_position: np.ndarray
     best_cost: float
     best_objective: float
-    trace: tuple[IterationRecord, ...]
-    residuals: ResidualReport
+    history: np.ndarray
     seed: int
 
-
-def initialize(
-    cost_fn: CostFn, config: IcaConfig, bounds: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the initial positions (N, n) uniformly inside the box, with their costs (N,)."""
-    bounds = np.asarray(bounds, dtype=float)
-    positions = rng.uniform(0.0, bounds, size=(config.n_countries, bounds.size))
-    return positions, np.atleast_1d(cost_fn(positions))
+    @property
+    def trace(self) -> tuple[IterationRecord, ...]:
+        return tuple(IterationRecord(i, cost, int(n)) for i, (cost, n) in enumerate(self.history.tolist(), 1))
 
 
-def form_empires(costs: np.ndarray, config: IcaConfig, rng: np.random.Generator) -> list[np.ndarray]:
-    """Split the population into empires with power-proportional colony counts."""
-    ranked = np.argsort(costs, kind="stable")
-    imperialists = ranked[: config.n_imperialists]
-    colonists = ranked[config.n_imperialists:]
-    counts = _largest_remainder(_power_shares(costs[imperialists]), colonists.size)
-    shuffled = colonists[rng.permutation(colonists.size)]
-    ends = np.cumsum(counts)
-    return [
-        np.concatenate(([imp], shuffled[end - k: end]))
-        for imp, k, end in zip(imperialists, counts, ends)
-    ]
+def initialize(cost_fn: CostFn, config: IcaConfig, bounds: np.ndarray, rngs: Sequence[np.random.Generator]):
+    """Draw each seed's positions uniformly inside the box: positions (S, N, n), costs (S, N)."""
+    positions = np.stack([rng.uniform(0.0, bounds, size=(config.n_countries, bounds.size)) for rng in rngs])
+    return positions, cost_fn(positions)
+
+
+def form_empires(costs: np.ndarray, config: IcaConfig, rngs: Sequence[np.random.Generator]):
+    """Split each seed's population into empires with power-proportional colony
+    counts: owner (S, N), and imperialist (S, K) whose k-th is the k-th best country."""
+    k = config.n_imperialists
+    owner = np.empty(costs.shape, dtype=np.intp)
+    imperialist = np.empty((len(rngs), k), dtype=np.intp)
+    for s, rng in enumerate(rngs):
+        ranked = np.argsort(costs[s], kind="stable")
+        imperialist[s] = ranked[:k]
+        owner[s, ranked[:k]] = np.arange(k)
+        colonists = ranked[k:]
+        counts = _largest_remainder(_power_shares(costs[s, ranked[:k]]), colonists.size)
+        owner[s, colonists[rng.permutation(colonists.size)]] = np.repeat(np.arange(k), counts)
+    return owner, imperialist
 
 
 def _power_shares(costs: np.ndarray) -> np.ndarray:
@@ -139,197 +145,182 @@ def _largest_remainder(shares: np.ndarray, total: int) -> list[int]:
     # fractional part so the counts sum to the colony pool exactly
     quotas = shares * total
     counts = np.floor(quotas).astype(int)
-    leftover = total - int(counts.sum())
-    order = sorted(range(shares.size), key=lambda i: (-(quotas[i] - counts[i]), i))
-    for i in order[:leftover]:
-        counts[i] += 1
+    order = np.argsort(-(quotas - counts), kind="stable")
+    counts[order[: total - int(counts.sum())]] += 1
     return counts.tolist()
 
 
-def _colonies(empires: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Every colony in empire order, and the imperialist ruling each."""
-    colonies = np.concatenate([e[1:] for e in empires])
-    rulers = np.repeat([e[0] for e in empires], [e.size - 1 for e in empires])
-    return colonies, rulers
+def _rulers(owner: np.ndarray, imperialist: np.ndarray) -> np.ndarray:
+    """The imperialist ruling each country (S, N); an imperialist rules itself."""
+    return np.take_along_axis(imperialist, owner, axis=1)
 
 
-def draw(
-    empires: list[np.ndarray], config: IcaConfig, bounds: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw one iteration's random numbers, empire by empire.
-
-    An empire with k colonies takes k x n assimilation steps, then k
-    revolution trials, then m x n fresh positions for the m > 0 trials
-    that hit; an empire without colonies draws nothing.  Returns the
-    steps (one row per colony) and hit flags (one per colony), both in
-    the colony order of ``_colonies``, and the fresh positions (one row
-    per hit, in the same order).
-    """
-    n = bounds.size
-    steps, hits, fresh = [], [], [np.empty((0, n))]
-    for empire in empires:
-        k = empire.size - 1
-        if k == 0:
-            continue
-        # steps and trials are adjacent in the stream: one call draws both
-        u = rng.random(k * (n + 1))
-        steps.append(u[: k * n].reshape(k, n))
-        hit = u[k * n:] < config.revolution_rate
-        hits.append(hit)
-        m = int(np.count_nonzero(hit))
-        if m:
-            fresh.append(rng.random((m, n)))
-    # bounds * random() has the values and the stream of
-    # rng.uniform(0.0, bounds, (m, n)), which computes 0 + bounds * random()
-    return np.concatenate(steps), np.concatenate(hits), bounds * np.concatenate(fresh)
+def _colonies(owner: np.ndarray, imperialist: np.ndarray) -> np.ndarray:
+    """Which countries are colonies (S, N)."""
+    return _rulers(owner, imperialist) != np.arange(owner.shape[1])
 
 
-def assimilate(
-    positions: np.ndarray,
-    costs: np.ndarray,
-    colonies: np.ndarray,
-    rulers: np.ndarray,
-    steps: np.ndarray,
-    cost_fn: CostFn,
-    bounds: np.ndarray,
-) -> None:
-    """Move each colony toward its ruler by the given per-axis steps, in place."""
-    here = positions[colonies]
-    moved = here + ASSIMILATION_BETA * steps * (positions[rulers] - here)
+def draw(rngs: Sequence[np.random.Generator], active: np.ndarray, n_countries: int, n: int):
+    """Draw one iteration's numbers, one ``random(1 + N(2n + 1))`` per active seed: the
+    roulette numbers (S,), then per country the assimilation steps (S, N, n), revolution
+    trials (S, N) and fresh positions in the unit box (S, N, n), unused for imperialists.
+    An inactive seed draws nothing and gets zeros."""
+    u = np.zeros((len(rngs), 1 + n_countries * (2 * n + 1)))
+    for s in np.flatnonzero(active):
+        rngs[s].random(out=u[s])
+    grid = u[:, 1:].reshape(len(rngs), n_countries, 2 * n + 1)
+    return u[:, 0], grid[..., :n], grid[..., n], grid[..., n + 1:]
+
+
+def assimilate(positions, costs, rulers: np.ndarray, moving: np.ndarray, steps, cost_fn: CostFn, bounds) -> None:
+    """Move each country flagged in ``moving`` (S, N) toward its ruler by the given steps, in place."""
+    target = np.take_along_axis(positions, rulers[..., None], axis=1)
+    moved = positions + ASSIMILATION_BETA * steps * (target - positions)
     np.clip(moved, 0.0, bounds, out=moved)
-    costs[colonies] = cost_fn(moved)
-    positions[colonies] = moved
+    np.copyto(positions, moved, where=moving[..., None])
+    costs[...] = cost_fn(positions)
 
 
 def revolve(positions: np.ndarray, costs: np.ndarray, chosen: np.ndarray, fresh: np.ndarray, cost_fn: CostFn) -> None:
-    """Replace the chosen countries by the fresh positions, in place."""
-    if chosen.size:
-        costs[chosen] = cost_fn(fresh)
-        positions[chosen] = fresh
+    """Replace each country flagged in ``chosen`` (S, N) by its fresh position, in place."""
+    np.copyto(positions, fresh, where=chosen[..., None])
+    costs[...] = cost_fn(positions)
 
 
-def exchange(costs: np.ndarray, empires: list[np.ndarray]) -> None:
-    """Swap each imperialist with its best colony if that colony is strictly better."""
-    for empire in empires:
-        if empire.size > 1:
-            best = 1 + int(costs[empire[1:]].argmin())
-            if costs[empire[best]] < costs[empire[0]]:
-                empire[0], empire[best] = empire[best], empire[0]
+def exchange(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray) -> None:
+    """Seat each empire's best colony as its imperialist if that colony is
+    strictly better, in place; the lowest index wins a tie among colonies."""
+    labels = np.arange(imperialist.shape[1])[:, None]
+    member = (owner[:, None, :] == labels) & _colonies(owner, imperialist)[:, None, :]
+    colony_costs = np.where(member, costs[:, None, :], np.inf)
+    best = colony_costs.argmin(axis=2)
+    swap = colony_costs.min(axis=2) < np.take_along_axis(costs, imperialist, axis=1)
+    imperialist[swap] = best[swap]
 
 
-def _powers(costs: np.ndarray, empires: list[np.ndarray], config: IcaConfig) -> np.ndarray:
-    """Total cost of each empire; higher means weaker."""
-    powers = []
-    for empire in empires:
-        power = costs[empire[0]]
-        if empire.size > 1:
-            # a left-to-right sum: np.sum adds pairwise and can round differently
-            power = power + config.epsilon * (sum(costs[empire[1:]].tolist()) / (empire.size - 1))
-        powers.append(power)
-    return np.array(powers)
+def _powers(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray, config: IcaConfig) -> np.ndarray:
+    """Total cost of each empire (S, K); higher means weaker."""
+    s, k = imperialist.shape
+    colony = _colonies(owner, imperialist)
+    labels = (owner + k * np.arange(s)[:, None]).ravel()
+    # bincount adds each label's weights in index order, so every empire's
+    # colony sum runs left to right over that seed's countries alone
+    sums = np.bincount(labels, np.where(colony, costs, 0.0).ravel(), s * k).reshape(s, k)
+    counts = np.bincount(labels, colony.ravel(), s * k).reshape(s, k)
+    ruler = np.take_along_axis(costs, imperialist, axis=1)
+    return np.where(counts > 0, ruler + config.epsilon * (sums / np.maximum(counts, 1)), ruler)
 
 
-def compete(
-    costs: np.ndarray, empires: list[np.ndarray], config: IcaConfig, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Transfer the weakest empire's weakest colony to a roulette winner.
+def compete(costs, owner, imperialist, alive, active, roulette: np.ndarray, config: IcaConfig) -> None:
+    """In every active seed with two or more empires, move the weakest
+    empire's weakest colony to a roulette winner, in place.
 
-    The collapsing side is excluded from the roulette; an empire left
-    with no colonies is dissolved, its imperialist joining the winner as
-    a colony.
+    The weakest empire is the first of largest power; it loses its first
+    colony of highest cost and takes no part in the roulette.  Left with
+    no colonies it collapses, its imperialist joining the winner.
     """
-    if len(empires) < 2:
-        return empires
-    powers = _powers(costs, empires, config)
-    weakest = int(powers.argmax())
-    candidates = [i for i in range(len(empires)) if i != weakest]
-    shares = _power_shares(powers[candidates])
-    pick = int(np.searchsorted(np.cumsum(shares), rng.random(), side="right"))
-    winner = candidates[min(pick, len(candidates) - 1)]
-    out = list(empires)
-    weak = out[weakest]
-    if weak.size > 1:
-        worst = 1 + int(costs[weak[1:]].argmax())
-        out[winner] = np.append(out[winner], weak[worst])
-        weak = out[weakest] = np.delete(weak, worst)
-    if weak.size == 1:
-        out[winner] = np.append(out[winner], weak[0])
-        del out[weakest]
-    return out
+    rows = np.flatnonzero(active & (alive.sum(axis=1) > 1))
+    powers, live = _powers(costs, owner, imperialist, config)[rows], alive[rows]
+    weakest = np.where(live, powers, -np.inf).argmax(axis=1)
+    candidate = live.copy()
+    candidate[np.arange(rows.size), weakest] = False
+    # a candidate's weight is how far its power lies below the weakest
+    # candidate's (all 1 when the powers are equal); the first candidate
+    # whose running total exceeds roulette x total wins, and one always
+    # does, as the total exceeds its product with any number below 1
+    top = np.where(candidate, powers, -np.inf).max(axis=1, keepdims=True)
+    running = np.cumsum(np.where(candidate, top - powers, 0.0), axis=1)
+    running = np.where(running[:, -1:] == 0.0, np.cumsum(candidate, axis=1), running)
+    winner = (candidate & (running > roulette[rows, None] * running[:, -1:])).argmax(axis=1)
+
+    lost = (owner[rows] == weakest[:, None]) & _colonies(owner, imperialist)[rows]
+    worst = np.where(lost, costs[rows], -np.inf).argmax(axis=1)
+    moves = lost.any(axis=1)
+    owner[rows[moves], worst[moves]] = winner[moves]
+    fall = lost.sum(axis=1) <= 1
+    owner[rows[fall], imperialist[rows[fall], weakest[fall]]] = winner[fall]
+    alive[rows[fall], weakest[fall]] = False
 
 
-def run(
-    lp: DeterministicLP,
-    penalty_cfg: PenaltyConfig = PenaltyConfig(),
-    ica_cfg: IcaConfig = IcaConfig(),
-) -> RunReport:
-    """Full optimization loop; deterministic given the config seed.
+def run(lp: DeterministicLP, penalty_cfg: PenaltyConfig = PenaltyConfig(), ica_cfg: IcaConfig = IcaConfig(),
+        seeds: Sequence[int] = (0,)) -> list[RunReport]:
+    """One search per seed, deterministic given the seed; the reports come
+    in the order of ``seeds``, duplicates included.
 
-    The global best is tracked across every cost evaluation, so positions
+    Seeds evolve together in blocks of at most SEED_BLOCK.  The global
+    best of a seed is tracked across every cost evaluation, so positions
     visited and then lost to revolution still count.  The returned
-    allocation is the repaired best with its residual diagnostics.
-    Raises ValidationError when a cost in the box could overflow.
+    allocation is the repaired best.  Raises ValidationError when a cost
+    in the box could overflow.
     """
+    reports = []
+    for start in range(0, len(seeds), SEED_BLOCK):
+        reports += _run_block(lp, penalty_cfg, ica_cfg, seeds[start:start + SEED_BLOCK])
+    return reports
+
+
+def _run_block(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConfig, seeds) -> list[RunReport]:
     # power shares and empire powers sum up to n_countries costs or cost
     # differences, each at most twice the largest cost in magnitude
     if not math.isfinite(4.0 * ica_cfg.n_countries * penalized_objective_bound(lp, penalty_cfg)):
         raise ValidationError(
             "the penalized objective overflows inside the box; rescale the instance for the ICA solver"
         )
-    rng = np.random.default_rng(ica_cfg.seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     bounds = lp.upper_bounds
-
-    best_cost = np.inf
-    best_position: np.ndarray | None = None
+    s, m, n = len(seeds), ica_cfg.n_countries, lp.n
+    rows = np.arange(s)
+    best_cost = np.full(s, np.inf)
+    best_position = np.zeros((s, n))
 
     def tracked(x: np.ndarray) -> np.ndarray:
-        nonlocal best_cost, best_position
-        # a module-global lookup per call, so a traced or patched binding is used
-        costs = -penalized_objective_batch(lp, x, penalty_cfg)
-        flat = np.atleast_1d(costs)
-        i = int(np.argmin(flat))
-        if flat[i] < best_cost:
-            best_cost = float(flat[i])
-            best_position = np.atleast_2d(x)[i].copy()
+        # one 2-D batch of all seeds, a module global so a traced or patched binding is used
+        costs = -penalized_objective_batch(lp, x.reshape(s * m, n), penalty_cfg).reshape(s, m)
+        i = costs.argmin(axis=1)
+        better = costs[rows, i] < best_cost
+        best_cost[better] = costs[rows, i][better]
+        best_position[better] = x[rows[better], i[better]]
         return costs
 
-    positions, costs = initialize(tracked, ica_cfg, bounds, rng)
-    empires = form_empires(costs, ica_cfg, rng)
-    trace = []
+    positions, costs = initialize(tracked, ica_cfg, bounds, rngs)
+    owner, imperialist = form_empires(costs, ica_cfg, rngs)
+    alive = np.ones(imperialist.shape, dtype=bool)
+    active = np.ones(s, dtype=bool)
+    # every seed's best cost and empire count after each iteration, and the iterations it ran
+    history, lengths = [], np.zeros(s, dtype=int)
     for iteration in range(1, ica_cfg.max_iterations + 1):
-        colonies, rulers = _colonies(empires)
-        steps, hits, fresh = draw(empires, ica_cfg, bounds, rng)
-        assimilate(positions, costs, colonies, rulers, steps, tracked, bounds)
-        revolve(positions, costs, colonies[hits], fresh, tracked)
-        exchange(costs, empires)
-        empires = compete(costs, empires, ica_cfg, rng)
-        exchange(costs, empires)
-        trace.append(IterationRecord(iteration, best_cost, len(empires)))
-        _check_invariants(positions, costs, empires, ica_cfg, bounds)
-        if len(empires) == 1:
+        roulette, steps, trials, fresh = draw(rngs, active, m, n)
+        rulers = _rulers(owner, imperialist)
+        moving = (rulers != np.arange(m)) & active[:, None]
+        assimilate(positions, costs, rulers, moving, steps, tracked, bounds)
+        revolve(positions, costs, moving & (trials < ica_cfg.revolution_rate), bounds * fresh, tracked)
+        exchange(costs, owner, imperialist)
+        compete(costs, owner, imperialist, alive, active, roulette, ica_cfg)
+        exchange(costs, owner, imperialist)
+        n_empires = alive.sum(axis=1)
+        history.append(np.stack([best_cost, n_empires], axis=1))
+        lengths[active] = iteration
+        _check_invariants(positions, costs, owner, imperialist, alive, bounds)
+        active &= n_empires > 1
+        if not active.any():
             break
 
-    assert best_position is not None
-    repaired = repair(best_position, lp.total_fund, bounds)
-    return RunReport(
-        best_position=repaired,
-        best_cost=best_cost,
-        best_objective=objective(lp, repaired),
-        trace=tuple(trace),
-        residuals=residuals(lp, repaired),
-        seed=ica_cfg.seed,
-    )
+    history = np.array(history).reshape(-1, s, 2)
+    reports = []
+    for i, (seed, t) in enumerate(zip(seeds, lengths)):
+        x = repair(best_position[i], lp.total_fund, bounds)
+        reports.append(RunReport(x, float(best_cost[i]), objective(lp, x), history[:t, i].copy(), seed))
+    return reports
 
 
-def _check_invariants(
-    positions: np.ndarray, costs: np.ndarray, empires: list[np.ndarray], config: IcaConfig, bounds: np.ndarray
-) -> None:
+def _check_invariants(positions, costs, owner, imperialist, alive, bounds) -> None:
     # explicit raises rather than asserts, so the checks also run under python -O
-    members = np.sort(np.concatenate(empires))
-    if not np.array_equal(members, np.arange(config.n_countries)):
-        raise RuntimeError("ICA invariant violated: the empires do not partition the population")
+    k = alive.shape[1]
+    if not (((owner >= 0) & (owner < k)).all() and np.take_along_axis(alive, owner, axis=1).all()):
+        raise RuntimeError("ICA invariant violated: a country belongs to no live empire of its seed")
+    if not (np.take_along_axis(owner, imperialist, axis=1) == np.arange(k))[alive].all():
+        raise RuntimeError("ICA invariant violated: an imperialist does not belong to its own empire")
     if not ((positions >= 0.0).all() and (positions <= bounds).all()):
         raise RuntimeError("ICA invariant violated: a country lies outside the box")
-    colonies, rulers = _colonies(empires)
-    if not (costs[rulers] <= costs[colonies]).all():
+    if not (np.take_along_axis(costs, _rulers(owner, imperialist), axis=1) <= costs).all():
         raise RuntimeError("ICA invariant violated: an imperialist is weaker than one of its colonies")

@@ -135,7 +135,8 @@ def reformulate(instance: PortfolioInstance, levels: ConfidenceLevels) -> Determ
     """Build the deterministic LP for the given confidence levels.
 
     Pure function: identical inputs produce bitwise-identical coefficient
-    vectors.
+    vectors.  Raises ValidationError naming the first asset, or the
+    target, whose coefficient overflows.
     """
     t_star = normal_quantile(1.0 - levels.lam, instance.factor)
     # eta, taken through 1 - eta as the shoulder's inverse gives it: the
@@ -143,10 +144,17 @@ def reformulate(instance: PortfolioInstance, levels: ConfidenceLevels) -> Determ
     # reported coefficients keep that rounding
     l_star = 1.0 - (1.0 - levels.eta)
     r0, r2, beta = instance._asset_columns
-    c = r0 + t_star * r2 - l_star * beta
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = r0 + t_star * r2 - l_star * beta
     tgt = instance.target
     threshold = tgt.r0 + t_star * tgt.r2 - tgt.beta * l_star
-    return DeterministicLP(c, instance.total_fund, instance.upper_bounds, threshold, levels)
+    try:
+        return DeterministicLP(c, instance.total_fund, instance.upper_bounds, threshold, levels)
+    except ValidationError:  # the instance's bounds are finite: c or the threshold is not
+        bad = np.flatnonzero(~np.isfinite(c))
+        where = f"assets[{bad[0]}]: the coefficient" if bad.size else "target: the return threshold"
+        raise ValidationError(
+            f"{where} overflows at lambda={levels.lam}, eta={levels.eta}; rescale the instance") from None
 
 
 def objective(lp: DeterministicLP, x: Sequence[float]) -> float:

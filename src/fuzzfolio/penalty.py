@@ -47,11 +47,14 @@ class PenaltyConfig:
 def penalized_objective_batch(lp: DeterministicLP, x: np.ndarray, cfg: PenaltyConfig = PenaltyConfig()) -> np.ndarray:
     """c . x minus the penalty charges, for one allocation (n,) or a batch (k, n)."""
     x = np.asarray(x, dtype=float)
-    value = x @ lp.coefficients
-    penalty = cfg.eq_factor * np.abs(x.sum(axis=-1) - lp.total_fund) ** 2.0
+    # a row's value must not depend on its batch: a matrix-vector product rounds a
+    # row by its place in it, and ** 2.0 calls pow on a single allocation's scalar
+    value = (x * lp.coefficients).sum(axis=-1)
+    drift = x.sum(axis=-1) - lp.total_fund
+    penalty = cfg.eq_factor * (drift * drift)
     if cfg.enforce_threshold:
         shortfall = np.maximum(0.0, lp.threshold - value)
-        penalty = penalty + INEQ_FACTOR * shortfall ** 2.0
+        penalty = penalty + INEQ_FACTOR * (shortfall * shortfall)
     return value - penalty
 
 

@@ -55,7 +55,7 @@ def ica_sweep(lps):
     runs = {}
     start = time.perf_counter()
     for lv in LEVELS:
-        runs[lv] = [ica.run(lps[lv], PenaltyConfig(), ica.IcaConfig(seed=s)) for s in SEEDS]
+        runs[lv] = ica.run(lps[lv], PenaltyConfig(), ica.IcaConfig(), SEEDS)
     elapsed = time.perf_counter() - start
     return runs, elapsed
 

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import sys
 import time
 from importlib import resources
@@ -173,8 +174,9 @@ def test_load_rejects_non_finite_numbers(tmp_path, path, named, value):
 
 PAPER_JSON = resources.files("fuzzfolio.data").joinpath("paper_table1.json").read_text()
 
-# instance files the loader rejects: not JSON, not UTF-8, or holding
-# integers past the float range; each must exit 2 with one line
+# instance files rejected with exit 2 and one line: the loader rejects
+# those not JSON, not UTF-8, or holding integers past the float range,
+# and reformulate those whose coefficients overflow
 BAD_INSTANCES = {
     "malformed.json": b"{",
     "not_utf8.json": b"\xff\xfe{",
@@ -182,6 +184,10 @@ BAD_INSTANCES = {
     "huge_bound.json": PAPER_JSON.replace('"upper_bounds": [60,', '"upper_bounds": [1' + "0" * 400 + ",").encode(),
     # longer than the 4300 digits int() parses
     "long_int.json": PAPER_JSON.replace('"total_fund": 200', '"total_fund": ' + "1" * 4301).encode(),
+    # a coefficient r0 + t* r2 - eta beta past the float range: every asset's
+    # (the target's integers stay), or only the third asset's
+    "huge_returns.json": re.sub(r'"r([012])": [0-9]+[.][0-9]+', r'"r\1": 1.7e308', PAPER_JSON).encode(),
+    "huge_r2.json": PAPER_JSON.replace('"r1": 1.4, "r2": 0.5,', '"r1": 1.4, "r2": 1.7e308,').encode(),
 }
 
 
@@ -413,7 +419,12 @@ def test_invalid_ica_flag_exits_2_with_one_line(flags, named, capsys):
     (["solve", "--instance", "{tmp}/huge_fund.json"], "{tmp}/huge_fund.json"),
     (["solve", "--instance", "{tmp}/huge_bound.json"], "{tmp}/huge_bound.json"),
     (["solve", "--instance", "{tmp}/long_int.json"], "{tmp}/long_int.json"),
+    # instances that load but whose coefficients overflow, named by asset and level
+    (["solve", "--instance", "{tmp}/huge_returns.json"], "assets[0]"),
+    (["solve", "--instance", "{tmp}/huge_r2.json"], "assets[2]"),
 ])
+# a numpy warning would print lines of its own before the error line
+@pytest.mark.filterwarnings("error")
 def test_invalid_level_or_out_flag_exits_2_with_one_line(argv, named, tmp_path, capsys):
     for name, content in BAD_INSTANCES.items():
         (tmp_path / name).write_bytes(content)

@@ -1,10 +1,11 @@
 """Byte-for-byte pins of the ICA random stream and the report renderers.
 
-The CSV files under tests/data were written by the list-of-objects ICA
-before it moved to arrays, the table files by the scan-per-level table
-renderer and the per-asset greedy loop before they were replaced, and
-the JSON file by the per-field JSON record before the CSV and JSON
-renderers shared one column table, with the command lines below.  Any
+The four files with ICA rows were written, with the command lines
+below, when the search moved to one random block per seed and
+iteration and began to evolve all seeds together; their exact rows and
+published cells are those the earlier renderers and greedy fill wrote.
+The exact 50-level table was written by the scan-per-level table
+renderer and the per-asset greedy loop before they were replaced.  Any
 change to the draw order, the tie rules, the arithmetic of a phase, the
 greedy fill, the table layout or the CSV and JSON columns shows up here
 as a changed byte.
@@ -24,8 +25,8 @@ FIFTY_LEVELS = ",".join(f"{0.01 + 0.02 * i:.2f}" for i in range(50))
 
 @pytest.mark.parametrize("argv, name", [
     (["reproduce-paper", "--seeds", "1..5", "--format", "csv"], "reproduce_seeds_1_5.csv"),
-    # both seeds collapse to a single empire and stop early (after 151
-    # and 62 iterations); the paper defaults never reach that path
+    # both seeds collapse to a single empire and stop early (after 9 and
+    # 16 iterations); the paper defaults never reach that path
     (["solve", "--solver", "ica", "--countries", "12", "--imperialists", "4", "--iters", "500",
       "--seeds", "1..2", "--levels", "0.3", "--format", "csv"], "solve_ica_collapse_seeds_1_2.csv"),
     (["solve", "--levels", FIFTY_LEVELS, "--format", "table"], "solve_exact_levels_50.txt"),

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+import operator
 import os
 import subprocess
 import sys
@@ -10,7 +13,7 @@ import pytest
 from fuzzfolio import ica
 from fuzzfolio.errors import ValidationError
 from fuzzfolio.io import bundled_instance
-from fuzzfolio.model import ConfidenceLevels, reformulate
+from fuzzfolio.model import ConfidenceLevels, reformulate, residuals
 from fuzzfolio.oracle import solve_exact
 from fuzzfolio.penalty import PenaltyConfig, penalized_objective_batch
 
@@ -29,9 +32,15 @@ def sum_cost(x):
 
 
 def state(costs, *empires, n=2):
-    """Population with the given costs (positions all zero) and index empires."""
-    costs = np.array(costs, dtype=float)
-    return np.zeros((costs.size, n)), costs, [np.array(e) for e in empires]
+    """One seed with the given costs (positions all zero) and empires given
+    as index lists, imperialist first: positions, costs, owner,
+    imperialist and alive, each with a leading seed axis of 1."""
+    costs = np.array([costs], dtype=float)
+    owner = np.empty(costs.shape, dtype=np.intp)
+    for k, empire in enumerate(empires):
+        owner[0, empire] = k
+    imperialist = np.array([[e[0] for e in empires]])
+    return np.zeros((*costs.shape, n)), costs, owner, imperialist, np.ones(imperialist.shape, dtype=bool)
 
 
 # --- config ----------------------------------------------------------------
@@ -68,24 +77,29 @@ def test_paper_parameter_defaults():
     assert cfg.revolution_rate == 0.2
     assert cfg.max_iterations == 25
     assert 0.0 < cfg.epsilon < 0.1
+    # the seed is an argument of run, not a config field
+    assert [f.name for f in dataclasses.fields(cfg)] == [
+        "n_countries", "n_imperialists", "revolution_rate", "max_iterations", "epsilon"]
 
 
 # --- initialize --------------------------------------------------------------
 
 def test_initialize_deterministic_and_bounded():
-    cfg = ica.IcaConfig(n_countries=20, n_imperialists=3, seed=5)
-    pos_a, cost_a = ica.initialize(sum_cost, cfg, U5, np.random.default_rng(5))
-    pos_b, cost_b = ica.initialize(sum_cost, cfg, U5, np.random.default_rng(5))
+    cfg = ica.IcaConfig(n_countries=20, n_imperialists=3)
+    pos_a, cost_a = ica.initialize(sum_cost, cfg, U5, [np.random.default_rng(5), np.random.default_rng(6)])
+    pos_b, cost_b = ica.initialize(sum_cost, cfg, U5, [np.random.default_rng(5), np.random.default_rng(6)])
     assert pos_a.tobytes() == pos_b.tobytes()
     assert cost_a.tobytes() == cost_b.tobytes()
-    assert pos_a.shape == (20, 5) and cost_a.shape == (20,)
+    assert pos_a.shape == (2, 20, 5) and cost_a.shape == (2, 20)
     assert np.all(pos_a >= 0) and np.all(pos_a <= U5)
     assert cost_a.tolist() == sum_cost(pos_a).tolist()
+    # each seed's rows come from its own generator
+    assert pos_a[1].tobytes() == np.random.default_rng(6).uniform(0.0, U5, size=(20, 5)).tobytes()
 
 
 def test_initialize_degenerate_box():
     cfg = ica.IcaConfig(n_countries=8, n_imperialists=2)
-    positions, _ = ica.initialize(sum_cost, cfg, np.zeros(3), np.random.default_rng(0))
+    positions, _ = ica.initialize(sum_cost, cfg, np.zeros(3), [np.random.default_rng(0)])
     assert np.all(positions == 0.0)
 
 
@@ -123,101 +137,105 @@ def test_apportionment_sums_exactly():
 
 
 def test_form_empires_partition():
-    cfg = ica.IcaConfig(n_countries=100, n_imperialists=10, seed=1)
-    _, costs = ica.initialize(sum_cost, cfg, U5, np.random.default_rng(1))
-    empires = ica.form_empires(costs, cfg, np.random.default_rng(2))
-    assert len(empires) == 10
-    assert sorted(np.concatenate(empires).tolist()) == list(range(100))
-    assert sum(e.size - 1 for e in empires) == 90
-    imperialist_costs = [costs[e[0]] for e in empires]
-    assert max(imperialist_costs) <= min(costs[c] for e in empires for c in e[1:])
+    cfg = ica.IcaConfig(n_countries=100, n_imperialists=10)
+    _, costs = ica.initialize(sum_cost, cfg, U5, [np.random.default_rng(1)])
+    owner, imperialist = ica.form_empires(costs, cfg, [np.random.default_rng(2)])
+    assert owner.shape == (1, 100) and imperialist.shape == (1, 10)
+    # empire k is ruled by the k-th best country and owns it
+    assert imperialist[0].tolist() == np.argsort(costs[0], kind="stable")[:10].tolist()
+    assert owner[0, imperialist[0]].tolist() == list(range(10))
+    colonies = np.setdiff1d(np.arange(100), imperialist[0])
+    counts = np.bincount(owner[0, colonies], minlength=10)
+    assert counts.tolist() == ica._largest_remainder(ica._power_shares(costs[0, imperialist[0]]), 90)
+    assert costs[0, imperialist[0]].max() <= costs[0, colonies].min()
 
 
 def test_form_empires_single_imperialist():
     cfg = ica.IcaConfig(n_countries=7, n_imperialists=1)
-    costs = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0])
-    empires = ica.form_empires(costs, cfg, np.random.default_rng(0))
-    assert len(empires) == 1
-    assert empires[0][0] == 1  # the first of the two cost-1 countries
-    assert sorted(empires[0][1:].tolist()) == [0, 2, 3, 4, 5, 6]
+    costs = np.array([[3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]])
+    owner, imperialist = ica.form_empires(costs, cfg, [np.random.default_rng(0)])
+    assert imperialist.tolist() == [[1]]  # the first of the two cost-1 countries
+    assert owner.tolist() == [[0] * 7]
 
 
 # --- draws -------------------------------------------------------------------------
 
-def test_draw_follows_the_per_empire_stream():
-    # per empire with colonies: random((k, n)), random(k), and
-    # uniform(0, bounds, (m, n)) only when m > 0 trials hit
-    cfg = ica.IcaConfig(n_countries=20, n_imperialists=4, revolution_rate=0.4)
-    bounds = np.array([10.0, 20.0, 30.0])
-    empires = [np.array([0, 4, 5, 6]), np.array([1]), np.array([2, 7, 8]), np.array([3, 9])]
+def test_draw_follows_the_per_seed_stream():
+    # one random(1 + N(2n + 1)) call per active seed: the roulette number,
+    # then per country n steps, one revolution trial and n fresh coordinates
+    n_countries, n = 6, 3
+    active = np.array([True, False, True])
     for seed in range(20):
-        got_steps, got_hits, got_fresh = ica.draw(empires, cfg, bounds, np.random.default_rng(seed))
-        ref = np.random.default_rng(seed)
-        steps, hits, fresh = [], [], []
-        for e in empires:
-            k = e.size - 1
-            if k == 0:
-                continue
-            steps.append(ref.random((k, 3)))
-            hit = ref.random(k) < cfg.revolution_rate
-            hits.append(hit)
-            if hit.any():
-                fresh.append(ref.uniform(0.0, bounds, size=(int(hit.sum()), 3)))
-        assert got_steps.tobytes() == np.concatenate(steps).tobytes()
-        assert got_hits.tolist() == np.concatenate(hits).tolist()
-        assert got_fresh.tobytes() == np.concatenate([np.empty((0, 3)), *fresh]).tobytes()
+        rngs = [np.random.default_rng(seed + i) for i in range(3)]
+        roulette, steps, trials, fresh = ica.draw(rngs, active, n_countries, n)
+        assert roulette.shape == (3,) and trials.shape == (3, 6)
+        assert steps.shape == fresh.shape == (3, 6, 3)
+        for i, rng in enumerate(rngs):
+            ref = np.random.default_rng(seed + i)
+            if active[i]:
+                u = ref.random(1 + n_countries * (2 * n + 1))
+                rows = u[1:].reshape(n_countries, 2 * n + 1)
+                assert roulette[i] == u[0]
+                assert steps[i].tolist() == rows[:, :n].tolist()
+                assert trials[i].tolist() == rows[:, n].tolist()
+                assert fresh[i].tolist() == rows[:, n + 1:].tolist()
+            else:
+                assert roulette[i] == 0.0 and not (steps[i].any() or trials[i].any() or fresh[i].any())
+            # nothing more was drawn, and nothing at all for the inactive seed
+            assert rng.random() == ref.random()
 
 
 # --- assimilation / revolution ----------------------------------------------------
 
 def test_assimilate_mirror_point_then_clamp():
     assert ica.ASSIMILATION_BETA == 2.0
-    positions = np.array([[50.0, 10.0], [10.0, 50.0]])
-    costs = np.zeros(2)
+    positions = np.array([[[50.0, 10.0], [10.0, 50.0], [20.0, 20.0]]])
+    costs = np.zeros((1, 3))
+    rulers = np.array([[0, 0, 0]])
+    moving = np.array([[False, True, False]])
     # u = 1 everywhere: the colony lands at the mirror 2*imp - colony, clamped
-    ica.assimilate(positions, costs, np.array([1]), np.array([0]), np.ones((1, 2)),
-                   sum_cost, np.array([60.0, 60.0]))
-    assert positions[1].tolist() == [60.0, 0.0]  # (90, -30) clamped
-    assert positions[0].tolist() == [50.0, 10.0]
-    assert costs.tolist() == [0.0, -60.0]
+    ica.assimilate(positions, costs, rulers, moving, np.ones((1, 3, 2)), sum_cost, np.array([60.0, 60.0]))
+    assert positions[0, 1].tolist() == [60.0, 0.0]  # (90, -30) clamped
+    assert positions[0, 0].tolist() == [50.0, 10.0]
+    assert positions[0, 2].tolist() == [20.0, 20.0]  # a colony not flagged stays
+    assert costs.tolist() == [[-60.0, -60.0, -40.0]]
 
 
 def test_assimilate_fixed_point_and_bounds():
     rng = np.random.default_rng(3)
-    positions = np.array([[30.0, 30.0], [30.0, 30.0], [0.0, 60.0]])
-    costs = np.zeros(3)
+    positions = np.array([[[30.0, 30.0], [30.0, 30.0], [0.0, 60.0]]])
+    costs = np.zeros((1, 3))
+    rulers = np.array([[0, 0, 0]])
+    moving = np.array([[False, True, True]])
     for _ in range(25):
-        ica.assimilate(positions, costs, np.array([1, 2]), np.array([0, 0]), rng.random((2, 2)),
-                       sum_cost, np.array([60.0, 60.0]))
-        assert positions[1].tolist() == [30.0, 30.0]
-        assert np.all(positions[2] >= 0.0) and np.all(positions[2] <= 60.0)
+        ica.assimilate(positions, costs, rulers, moving, rng.random((1, 3, 2)), sum_cost, np.array([60.0, 60.0]))
+        assert positions[0, 1].tolist() == [30.0, 30.0]
+        assert np.all(positions[0, 2] >= 0.0) and np.all(positions[0, 2] <= 60.0)
 
 
 def test_revolve_rate_extremes():
     bounds = np.full(4, 10.0)
-    empires = [np.arange(7)]
-    colonies = empires[0][1:]
+    colony = np.arange(7) > 0
     for rate, moved in ((0.0, False), (1.0, True)):
-        cfg = ica.IcaConfig(revolution_rate=rate)
-        positions = np.full((7, 4), 5.0)
-        costs = np.zeros(7)
-        _, hits, fresh = ica.draw(empires, cfg, bounds, np.random.default_rng(0))
-        assert hits.tolist() == [moved] * 6
-        ica.revolve(positions, costs, colonies[hits], fresh, sum_cost)
-        assert positions[0].tolist() == [5.0] * 4
-        assert all((p.tolist() != [5.0] * 4) == moved for p in positions[1:])
+        positions = np.full((1, 7, 4), 5.0)
+        costs = np.zeros((1, 7))
+        _, _, trials, fresh = ica.draw([np.random.default_rng(0)], np.array([True]), 7, 4)
+        chosen = colony & (trials < rate)
+        assert chosen[0].tolist() == [False] + [moved] * 6
+        ica.revolve(positions, costs, chosen, bounds * fresh, sum_cost)
+        assert positions[0, 0].tolist() == [5.0] * 4
+        assert all((p.tolist() != [5.0] * 4) == moved for p in positions[0, 1:])
         assert np.all(positions <= bounds)
+        assert costs.tolist() == sum_cost(positions).tolist()
 
 
 def test_revolve_deterministic():
     bounds = np.full(3, 10.0)
-    cfg = ica.IcaConfig(revolution_rate=0.5)
-    empires = [np.arange(9)]
 
     def snapshot(seed):
-        positions, costs = np.full((9, 3), 2.0), np.zeros(9)
-        _, hits, fresh = ica.draw(empires, cfg, bounds, np.random.default_rng(seed))
-        ica.revolve(positions, costs, empires[0][1:][hits], fresh, sum_cost)
+        positions, costs = np.full((1, 9, 3), 2.0), np.zeros((1, 9))
+        _, _, trials, fresh = ica.draw([np.random.default_rng(seed)], np.array([True]), 9, 3)
+        ica.revolve(positions, costs, (np.arange(9) > 0) & (trials < 0.5), bounds * fresh, sum_cost)
         return positions.tolist(), costs.tolist()
 
     assert snapshot(12) == snapshot(12)
@@ -226,59 +244,78 @@ def test_revolve_deterministic():
 # --- exchange / power / competition ------------------------------------------------
 
 def test_exchange_rules():
-    _, costs, empires = state([7.0, 7.0, 5.0], [0, 1, 2])
-    ica.exchange(costs, empires)
-    assert empires[0].tolist() == [2, 1, 0]  # the better colony takes the old seat
+    _, costs, owner, imperialist, _ = state([7.0, 7.0, 5.0], [0, 1, 2])
+    ica.exchange(costs, owner, imperialist)
+    assert imperialist.tolist() == [[2]]  # the better colony takes the seat
+    assert owner.tolist() == [[0, 0, 0]]  # and the old imperialist stays, as a colony
 
-    _, costs, empires = state([3.0, 4.0, 9.0], [0, 1, 2])
-    ica.exchange(costs, empires)
-    assert empires[0].tolist() == [0, 1, 2]
+    _, costs, owner, imperialist, _ = state([3.0, 4.0, 9.0], [0, 1, 2])
+    ica.exchange(costs, owner, imperialist)
+    assert imperialist.tolist() == [[0]]
 
-    _, costs, empires = state([3.0, 3.0], [0, 1])
-    ica.exchange(costs, empires)
-    assert empires[0].tolist() == [0, 1]  # strict inequality only
+    _, costs, owner, imperialist, _ = state([3.0, 3.0], [0, 1])
+    ica.exchange(costs, owner, imperialist)
+    assert imperialist.tolist() == [[0]]  # strict inequality only
 
-    _, costs, empires = state([5.0, 1.0, 1.0], [0, 1, 2])
-    ica.exchange(costs, empires)
-    assert empires[0].tolist() == [1, 0, 2]  # first of tied best colonies
+    _, costs, owner, imperialist, _ = state([5.0, 1.0, 1.0], [0, 1, 2])
+    ica.exchange(costs, owner, imperialist)
+    assert imperialist.tolist() == [[1]]  # first of tied best colonies
+
+    # per empire: a better country of another empire does not count
+    _, costs, owner, imperialist, _ = state([4.0, 6.0, 2.0, 3.0, 1.0], [0, 1], [2, 3], [4])
+    ica.exchange(costs, owner, imperialist)
+    assert imperialist.tolist() == [[0, 2, 4]]
 
 
 def test_empire_power():
     cfg = ica.IcaConfig(epsilon=0.05)
-    _, costs, empires = state([10.0, 20.0, 30.0, 10.0], [0, 1, 2], [3])
-    assert ica._powers(costs, empires, cfg) == pytest.approx([11.25, 10.0])
+    _, costs, owner, imperialist, _ = state([10.0, 20.0, 30.0, 10.0], [0, 1, 2], [3])
+    assert ica._powers(costs, owner, imperialist, cfg)[0] == pytest.approx([11.25, 10.0])
     tiny = ica.IcaConfig(epsilon=1e-9)
-    assert ica._powers(costs, empires[:1], tiny) == pytest.approx([10.0], abs=1e-6)
+    assert ica._powers(costs, owner, imperialist, tiny)[0, 0] == pytest.approx(10.0, abs=1e-6)
+    # the colony mean adds the colonies left to right in index order
+    rng = np.random.default_rng(4)
+    costs = rng.normal(0.0, 1e3, size=(3, 40))
+    costs[:, 0] = costs.min(axis=1) - 1.0
+    owner = np.zeros((3, 40), dtype=np.intp)
+    imperialist = np.zeros((3, 1), dtype=np.intp)
+    for row, got in zip(costs, ica._powers(costs, owner, imperialist, cfg)[:, 0]):
+        total = functools.reduce(operator.add, row[1:].tolist(), 0.0)
+        assert got == row[0] + cfg.epsilon * (total / 39)
 
 
 def test_compete_collapse():
     cfg = ica.IcaConfig(n_countries=10, n_imperialists=2)
-    _, costs, empires = state([1.0, 2.0, 9.0, 12.0], [0, 1], [2, 3])
-    out = ica.compete(costs, empires, cfg, np.random.default_rng(0))
+    _, costs, owner, imperialist, alive = state([1.0, 2.0, 9.0, 12.0], [0, 1], [2, 3])
+    ica.compete(costs, owner, imperialist, alive, np.array([True]), np.array([0.5]), cfg)
     # the lost colony and then the demoted imperialist join the winner
-    assert [e.tolist() for e in out] == [[0, 1, 3, 2]]
+    assert owner.tolist() == [[0, 0, 0, 0]]
+    assert alive.tolist() == [[True, False]]
 
 
 def test_compete_single_empire_noop():
     cfg = ica.IcaConfig(n_countries=10, n_imperialists=2)
-    _, costs, empires = state([1.0, 2.0], [0, 1])
-    rng = np.random.default_rng(0)
-    assert ica.compete(costs, empires, cfg, rng) is empires
-    assert rng.random() == np.random.default_rng(0).random()  # no draw taken
+    _, costs, owner, imperialist, alive = state([1.0, 2.0], [0, 1])
+    ica.compete(costs, owner, imperialist, alive, np.array([True]), np.array([0.5]), cfg)
+    assert owner.tolist() == [[0, 0]] and alive.tolist() == [[True]]
+    # an inactive seed does not compete either
+    _, costs, owner, imperialist, alive = state([1.0, 2.0, 9.0, 12.0], [0, 1], [2, 3])
+    ica.compete(costs, owner, imperialist, alive, np.array([False]), np.array([0.5]), cfg)
+    assert owner.tolist() == [[0, 0, 1, 1]] and alive.tolist() == [[True, True]]
 
 
 def _roulette_wins(costs, trials, seed):
+    # every trial is one seed of a single batched compete call
     cfg = ica.IcaConfig(n_countries=10, n_imperialists=4)
-    rng = np.random.default_rng(seed)
-    empires = [np.array([0, 1]), np.array([2, 3]), np.array([4, 5]), np.array([6, 7, 8])]
-    wins = np.zeros(3)
-    for _ in range(trials):
-        out = ica.compete(np.array(costs), [e.copy() for e in empires], cfg, rng)
-        for i in range(3):
-            if out[i].size > empires[i].size:
-                wins[i] += 1
-        assert out[3].tolist() == [6, 7]  # the weakest colony left
-    return wins
+    _, costs, owner, imperialist, alive = state(costs, [0, 1], [2, 3], [4, 5], [6, 7, 8])
+    owner = np.repeat(owner, trials, axis=0)
+    alive = np.repeat(alive, trials, axis=0)
+    roulette = np.random.default_rng(seed).random(trials)
+    ica.compete(np.repeat(costs, trials, axis=0), owner, np.repeat(imperialist, trials, axis=0),
+                alive, np.ones(trials, dtype=bool), roulette, cfg)
+    assert (owner[:, :8] == [0, 0, 1, 1, 2, 2, 3, 3]).all()  # the weakest colony left
+    assert alive.all()
+    return np.bincount(owner[:, 8], minlength=3)
 
 
 def test_compete_strongest_wins_most():
@@ -293,30 +330,51 @@ def test_compete_equal_powers_uniform():
     assert np.all(np.abs(wins / 3000 - 1 / 3) < 0.05)
 
 
+def test_compete_weakest_loses_its_first_highest_cost_colony():
+    # empires 1 and 2 tie for the largest power: the first one loses, and
+    # of its two colonies tied at the highest cost, the lower index goes
+    cfg = ica.IcaConfig(n_countries=10, n_imperialists=3)
+    _, costs, owner, imperialist, alive = state([1.0, 2.0, 5.0, 7.0, 7.0, 5.0, 7.0, 7.0],
+                                                [0, 1], [2, 4, 3], [5, 7, 6])
+    ica.compete(costs, owner, imperialist, alive, np.array([True]), np.array([0.0]), cfg)
+    assert owner.tolist() == [[0, 0, 1, 0, 1, 2, 2, 2]]
+
+
 # --- invariant check ------------------------------------------------------------
 
 def _valid_state():
-    cfg = ica.IcaConfig(n_countries=4, n_imperialists=2)
-    positions = np.full((4, 2), 1.0)
-    costs = np.array([0.0, 1.0, 2.0, 3.0])
-    return cfg, positions, costs, [np.array([0, 2]), np.array([1, 3])], np.full(2, 5.0)
+    # two seeds with the same valid state
+    positions = np.full((2, 4, 2), 1.0)
+    costs = np.array([[0.0, 1.0, 2.0, 3.0]] * 2)
+    owner = np.array([[0, 1, 0, 1]] * 2)
+    imperialist = np.array([[0, 1]] * 2)
+    return positions, costs, owner, imperialist, np.ones((2, 2), dtype=bool), np.full(2, 5.0)
 
 
 def test_check_invariants_catches_each_violation():
-    cfg, positions, costs, empires, bounds = _valid_state()
-    ica._check_invariants(positions, costs, empires, cfg, bounds)
-    with pytest.raises(RuntimeError, match="partition"):
-        ica._check_invariants(positions, costs, [np.array([0, 2]), np.array([1, 2])], cfg, bounds)
-    with pytest.raises(RuntimeError, match="partition"):
-        ica._check_invariants(positions, costs, [np.array([0, 2])], cfg, bounds)
+    positions, costs, owner, imperialist, alive, bounds = _valid_state()
+    ica._check_invariants(positions, costs, owner, imperialist, alive, bounds)
+    # each violation is made in the second seed only
+    dead = alive.copy()
+    dead[1, 1] = False
+    with pytest.raises(RuntimeError, match="no live empire"):
+        ica._check_invariants(positions, costs, owner, imperialist, dead, bounds)
+    stray = owner.copy()
+    stray[1, 3] = 2
+    with pytest.raises(RuntimeError, match="no live empire"):
+        ica._check_invariants(positions, costs, stray, imperialist, alive, bounds)
+    seat = imperialist.copy()
+    seat[1, 1] = 2  # a country of empire 0
+    with pytest.raises(RuntimeError, match="its own empire"):
+        ica._check_invariants(positions, costs, owner, seat, alive, bounds)
     outside = positions.copy()
-    outside[3, 1] = -1e-9
+    outside[1, 3, 1] = -1e-9
     with pytest.raises(RuntimeError, match="box"):
-        ica._check_invariants(outside, costs, empires, cfg, bounds)
+        ica._check_invariants(outside, costs, owner, imperialist, alive, bounds)
     weak = costs.copy()
-    weak[1] = 4.0
+    weak[1, 1] = 4.0
     with pytest.raises(RuntimeError, match="weaker"):
-        ica._check_invariants(positions, weak, empires, cfg, bounds)
+        ica._check_invariants(positions, weak, owner, imperialist, alive, bounds)
 
 
 def test_invariant_check_survives_python_O():
@@ -325,16 +383,17 @@ def test_invariant_check_survives_python_O():
         import numpy as np
         from fuzzfolio import ica
         print("debug", __debug__)
-        cfg = ica.IcaConfig(n_countries=4, n_imperialists=2)
         bounds = np.full(2, 5.0)
-        empires = [np.array([0, 2]), np.array([1, 3])]
-        costs = np.array([0.0, 1.0, 2.0, 3.0])
+        owner = np.array([[0, 1, 0, 1]])
+        imperialist = np.array([[0, 1]])
+        alive = np.ones((1, 2), dtype=bool)
+        costs = np.array([[0.0, 1.0, 2.0, 3.0]])
         for positions, costs in [
-            (np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 6.0]]), costs),
-            (np.full((4, 2), 1.0), np.array([0.0, 4.0, 2.0, 3.0])),
+            (np.array([[[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 6.0]]]), costs),
+            (np.full((1, 4, 2), 1.0), np.array([[0.0, 4.0, 2.0, 3.0]])),
         ]:
             try:
-                ica._check_invariants(positions, costs, empires, cfg, bounds)
+                ica._check_invariants(positions, costs, owner, imperialist, alive, bounds)
             except RuntimeError as exc:
                 print("raised", exc)
     """)
@@ -351,18 +410,16 @@ def test_invariant_check_survives_python_O():
 # --- full runs -----------------------------------------------------------------
 
 def test_run_zero_iterations_returns_initial_best(lp01):
-    cfg = ica.IcaConfig(seed=42, max_iterations=0)
-    report = ica.run(lp01, ica_cfg=cfg)
-    _, costs = ica.initialize(lambda x: -penalized_objective_batch(lp01, x, PenaltyConfig()), cfg,
-                              lp01.upper_bounds, np.random.default_rng(42))
+    [report] = ica.run(lp01, ica_cfg=ica.IcaConfig(max_iterations=0), seeds=[42])
+    _, costs = ica.initialize(lambda x: -penalized_objective_batch(lp01, x, PenaltyConfig()), ica.IcaConfig(),
+                              lp01.upper_bounds, [np.random.default_rng(42)])
     assert report.best_cost == costs.min()
     assert report.trace == ()
 
 
 def test_run_deterministic_replay(lp01):
-    cfg = ica.IcaConfig(seed=7)
-    a = ica.run(lp01, ica_cfg=cfg)
-    b = ica.run(lp01, ica_cfg=cfg)
+    [a] = ica.run(lp01, seeds=[7])
+    [b] = ica.run(lp01, seeds=[7])
     assert a.best_position.tobytes() == b.best_position.tobytes()
     assert a.best_cost == b.best_cost
     assert a.best_objective == b.best_objective
@@ -375,19 +432,19 @@ def test_run_evaluates_one_batch_per_phase(lp01, monkeypatch):
     original = ica.penalized_objective_batch
 
     def counting(lp, x, cfg):
-        batches.append(x.shape[0])
+        batches.append(x.shape)
         return original(lp, x, cfg)
 
     monkeypatch.setattr(ica, "penalized_objective_batch", counting)
-    report = ica.run(lp01, ica_cfg=ica.IcaConfig(seed=4))
-    iterations = len(report.trace)
-    assert batches[0] == 100
-    assert len(batches) <= 1 + 2 * iterations
-    assert all(rows > 0 for rows in batches)
+    reports = ica.run(lp01, seeds=[4, 5, 6])
+    # initialization, then assimilation and revolution per iteration, each
+    # one 2-D batch of every seed's countries
+    assert len(reports[0].trace) == 25
+    assert batches == [(300, 5)] * (1 + 2 * 25)
 
 
 def test_run_trace_monotone_and_conserving(lp01):
-    report = ica.run(lp01, ica_cfg=ica.IcaConfig(seed=3))
+    [report] = ica.run(lp01, seeds=[3])
     costs = [r.best_cost for r in report.trace]
     assert all(b <= a for a, b in zip(costs, costs[1:]))
     assert report.trace[-1].best_cost == report.best_cost
@@ -400,8 +457,8 @@ def test_run_trace_monotone_and_conserving(lp01):
 
 
 def test_run_collapses_to_one_empire_and_stops(lp01):
-    report = ica.run(lp01, ica_cfg=ica.IcaConfig(
-        n_countries=12, n_imperialists=4, max_iterations=500, seed=2))
+    [report] = ica.run(lp01, ica_cfg=ica.IcaConfig(n_countries=12, n_imperialists=4, max_iterations=500),
+                       seeds=[2])
     assert report.trace[-1].n_empires == 1
     assert len(report.trace) < 500
     assert all(r.n_empires > 1 for r in report.trace[:-1])
@@ -409,11 +466,40 @@ def test_run_collapses_to_one_empire_and_stops(lp01):
 
 def test_run_repaired_solution_feasible_and_bounded(lp01):
     exact = solve_exact(lp01).objective
-    for seed in (1, 2, 3):
-        report = ica.run(lp01, ica_cfg=ica.IcaConfig(seed=seed))
-        assert report.residuals.feasible or report.residuals.threshold_residual < 0
-        assert abs(report.residuals.budget_residual) <= 1e-6
+    for report in ica.run(lp01, seeds=[1, 2, 3]):
+        res = residuals(lp01, report.best_position)
+        assert res.feasible or res.threshold_residual < 0
+        assert abs(res.budget_residual) <= 1e-6
         assert np.all(report.best_position >= 0)
         assert np.all(report.best_position <= lp01.upper_bounds)
         assert report.best_objective <= exact + 1e-9
         assert report.best_objective >= 0.9 * exact  # loose sanity, tight form in acceptance
+
+
+COLLAPSING = ica.IcaConfig(n_countries=12, n_imperialists=4, max_iterations=500)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("level, penalty_cfg, ica_cfg, seeds", [
+    (0.1, PenaltyConfig(), ica.IcaConfig(), range(1, 21)),
+    (0.4, PenaltyConfig(), ica.IcaConfig(), [5, 1, 3, 1]),
+    # more seeds than one block holds
+    (0.9, PenaltyConfig(), ica.IcaConfig(), range(1, 71)),
+    (0.7, PenaltyConfig(enforce_threshold=True), ica.IcaConfig(), range(1, 11)),
+    # seeds collapse to one empire at different iterations
+    (0.3, PenaltyConfig(), COLLAPSING, range(1, 21)),
+], ids=["paper", "order-and-duplicates", "two-blocks", "enforce-threshold", "collapse"])
+def test_each_seed_runs_as_if_alone(level, penalty_cfg, ica_cfg, seeds):
+    lp = reformulate(bundled_instance("paper_table1"), ConfidenceLevels(level, level))
+    batch = ica.run(lp, penalty_cfg, ica_cfg, seeds)
+    assert [r.seed for r in batch] == list(seeds)
+    for got in batch:
+        [alone] = ica.run(lp, penalty_cfg, ica_cfg, [got.seed])
+        assert got.best_position.tobytes() == alone.best_position.tobytes()
+        assert got.best_cost == alone.best_cost
+        assert got.best_objective == alone.best_objective
+        assert got.trace == alone.trace
+    if ica_cfg is COLLAPSING:
+        lengths = {len(r.trace) for r in batch}
+        assert len(lengths) > 1 and max(lengths) < 500
+        assert all(r.trace[-1].n_empires == 1 for r in batch)

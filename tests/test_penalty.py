@@ -78,6 +78,23 @@ def test_batch_matches_scalar():
         assert got == pytest.approx(penalized_objective_batch(lp, row, cfg))
 
 
+@pytest.mark.parametrize("n", [5, 50])
+def test_batch_rows_do_not_depend_on_the_batch(n):
+    # a row's value is bitwise the same alone, as the only row of a
+    # batch, and in any slice of a larger batch
+    rng = np.random.default_rng(n)
+    lp = make_lp(rng.normal(1.0, 0.5, size=n), 100.0, np.full(n, 60.0), threshold=40.0 * n)
+    cfg = PenaltyConfig(enforce_threshold=True)
+    xs = rng.uniform(0.0, 60.0, size=(300, n))
+    batch = penalized_objective_batch(lp, xs, cfg)
+    for i, row in enumerate(xs):
+        assert penalized_objective_batch(lp, row, cfg).tobytes() == batch[i].tobytes()
+        assert penalized_objective_batch(lp, xs[i:i + 1], cfg).tobytes() == batch[i:i + 1].tobytes()
+    for _ in range(300):
+        a, b = sorted(rng.choice(301, size=2, replace=False))
+        assert penalized_objective_batch(lp, xs[a:b], cfg).tobytes() == batch[a:b].tobytes()
+
+
 def test_bound_covers_the_box_and_overflows_to_inf():
     lp = make_lp([2.0, -1.0, 0.5], 10.0, [8.0, 8.0, 8.0], threshold=-9.0)
     corners = np.array(list(itertools.product((0.0, 8.0), repeat=3)))
