@@ -1,7 +1,7 @@
 """Command-line interface: exact and heuristic sweeps over confidence levels.
 
-Exit codes: 0 success, 2 validation failure, 3 budget-infeasible
-instance, 4 threshold infeasible when --enforce-threshold is set.
+Exit codes: 0 success, 2 validation failure, 3 budget-infeasible instance
+(decided once, on loading), 4 threshold infeasible under --enforce-threshold.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from . import ica
 from .errors import BudgetInfeasibleError, ValidationError
 from .io import bundled_instance, bundled_names, load_instance
 from .model import ConfidenceLevels, PortfolioInstance, reformulate
-from .oracle import BUDGET_INFEASIBLE, solve_exact
+from .oracle import solve_exact
 from .penalty import PenaltyConfig
 from .report import SweepRow, render_csv, render_json, render_table
 
@@ -60,6 +60,8 @@ def _parse_seeds(text: str) -> list[int]:
             raise argparse.ArgumentTypeError(f"bad seed range {token!r}" if dots else f"bad seed {token!r}")
         if b < a:
             raise argparse.ArgumentTypeError(f"empty seed range {token!r}")
+        if a < 0:
+            raise argparse.ArgumentTypeError(f"negative seed in {token!r}")
         if len(seeds) + (b - a + 1) > MAX_SEEDS:
             raise argparse.ArgumentTypeError(f"seed list {text!r} is longer than {MAX_SEEDS} seeds")
         seeds.extend(range(a, b + 1))
@@ -225,8 +227,6 @@ def _sweep(instance, levels, exact_rows, seeds, penalty_cfg, ica_cfg, published=
     for level in levels:
         lp = reformulate(instance, level)
         exact = solve_exact(lp)
-        if exact.status == BUDGET_INFEASIBLE:
-            raise BudgetInfeasibleError("upper bounds cannot absorb the total fund")
         all_satisfied &= exact.threshold_satisfied
         if exact_rows:
             pub = None if published is None else published[level.lam][1]
@@ -246,7 +246,7 @@ def _cmd_solve(args) -> int:
                                  penalty_cfg, ica_cfg)
     _emit(rows, args, {"instance": source, "solver": args.solver})
     if args.enforce_threshold and not all_satisfied:
-        print("return threshold unsatisfiable at one or more levels", file=sys.stderr)
+        print("error: return threshold unsatisfiable at one or more levels", file=sys.stderr)
         return 4
     return 0
 

@@ -85,6 +85,13 @@ class PortfolioInstance:
         """The assets' r0, r2 and beta as three rows of a (3, n) array."""
         return np.array([(a.r0, a.r2, a.beta) for a in self.assets], dtype=float).T
 
+    @cached_property
+    def _bounds(self) -> np.ndarray:
+        """The upper bounds as a read-only array, shared by every level's LP."""
+        u = np.array(self.upper_bounds)
+        u.setflags(write=False)
+        return u
+
 
 @dataclass(frozen=True)
 class ConfidenceLevels:
@@ -104,27 +111,14 @@ class ConfidenceLevels:
 
 @dataclass(frozen=True)
 class DeterministicLP:
-    """The crisp problem: maximize c . x on the budget slice of a box."""
+    """The crisp problem: maximize c . x on the budget slice of a box.
+    ``reformulate`` produces it, from an instance whose bounds absorb the fund."""
 
     coefficients: np.ndarray
     total_fund: float
     upper_bounds: np.ndarray
     threshold: float
     levels: ConfidenceLevels
-
-    def __post_init__(self):
-        c = np.array(self.coefficients, dtype=float)
-        u = np.array(self.upper_bounds, dtype=float)
-        c.setflags(write=False)
-        u.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "upper_bounds", u)
-        if c.ndim != 1 or c.size < 1:
-            raise ValidationError(f"coefficients must be a nonempty vector, got shape {c.shape}")
-        if u.shape != c.shape:
-            raise ValidationError(f"bounds shape {u.shape} does not match coefficients {c.shape}")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(u)) and math.isfinite(self.threshold)):
-            raise ValidationError("coefficients, bounds, and threshold must be finite")
 
     @property
     def n(self) -> int:
@@ -148,13 +142,13 @@ def reformulate(instance: PortfolioInstance, levels: ConfidenceLevels) -> Determ
         c = r0 + t_star * r2 - l_star * beta
     tgt = instance.target
     threshold = tgt.r0 + t_star * tgt.r2 - tgt.beta * l_star
-    try:
-        return DeterministicLP(c, instance.total_fund, instance.upper_bounds, threshold, levels)
-    except ValidationError:  # the instance's bounds are finite: c or the threshold is not
+    if not (np.isfinite(c).all() and math.isfinite(threshold)):
         bad = np.flatnonzero(~np.isfinite(c))
         where = f"assets[{bad[0]}]: the coefficient" if bad.size else "target: the return threshold"
         raise ValidationError(
-            f"{where} overflows at lambda={levels.lam}, eta={levels.eta}; rescale the instance") from None
+            f"{where} overflows at lambda={levels.lam}, eta={levels.eta}; rescale the instance")
+    c.setflags(write=False)
+    return DeterministicLP(c, instance.total_fund, instance._bounds, threshold, levels)
 
 
 def objective(lp: DeterministicLP, x: Sequence[float]) -> float:
@@ -182,10 +176,8 @@ class ResidualReport:
 def residuals(lp: DeterministicLP, x: Sequence[float]) -> ResidualReport:
     """Constraint diagnostics for an allocation, with a feasibility verdict."""
     x = np.asarray(x, dtype=float)
-    if x.shape != lp.coefficients.shape:
-        raise ValueError(f"allocation shape {x.shape} does not match {lp.coefficients.shape}")
+    thresh = objective(lp, x) - lp.threshold  # raises on a shape mismatch
     budget = float(x.sum() - lp.total_fund)
-    thresh = objective(lp, x) - lp.threshold
     viol = np.maximum(x - lp.upper_bounds, 0.0) + np.maximum(-x, 0.0)
     feasible = (
         abs(budget) <= EQ_TOL and thresh >= -INEQ_TOL and float(viol.max()) <= BOX_TOL

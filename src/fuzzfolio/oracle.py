@@ -5,7 +5,8 @@ objective is linear, so a greedy fill by descending coefficient is
 provably optimal: any feasible point can be improved by moving mass from
 a lower-coefficient asset to spare capacity of a higher one.  At most one
 coordinate ends partially filled.  No general simplex is needed, and a
-small trusted base beats one for refereeing the metaheuristic.
+small trusted base beats one for refereeing the metaheuristic.  The
+caller's instance guarantees that the bounds absorb the budget: sum(U) >= M0.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .model import DeterministicLP
 __all__ = ["ExactSolution", "solve_exact", "brute_force"]
 
 OPTIMAL = "optimal"
-BUDGET_INFEASIBLE = "budget_infeasible"
 THRESHOLD_INFEASIBLE = "threshold_infeasible"
 
 _NODE_BUDGET = 100_000_000
@@ -40,22 +40,17 @@ def solve_exact(lp: DeterministicLP) -> ExactSolution:
 
     Assets are filled to their bounds in order of descending coefficient
     (ties broken by ascending index), with the remainder going to the
-    next asset.  When the bounds cannot absorb the budget the status is
-    ``budget_infeasible`` and x is the all-at-bounds allocation; the
+    next asset; the caller's instance guarantees sum(U) >= M0.  The
     threshold can never be an obstacle to solving because its left side
     equals the objective, so a shortfall only flips the status to
     ``threshold_infeasible``.  Raises ValidationError when the optimal
     objective overflows.
     """
     c = lp.coefficients
-    u = lp.upper_bounds
-    # an infinite bound sum still compares right, and a -inf fund left clips to 0
+    # a -inf fund left clips to 0
     with np.errstate(over="ignore"):
-        if float(u.sum()) < lp.total_fund:
-            obj = float(c @ u)
-            return ExactSolution(u.copy(), obj, obj >= lp.threshold, BUDGET_INFEASIBLE)
         order = np.argsort(-c, kind="stable")
-        caps = u[order]
+        caps = lp.upper_bounds[order]
         # the fund left before each asset, subtracted left to right
         left = np.subtract.accumulate(np.concatenate(([lp.total_fund], caps[:-1])))
         x = np.zeros(lp.n)
@@ -84,11 +79,6 @@ def brute_force(lp: DeterministicLP, grid_step: float) -> ExactSolution:
         raise ValueError(f"grid step must be positive, got {grid_step}")
     budget_units = _as_units(lp.total_fund, grid_step, "total_fund")
     cap_units = [_as_units(float(b), grid_step, f"upper bound {j}") for j, b in enumerate(lp.upper_bounds)]
-    if sum(cap_units) < budget_units:
-        u = lp.upper_bounds
-        obj = float(lp.coefficients @ u)
-        return ExactSolution(u.copy(), obj, obj >= lp.threshold, BUDGET_INFEASIBLE)
-
     # a-priori explosion guard: bound the prefix tree before walking it
     estimate = 1
     for cap in cap_units[:-1]:

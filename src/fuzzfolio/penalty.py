@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetInfeasibleError, ValidationError
+from .errors import ValidationError
 from .model import DeterministicLP
 
 __all__ = ["PenaltyConfig", "penalized_objective_batch", "penalized_objective_bound", "repair"]
@@ -71,19 +71,15 @@ def penalized_objective_bound(lp: DeterministicLP, cfg: PenaltyConfig = PenaltyC
 
 
 def repair(x, m0: float, upper) -> np.ndarray:
-    """Project an allocation onto {sum(x) = m0, 0 <= x <= upper}.
+    """Project an allocation onto {sum(x) = m0, 0 <= x <= upper}, a set the
+    caller's instance keeps nonempty: it guarantees sum(upper) >= m0.
 
-    Clamps to the box, then settles the budget: a deficit is spread in
-    proportion to the remaining headroom (which cannot overshoot any
-    bound), a surplus is removed in proportion to current mass.  Repeats
-    until the residual is under 1e-12 of the budget, so reapplying the
-    repair returns its input bitwise.
+    Clamps to the box, then settles the budget: a deficit is spread in proportion
+    to the remaining headroom (which cannot overshoot any bound), a surplus is
+    removed in proportion to current mass.  Repeats until the residual is under
+    1e-12 of the budget, so reapplying the repair returns its input bitwise.
     """
     upper = np.asarray(upper, dtype=float)
-    if float(upper.sum()) < m0:
-        raise BudgetInfeasibleError(
-            f"upper bounds sum to {float(upper.sum())}, below the budget {m0}"
-        )
     x = np.clip(np.asarray(x, dtype=float), 0.0, upper)
     tol = 1e-12 * max(1.0, abs(m0))
     for _ in range(100):

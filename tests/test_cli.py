@@ -3,13 +3,16 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 import sys
 import time
+import warnings
 from importlib import resources
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fuzzfolio.cli import MAX_SEEDS, _parse_seeds, main
@@ -293,6 +296,32 @@ def test_budget_infeasible_instance_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+# nine bounds whose Python sum, taken as the fund, is one ulp above numpy's pairwise sum
+BORDER_BOUNDS = [92.5, 27.7, 72.6, 16.1, 32.3, 96.9, 42.1, 51.6, 29.3]
+
+
+def borderline_instance():
+    data = json.loads(PAPER_JSON)
+    data["assets"] = [data["assets"][j % 5] for j in range(len(BORDER_BOUNDS))]
+    data["upper_bounds"] = BORDER_BOUNDS
+    data["total_fund"] = sum(BORDER_BOUNDS)
+    return data
+
+
+@pytest.mark.parametrize("flags, n_rows", [([], 4), (["--solver", "ica", "--seeds", "1..3"], 12)])
+def test_an_instance_that_loads_solves_with_either_solver(flags, n_rows, tmp_path, capsys):
+    fund = sum(BORDER_BOUNDS)
+    assert fund > float(np.sum(BORDER_BOUNDS))
+    src = tmp_path / "inst.json"
+    src.write_text(json.dumps(borderline_instance()))
+    assert load_instance(src).total_fund == fund
+    code, out, err = run_cli(["solve", "--instance", str(src), "--format", "csv", *flags], capsys)
+    assert (code, err) == (0, "")
+    rows = parse_csv(out)
+    assert len(rows) == n_rows
+    assert all(abs(float(r["budget_residual"])) <= 1e-6 for r in rows)
+
+
 def test_ica_rejects_an_instance_whose_penalty_overflows(tmp_path, capsys):
     src = tmp_path / "inst.json"
     write_instance(bundled_instance("paper_table1"), src)
@@ -422,6 +451,9 @@ def test_invalid_ica_flag_exits_2_with_one_line(flags, named, capsys):
     # instances that load but whose coefficients overflow, named by asset and level
     (["solve", "--instance", "{tmp}/huge_returns.json"], "assets[0]"),
     (["solve", "--instance", "{tmp}/huge_r2.json"], "assets[2]"),
+    # numpy's generators take no negative seed
+    (["solve", "--solver", "ica", "--seeds", "-3"], "--seeds"),
+    (["reproduce-paper", "--seeds=-2..1"], "--seeds"),
 ])
 # a numpy warning would print lines of its own before the error line
 @pytest.mark.filterwarnings("error")
@@ -507,3 +539,120 @@ def test_output_file_and_determinism(tmp_path, capsys):
         assert code == 0
         assert out == ""
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- the exit-code contract, fuzzed ---------------------------------------------------
+
+def mostly(valid, garbage):
+    """A flag value: a valid or boundary one three times in four, else garbage."""
+    valid = valid if isinstance(valid, st.SearchStrategy) else st.sampled_from(valid)
+    return st.integers(0, 3).flatmap(lambda k: valid if k else st.sampled_from(garbage))
+
+
+LEVEL = mostly(st.sampled_from(["0.1", "0.5", "0.9", "0.9999999999999999", "1e-16", "5e-324"])
+               | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(repr),
+               ["0", "1", "-0.5", "1e-17", "nan", "inf", "-inf", "", "x"])
+SEEDS = mostly(st.integers(0, 5).map(str)
+               | st.tuples(st.integers(0, 3), st.integers(0, 2)).map(lambda ab: f"{ab[0]}..{ab[0] + ab[1]}")
+               | st.sampled_from(["1,3", "2,2", "0"]),
+               ["-1", "-2..1", "3..1", "", "..", "1..", "1...3", "1,,2", "x", "1e2"])
+# the ICA sizes stay small: tens of countries, a few iterations and seeds
+SOLVE_FLAGS = {
+    "--instance": mostly(["{tmp}/inst.json", "paper_table1"], ["{tmp}", "{tmp}/missing.json", "nope"]),
+    "--levels": st.lists(LEVEL, min_size=1, max_size=3).map(",".join),
+    "--lambda": LEVEL,
+    "--eta": LEVEL,
+    "--solver": mostly(["exact", "ica"], ["simplex", ""]),
+    "--seeds": SEEDS,
+    "--iters": mostly(["0", "1", "3"], ["-1", "x", "2.5"]),
+    "--countries": mostly(["2", "5", "12", "30"], ["0", "-4", "x"]),
+    "--imperialists": mostly(["1", "3", "11"], ["0", "-1", "x"]),
+    "--revolution": mostly(["0", "0.2", "1"], ["-0.1", "2", "nan", "x"]),
+    "--epsilon": mostly(["0.05", "1e-300", "0.09999999999999999"], ["0", "0.1", "nan", "inf", "x"]),
+    "--eq-factor": mostly(["0.5", "5e-324", "1e308"], ["0", "-1", "inf", "nan", "x"]),
+    "--enforce-threshold": st.none(),
+    "--out": mostly(["{tmp}/out.txt"], ["{tmp}", "{tmp}/missing/out.txt"]),
+    "--format": mostly(["csv", "json", "table"], ["xml"]),
+}
+REPRODUCE_FLAGS = {"--seeds": SEEDS, "--out": SOLVE_FLAGS["--out"], "--format": SOLVE_FLAGS["--format"],
+                   "--bogus": st.just("1")}  # the last is no flag at all
+
+
+def _paths(node, prefix=()):
+    # every key or index into a JSON document, parents before children
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+PAPER_PATHS = list(_paths(json.loads(PAPER_JSON)))
+
+
+@st.composite
+def instance_texts(draw):
+    """paper_table1 with one field dropped, retyped, scaled or set, or a
+    nine-asset instance whose fund sits within an ulp of its bounds' sum."""
+    data = json.loads(PAPER_JSON)
+    kind = draw(st.sampled_from(["keep", "drop", "retype", "scale", "set", "borderline", "borderline"]))
+    if kind == "borderline":
+        data = borderline_instance()
+        data["upper_bounds"] = draw(st.lists(st.integers(1, 999).map(lambda k: k / 10), min_size=9, max_size=9))
+        fund = draw(st.sampled_from([sum, math.fsum, lambda u: float(np.sum(u))]))(data["upper_bounds"])
+        data["total_fund"] = float(np.nextafter(fund, draw(st.sampled_from([-np.inf, fund, np.inf]))))
+    elif kind != "keep":
+        *parent, key = draw(st.sampled_from(PAPER_PATHS))
+        node = data
+        for k in parent:
+            node = node[k]
+        if kind == "drop":
+            del node[key]
+        elif kind == "retype":
+            node[key] = draw(st.sampled_from(["1", None, True, [], {}, [1.0]]))
+        elif isinstance(node[key], (int, float)):
+            factor = draw(st.sampled_from([1e308, -1e308, 1e154, 1e-308, 5e-324, -1.0, 0.0]))
+            node[key] = node[key] * factor if kind == "scale" else factor
+    return json.dumps(data)
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["solve", "solve", "solve", "reproduce-paper"]))
+    table = SOLVE_FLAGS if command == "solve" else REPRODUCE_FLAGS
+    # solve always reads an instance; reproduce-paper's default 20 seeds are pinned by the golden files
+    first = "--instance" if command == "solve" else "--seeds"
+    argv = [command, first, draw(table[first])]
+    for flag in draw(st.lists(st.sampled_from(sorted(set(table) - {first})), unique=True, max_size=4)):
+        value = draw(table[flag])
+        if value is None:
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    return argv
+
+
+# one sure case of each failing exit code besides 2
+OVER_FUND = json.dumps({**borderline_instance(), "total_fund": float(np.nextafter(sum(BORDER_BOUNDS), np.inf))})
+
+
+@given(argv=command_lines(), instance=instance_texts())
+@example(argv=["solve", "--instance", "{tmp}/inst.json"], instance=OVER_FUND)
+@example(argv=["solve", "--instance", "{tmp}/inst.json", "--enforce-threshold"], instance=PAPER_JSON)
+@settings(max_examples=250, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+def test_every_command_line_keeps_the_exit_code_contract(argv, instance, tmp_path, capsys):
+    (tmp_path / "inst.json").write_text(instance)
+    # a numpy warning would print lines of its own; the filter is set here, not by a
+    # mark, so that it does not reach hypothesis's own failure report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli([arg.format(tmp=tmp_path) for arg in argv], capsys)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    if code in (2, 3):
+        assert out == ""

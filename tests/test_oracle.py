@@ -4,7 +4,7 @@ import pytest
 from fuzzfolio.errors import EnumerationLimitError
 from fuzzfolio.io import bundled_instance
 from fuzzfolio.model import ConfidenceLevels, DeterministicLP, objective, reformulate
-from fuzzfolio.oracle import BUDGET_INFEASIBLE, OPTIMAL, THRESHOLD_INFEASIBLE, brute_force, solve_exact
+from fuzzfolio.oracle import OPTIMAL, THRESHOLD_INFEASIBLE, brute_force, solve_exact
 from fuzzfolio.penalty import repair
 
 LEVELS = ConfidenceLevels(0.5, 0.5)
@@ -70,12 +70,6 @@ def test_greedy_fill_matches_the_per_asset_loop():
         want = greedy_loop(lp)
         assert sol.x.tobytes() == want.tobytes()
         assert sol.objective == float(lp.coefficients @ want)
-
-
-def test_budget_infeasible_status():
-    sol = solve_exact(make_lp([1.0, 2.0], 100.0, [30.0, 30.0]))
-    assert sol.status == BUDGET_INFEASIBLE
-    assert sol.x.tolist() == [30.0, 30.0]
 
 
 def test_single_asset_forced():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fuzzfolio.errors import BudgetInfeasibleError, ValidationError
+from fuzzfolio.errors import ValidationError
 from fuzzfolio.model import ConfidenceLevels, DeterministicLP, objective
 from fuzzfolio.penalty import (
     INEQ_FACTOR,
@@ -137,11 +137,6 @@ def test_repair_examples():
     assert np.allclose(repair(np.zeros(5), 200.0, u), 40.0)
     feasible = np.array([60.0, 0.0, 20.0, 60.0, 60.0])
     assert repair(feasible, 200.0, u).tolist() == feasible.tolist()
-
-
-def test_repair_infeasible_bounds():
-    with pytest.raises(BudgetInfeasibleError):
-        repair(np.zeros(3), 100.0, np.full(3, 30.0))
 
 
 @given(
