@@ -9,7 +9,7 @@ The names below are the entry points; everything else lives in
 ``fuzzfolio.fuzzy``, ``model``, ``oracle``, ``penalty`` and ``ica``.
 """
 
-from .errors import BudgetInfeasibleError, EnumerationLimitError, ValidationError
+from .errors import BudgetInfeasibleError, ValidationError
 from .ica import IcaConfig
 from .io import bundled_instance, load_instance, write_instance
 from .model import ConfidenceLevels, necessity_certificate, reformulate
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetInfeasibleError",
-    "EnumerationLimitError",
     "ValidationError",
     "IcaConfig",
     "bundled_instance",

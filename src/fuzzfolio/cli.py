@@ -20,8 +20,6 @@ from .report import SweepRow, render_csv, render_json, render_table
 
 __all__ = ["main", "BENCHMARK_LEVELS", "PUBLISHED_RESULTS"]
 
-BENCHMARK_LEVELS = (0.1, 0.4, 0.7, 0.9)
-
 # reference results published for the bundled five-asset benchmark
 # (allocation and objective value per coupled lambda = eta level)
 PUBLISHED_RESULTS = {
@@ -30,6 +28,8 @@ PUBLISHED_RESULTS = {
     0.7: ((20.0, 0.0, 60.0, 60.0, 60.0), 187.48),
     0.9: ((0.0, 60.0, 60.0, 20.0, 60.0), 95.56),
 }
+
+BENCHMARK_LEVELS = tuple(PUBLISHED_RESULTS)
 
 DEFAULT_INSTANCE = "paper_table1"
 
@@ -84,6 +84,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    ica_defaults = ica.IcaConfig()
     # subparsers are built with the parser's own class
     parser = _Parser(
         prog="fuzzfolio",
@@ -102,11 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--solver", choices=("exact", "ica"), default="exact")
     solve.add_argument("--seeds", type=_parse_seeds, default=[0], metavar="RANGE",
                        help="ICA seeds, e.g. 7 or 1..20 or 1,5,9 (default: 0)")
-    solve.add_argument("--iters", type=int, default=25, help="ICA iterations (default: %(default)s)")
-    solve.add_argument("--countries", type=int, default=100)
-    solve.add_argument("--imperialists", type=int, default=10)
-    solve.add_argument("--revolution", type=float, default=0.2)
-    solve.add_argument("--epsilon", type=float, default=0.05)
+    solve.add_argument("--iters", type=int, default=ica_defaults.max_iterations,
+                       help="ICA iterations (default: %(default)s)")
+    solve.add_argument("--countries", type=int, default=ica_defaults.n_countries)
+    solve.add_argument("--imperialists", type=int, default=ica_defaults.n_imperialists)
+    solve.add_argument("--revolution", type=float, default=ica_defaults.revolution_rate)
+    solve.add_argument("--epsilon", type=float, default=ica_defaults.epsilon)
     solve.add_argument("--eq-factor", type=float, default=PenaltyConfig().eq_factor,
                        help="budget penalty factor for ICA (default: %(default)s)")
     solve.add_argument("--enforce-threshold", action="store_true",
@@ -162,21 +164,23 @@ def _levels(args) -> list[ConfidenceLevels]:
         raise ValidationError(f"{flags[exc.field]}: {exc}") from None
 
 
-def _row(lp, oracle, solver, seed, status, x, objective, published=None) -> SweepRow:
+def _row(lp, oracle, solver, seed, x, objective, published=None) -> SweepRow:
     """One report row for allocation x at lp's levels; oracle is the exact
-    optimum there and published, if given, the published objective."""
+    optimum there and published, if given, the published objective.  The
+    row alone decides whether the objective clears the return floor."""
+    ok = objective >= lp.threshold
     return SweepRow(
         lam=lp.levels.lam,
         eta=lp.levels.eta,
         solver=solver,
         seed=seed,
-        status=status,
+        status="heuristic" if solver == "ica" else "optimal" if ok else "threshold_infeasible",
         objective=objective,
         oracle_objective=oracle,
         # exactly 0.0 for the exact row, whose objective is the finite oracle
         rel_gap=(oracle - objective) / abs(oracle) if oracle != 0.0 else 0.0,
         threshold=lp.threshold,
-        threshold_ok=objective >= lp.threshold,
+        threshold_ok=ok,
         budget_residual=float(x.sum() - lp.total_fund),
         allocation=tuple(x.tolist()),
         published_objective=published,
@@ -217,24 +221,24 @@ def _configs(args) -> tuple[PenaltyConfig, ica.IcaConfig]:
 
 
 def _sweep(instance, levels, exact_rows, seeds, penalty_cfg, ica_cfg, published=None):
-    """The exact row (when exact_rows) and one ICA row per seed at every
-    level, sorted, and whether the return floor holds at every level.
+    """The exact row (when exact_rows), then one ICA row per seed in
+    ascending order, at every level in the given ascending order, and
+    whether the exact optimum clears the return floor at every level.
 
     published maps a coupled level to its published (allocation, objective).
     """
     rows: list[SweepRow] = []
     all_satisfied = True
+    seeds = sorted(seeds)
     for level in levels:
         lp = reformulate(instance, level)
         exact = solve_exact(lp)
-        all_satisfied &= exact.threshold_satisfied
+        all_satisfied &= exact.objective >= lp.threshold
         if exact_rows:
             pub = None if published is None else published[level.lam][1]
-            rows.append(_row(lp, exact.objective, "exact", None, exact.status, exact.x, exact.objective, pub))
+            rows.append(_row(lp, exact.objective, "exact", None, exact.x, exact.objective, pub))
         for report in ica.run(lp, penalty_cfg, ica_cfg, seeds) if seeds else ():
-            rows.append(_row(lp, exact.objective, "ica", report.seed, "heuristic",
-                             report.best_position, report.best_objective))
-    rows.sort(key=lambda r: (r.lam, r.eta, r.solver, r.seed if r.seed is not None else -1))
+            rows.append(_row(lp, exact.objective, "ica", report.seed, report.best_position, report.best_objective))
     return rows, all_satisfied
 
 

@@ -25,9 +25,7 @@ __all__ = [
     "LRFuzzyNumber",
     "FuzzyRandomReturn",
     "RandomFactor",
-    "STANDARD_NORMAL",
     "membership",
-    "alpha_cut",
     "observe",
     "weighted_sum",
     "normal_quantile",
@@ -107,9 +105,6 @@ class RandomFactor:
         return 0.5 * math.erfc(-z / _SQRT2)
 
 
-STANDARD_NORMAL = RandomFactor(0.0, 1.0)
-
-
 def membership(a: LRFuzzyNumber, x):
     """Membership degree of x in a.  Accepts scalars or numpy arrays.
 
@@ -129,15 +124,6 @@ def membership(a: LRFuzzyNumber, x):
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(deg)
     return deg
-
-
-def alpha_cut(a: LRFuzzyNumber, alpha: float) -> tuple[float, float]:
-    """Closed interval of points with membership at least alpha, 0 < alpha <= 1."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    lo = a.a0 - a.beta * (1.0 - alpha)
-    hi = a.a1 + a.gamma * (1.0 - alpha)
-    return (lo, hi)
 
 
 def observe(frv: FuzzyRandomReturn, t: float) -> LRFuzzyNumber:
@@ -165,7 +151,7 @@ def weighted_sum(observations: Sequence[LRFuzzyNumber], x: Sequence[float]) -> L
     return LRFuzzyNumber(a0, a1, beta, gamma)
 
 
-def normal_quantile(p: float, factor: RandomFactor = STANDARD_NORMAL) -> float:
+def normal_quantile(p: float, factor: RandomFactor = RandomFactor()) -> float:
     """Generalized inverse of the factor's normal CDF.
 
     Computed by bisection against the erfc-based CDF, so the result t

@@ -54,6 +54,9 @@ ASSIMILATION_BETA = 2.0
 # most seeds evolved together; it bounds memory and cannot change a result
 SEED_BLOCK = 64
 
+# largest draw buffer of one seed block, in bytes; run refuses a larger one
+MAX_DRAW_BYTES = 2 * 2**30
+
 
 @dataclass(frozen=True)
 class IcaConfig:
@@ -250,9 +253,14 @@ def run(lp: DeterministicLP, penalty_cfg: PenaltyConfig = PenaltyConfig(), ica_c
     Seeds evolve together in blocks of at most SEED_BLOCK.  The global
     best of a seed is tracked across every cost evaluation, so positions
     visited and then lost to revolution still count.  The returned
-    allocation is the repaired best.  Raises ValidationError when a cost
-    in the box could overflow.
+    allocation is the repaired best.  Raises ValidationError, before
+    allocating anything, when a cost in the box could overflow or a
+    block's draw buffer would exceed MAX_DRAW_BYTES.
     """
+    size = 8 * min(len(seeds), SEED_BLOCK) * (1 + ica_cfg.n_countries * (2 * lp.n + 1))
+    if size > MAX_DRAW_BYTES:
+        raise ValidationError(f"n_countries: {ica_cfg.n_countries} countries of {lp.n} assets need a "
+                              f"{size / 2**30:.1f} GiB draw buffer, above the {MAX_DRAW_BYTES / 2**30:.0f} GiB limit")
     reports = []
     for start in range(0, len(seeds), SEED_BLOCK):
         reports += _run_block(lp, penalty_cfg, ica_cfg, seeds[start:start + SEED_BLOCK])

@@ -13,6 +13,7 @@ Schema, all fields required:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -23,8 +24,6 @@ from .fuzzy import FuzzyRandomReturn, RandomFactor
 from .model import PortfolioInstance
 
 __all__ = ["load_instance", "loads_instance", "write_instance", "bundled_names", "bundled_instance"]
-
-_RETURN_FIELDS = ("r0", "r1", "r2", "beta", "gamma")
 
 
 def load_instance(path: str | Path) -> PortfolioInstance:
@@ -48,27 +47,16 @@ def loads_instance(text: str, source: str = "<string>") -> PortfolioInstance:
         raise ValidationError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"{source}: top level must be an object")
-    for key in ("assets", "target", "total_fund", "upper_bounds", "factor"):
-        if key not in raw:
-            raise ValidationError(f"{source}: missing field {key!r}")
+    for f in dataclasses.fields(PortfolioInstance):
+        if f.name not in raw:
+            raise ValidationError(f"{source}: missing field {f.name!r}")
 
     assets = raw["assets"]
     if not isinstance(assets, list) or not assets:
         raise ValidationError(f"{source}: 'assets' must be a nonempty array")
-    parsed = [
-        _parse_return(a, f"{source}: assets[{i}]") for i, a in enumerate(assets)
-    ]
-    target = _parse_return(raw["target"], f"{source}: target")
-
-    factor_raw = raw["factor"]
-    if not isinstance(factor_raw, dict):
-        raise ValidationError(f"{source}: 'factor' must be an object")
-    mean = _number(factor_raw, "mean", f"{source}: factor")
-    std_dev = _number(factor_raw, "std_dev", f"{source}: factor")
-    try:
-        factor = RandomFactor(mean=mean, std_dev=std_dev)
-    except ValueError as exc:
-        raise ValidationError(f"{source}: factor: {exc}") from exc
+    parsed = [_record(FuzzyRandomReturn, a, f"{source}: assets[{i}]") for i, a in enumerate(assets)]
+    target = _record(FuzzyRandomReturn, raw["target"], f"{source}: target")
+    factor = _record(RandomFactor, raw["factor"], f"{source}: factor")
 
     bounds = raw["upper_bounds"]
     if not isinstance(bounds, list):
@@ -90,12 +78,13 @@ def loads_instance(text: str, source: str = "<string>") -> PortfolioInstance:
         raise
 
 
-def _parse_return(raw, where: str) -> FuzzyRandomReturn:
+def _record(cls, raw, where: str):
+    """An instance of the dataclass cls from a JSON object of its fields."""
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: must be an object")
-    values = {f: _number(raw, f, where) for f in _RETURN_FIELDS}
+    values = {f.name: _number(raw, f.name, where) for f in dataclasses.fields(cls)}
     try:
-        return FuzzyRandomReturn(**values)
+        return cls(**values)
     except ValueError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
@@ -117,18 +106,7 @@ def _finite(v, where: str, key: str | int) -> float:
 
 def write_instance(instance: PortfolioInstance, path: str | Path) -> None:
     """Serialize an instance; floats round-trip exactly through load_instance."""
-    payload = {
-        "assets": [_return_record(a) for a in instance.assets],
-        "target": _return_record(instance.target),
-        "total_fund": instance.total_fund,
-        "upper_bounds": list(instance.upper_bounds),
-        "factor": {"mean": instance.factor.mean, "std_dev": instance.factor.std_dev},
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def _return_record(r: FuzzyRandomReturn) -> dict:
-    return {f: getattr(r, f) for f in _RETURN_FIELDS}
+    Path(path).write_text(json.dumps(dataclasses.asdict(instance), indent=2) + "\n")
 
 
 def bundled_names() -> list[str]:

@@ -11,8 +11,8 @@ with c_j = r0_j + T*(1 - lambda) * r2_j - eta * beta_j, where T* is the
 normal quantile of the random factor; the reformulation is exact
 because the left shoulders are linear.  The return-floor constraint has
 the same left side as the objective, so it is carried as a scalar
-threshold and checked against the optimal value instead of being kept
-as a row.
+threshold instead of being kept as a row; the CLI's report row checks
+the optimal value against it.
 """
 
 from __future__ import annotations
@@ -25,14 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetInfeasibleError, ValidationError
-from .fuzzy import (
-    FuzzyRandomReturn,
-    RandomFactor,
-    necessity_geq_scalar,
-    normal_quantile,
-    observe,
-    weighted_sum,
-)
+from .fuzzy import FuzzyRandomReturn, RandomFactor, normal_quantile
 
 __all__ = [
     "PortfolioInstance",
@@ -190,14 +183,14 @@ class CertificateReport:
     """Empirical check of the reformulation at one allocation.
 
     ``probability`` estimates Pr{ necessity(Z(t) >= f) >= eta } from seeded
-    normal draws, built from observe + weighted_sum + the scalar necessity
-    closed form, with no reuse of the reformulated coefficients.
+    normal draws, by the formulas of observe, weighted_sum and the scalar
+    necessity closed form applied to the draw vector, with no reuse of the
+    reformulated coefficients.
     """
 
     threshold: float
     probability: float
     std_error: float
-    prob_level: float
     meets_level: bool
     crisp_value: float
     crisp_holds: bool
@@ -219,26 +212,32 @@ def necessity_certificate(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     lp = reformulate(instance, levels)
     crisp_value = objective(lp, x)
     f = crisp_value - margin
     weights = [float(w) for w in x]
-    draws = rng.normal(instance.factor.mean, instance.factor.std_dev, size=n_samples)
-    hits = 0
-    for t in draws.tolist():
-        obs = [observe(a, t) for a in instance.assets]
-        z = weighted_sum(obs, weights)
-        if necessity_geq_scalar(z, f) >= levels.eta:
-            hits += 1
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
+    t = rng.normal(instance.factor.mean, instance.factor.std_dev, size=n_samples)
+    a0, beta = 0.0, 0.0
+    # float overflow gives inf silently, as in the scalar formulas
+    with np.errstate(over="ignore", invalid="ignore"):
+        for asset, w in zip(instance.assets, weights):
+            a0 = a0 + (asset.r0 + t * asset.r2) * w
+            beta += asset.beta * w
+        if not np.isfinite(a0).all():
+            raise ValueError(f"field 'a0' must be finite, got {a0[~np.isfinite(a0)][0]}")
+        # the shoulder is taken only where a0 - beta < f <= a0, so never at beta == 0
+        shoulder = 1.0 - (1.0 - (a0 - f) / (beta if beta > 0 else 1.0))
+        degree = np.where(f <= a0 - beta, 1.0, np.where(f > a0, 0.0, shoulder))
+    hits = int(np.count_nonzero(degree >= levels.eta))
     p = hits / n_samples
     se = math.sqrt(p * (1.0 - p) / n_samples)
     return CertificateReport(
         threshold=f,
         probability=p,
         std_error=se,
-        prob_level=levels.lam,
         meets_level=p >= levels.lam,
         crisp_value=crisp_value,
         crisp_holds=crisp_value >= f,

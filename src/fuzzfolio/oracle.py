@@ -1,5 +1,8 @@
 """Exact ground truth for the deterministic LP, plus a brute-force referee.
 
+Both return only the optimum; whether it clears the return floor, whose
+left side is the objective, is decided by the CLI's report row.
+
 The feasible set is a box sliced by one budget hyperplane and the
 objective is linear, so a greedy fill by descending coefficient is
 provably optimal: any feasible point can be improved by moving mass from
@@ -21,9 +24,6 @@ from .model import DeterministicLP
 
 __all__ = ["ExactSolution", "solve_exact", "brute_force"]
 
-OPTIMAL = "optimal"
-THRESHOLD_INFEASIBLE = "threshold_infeasible"
-
 _NODE_BUDGET = 100_000_000
 
 
@@ -31,8 +31,6 @@ _NODE_BUDGET = 100_000_000
 class ExactSolution:
     x: np.ndarray
     objective: float
-    threshold_satisfied: bool
-    status: str
 
 
 def solve_exact(lp: DeterministicLP) -> ExactSolution:
@@ -41,10 +39,9 @@ def solve_exact(lp: DeterministicLP) -> ExactSolution:
     Assets are filled to their bounds in order of descending coefficient
     (ties broken by ascending index), with the remainder going to the
     next asset; the caller's instance guarantees sum(U) >= M0.  The
-    threshold can never be an obstacle to solving because its left side
-    equals the objective, so a shortfall only flips the status to
-    ``threshold_infeasible``.  Raises ValidationError when the optimal
-    objective overflows.
+    threshold plays no part: the optimum clears it iff
+    ``objective >= lp.threshold``, which the caller checks.  Raises
+    ValidationError when the optimal objective overflows.
     """
     c = lp.coefficients
     # a -inf fund left clips to 0
@@ -60,8 +57,7 @@ def solve_exact(lp: DeterministicLP) -> ExactSolution:
         raise ValidationError(
             f"the optimal objective overflows at lambda={lp.levels.lam}, eta={lp.levels.eta}; rescale the instance"
         )
-    ok = obj >= lp.threshold
-    return ExactSolution(x, obj, ok, OPTIMAL if ok else THRESHOLD_INFEASIBLE)
+    return ExactSolution(x, obj)
 
 
 def brute_force(lp: DeterministicLP, grid_step: float) -> ExactSolution:
@@ -117,8 +113,7 @@ def brute_force(lp: DeterministicLP, grid_step: float) -> ExactSolution:
 
     assert best_units is not None  # sum(cap) >= budget guarantees a lattice point
     x = grid_step * np.array(best_units, dtype=float)
-    ok = best_obj >= lp.threshold
-    return ExactSolution(x, best_obj, ok, OPTIMAL if ok else THRESHOLD_INFEASIBLE)
+    return ExactSolution(x, best_obj)
 
 
 def _as_units(value: float, step: float, what: str) -> int:

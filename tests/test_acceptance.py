@@ -81,7 +81,7 @@ def test_criterion_2_exact_objectives(lps):
 
 def test_criterion_3_threshold_pattern(lps):
     with criterion(3, "return floor satisfiable at 0.1/0.4, unsatisfiable at 0.7/0.9"):
-        flags = [solve_exact(lps[lv]).threshold_satisfied for lv in LEVELS]
+        flags = [solve_exact(lps[lv]).objective >= lps[lv].threshold for lv in LEVELS]
         assert flags == [True, True, False, False]
 
 

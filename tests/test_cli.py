@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from fuzzfolio.cli import MAX_SEEDS, _parse_seeds, main
 from fuzzfolio.errors import BudgetInfeasibleError, ValidationError
 from fuzzfolio.fuzzy import FuzzyRandomReturn, RandomFactor
-from fuzzfolio.io import bundled_instance, bundled_names, load_instance, write_instance
+from fuzzfolio.io import bundled_instance, bundled_names, load_instance, loads_instance, write_instance
 from fuzzfolio.model import PortfolioInstance
 from fuzzfolio.report import CSV_COLUMNS, SweepRow, render_table
 
@@ -176,6 +176,20 @@ def test_load_rejects_non_finite_numbers(tmp_path, path, named, value):
 
 
 PAPER_JSON = resources.files("fuzzfolio.data").joinpath("paper_table1.json").read_text()
+
+
+@pytest.mark.parametrize("path, named", [(("assets", 1), "assets[1]"), (("target",), "target"),
+                                         (("factor",), "factor")])
+def test_load_names_a_record_that_is_not_an_object(path, named):
+    data = json.loads(PAPER_JSON)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = [1.0]
+    with pytest.raises(ValidationError) as err:
+        loads_instance(json.dumps(data), source="inst.json")
+    assert str(err.value) == f"inst.json: {named}: must be an object"
+
 
 # instance files rejected with exit 2 and one line: the loader rejects
 # those not JSON, not UTF-8, or holding integers past the float range,
@@ -388,6 +402,14 @@ def test_ica_tuning_flags(capsys):
     assert float(row["objective"]) <= float(row["oracle_objective"]) + 1e-9
 
 
+def test_rows_come_by_level_then_seed(capsys):
+    code, out, _ = run_cli(
+        ["solve", "--solver", "ica", "--seeds", "5,1,3,1", "--levels", "0.6,0.2", "--format", "csv"], capsys)
+    assert code == 0
+    assert [(r["lambda"], r["seed"]) for r in parse_csv(out)] == [
+        (lam, seed) for lam in ("0.2", "0.6") for seed in ("1", "1", "3", "5")]
+
+
 def test_seed_range_forms(capsys):
     code, out, _ = run_cli(
         ["solve", "--levels", "0.4", "--solver", "ica", "--seeds", "2,5..7", "--format", "csv"],
@@ -410,6 +432,8 @@ def test_seed_range_forms(capsys):
     (["--eq-factor", "0"], "--eq-factor"),
     (["--eq-factor", "nan"], "--eq-factor"),
     (["--eq-factor", "inf"], "--eq-factor"),
+    # refused by ica.run before it allocates the 82 GiB draw buffer
+    (["--countries", "1000000000"], "n_countries"),
 ])
 def test_invalid_ica_flag_exits_2_with_one_line(flags, named, capsys):
     assert_one_line_error(*run_cli(["solve", "--solver", "ica", *flags], capsys), named)

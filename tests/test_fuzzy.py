@@ -9,7 +9,6 @@ from fuzzfolio.fuzzy import (
     FuzzyRandomReturn,
     LRFuzzyNumber,
     RandomFactor,
-    alpha_cut,
     membership,
     necessity_geq_fuzzy,
     necessity_geq_scalar,
@@ -90,36 +89,6 @@ def test_membership_accepts_arrays():
 
 # --- alpha cuts --------------------------------------------------------------
 
-def test_alpha_cut_examples():
-    assert alpha_cut(ASSET1, 1.0) == (1.3, 1.45)
-    lo, hi = alpha_cut(ASSET1, 0.5)
-    assert (lo, hi) == pytest.approx((1.2, 1.55))
-    lo, hi = alpha_cut(ASSET1, 1e-9)
-    assert (lo, hi) == pytest.approx((1.1, 1.65), abs=1e-8)
-
-
-def test_alpha_cut_domain():
-    for bad in (0.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            alpha_cut(ASSET1, bad)
-
-
-@given(
-    a0=st.integers(-800, 800),
-    width=st.integers(0, 64),
-    beta=st.integers(0, 64),
-    gamma=st.integers(0, 64),
-    a1_=st.integers(1, 16),
-    a2_=st.integers(1, 16),
-)
-def test_alpha_cut_nesting(a0, width, beta, gamma, a1_, a2_):
-    a = LRFuzzyNumber(a0 / 8, a0 / 8 + width / 8, beta / 16, gamma / 16)
-    alpha1, alpha2 = sorted((a1_ / 16, a2_ / 16))
-    lo1, hi1 = alpha_cut(a, alpha1)
-    lo2, hi2 = alpha_cut(a, alpha2)
-    assert lo1 <= lo2 and hi2 <= hi1
-
-
 @given(
     a0=st.integers(-400, 400),
     width=st.integers(0, 32),
@@ -136,7 +105,8 @@ def test_cut_membership_consistency(a0, width, beta_pow, gamma_pow, alpha_num, x
     a = LRFuzzyNumber(a0 / 8, a0 / 8 + width / 8, beta, gamma)
     alpha = alpha_num / 16
     x = x_num / 16
-    lo, hi = alpha_cut(a, alpha)
+    # the alpha-cut: the peak widened by each spread times 1 - alpha
+    lo, hi = a.a0 - a.beta * (1.0 - alpha), a.a1 + a.gamma * (1.0 - alpha)
     assert (membership(a, x) >= alpha) == (lo <= x <= hi)
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -408,6 +409,18 @@ def test_invariant_check_survives_python_O():
 
 
 # --- full runs -----------------------------------------------------------------
+
+def test_run_refuses_a_huge_draw_buffer_before_allocating(lp01):
+    # 64 seeds of 4 * 10**6 countries need 64 * (1 + 44 * 10**6) doubles: 21 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"^n_countries: 4000000 countries of 5 assets need a 21\.0 GiB "):
+            ica.run(lp01, ica_cfg=ica.IcaConfig(n_countries=4 * 10**6), seeds=range(100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
 
 def test_run_zero_iterations_returns_initial_best(lp01):
     [report] = ica.run(lp01, ica_cfg=ica.IcaConfig(max_iterations=0), seeds=[42])

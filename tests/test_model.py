@@ -1,8 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fuzzfolio.errors import BudgetInfeasibleError, ValidationError
-from fuzzfolio.fuzzy import FuzzyRandomReturn, RandomFactor, normal_quantile
+from fuzzfolio.fuzzy import (
+    FuzzyRandomReturn,
+    RandomFactor,
+    necessity_geq_scalar,
+    normal_quantile,
+    observe,
+    weighted_sum,
+)
 from fuzzfolio.io import bundled_instance
 from fuzzfolio.model import (
     ConfidenceLevels,
@@ -226,3 +235,70 @@ def test_crisp_verdict_agrees_with_certificate_quick():
             assert cert.crisp_holds == cert.meets_level
             checked += 1
     assert checked >= 10  # the draw ranges must keep most cases decisive
+
+
+def certificate_case(rng):
+    """A random instance, levels, allocation and margin.  A quarter of the
+    instances have no left spread at all, and in the rest about a third of
+    the assets have none; about a third of the weights are zero.  The
+    allocation need not meet the budget: the reformulation is exact at
+    every nonnegative allocation."""
+    inst = random_instance(rng)
+    flat = rng.random(inst.n_assets) < (1.0 if rng.random() < 0.25 else 0.3)
+    inst = dataclasses.replace(inst, assets=tuple(
+        dataclasses.replace(a, beta=0.0) if z else a for a, z in zip(inst.assets, flat)))
+    x = random_feasible_x(rng, inst)
+    x[rng.random(x.size) < 0.3] = 0.0
+    levels = ConfidenceLevels(float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 0.9)))
+    slope = float(sum(a.r2 * w for a, w in zip(inst.assets, x)))
+    return inst, levels, x, float(rng.uniform(-1.0, 1.0)) * slope
+
+
+def scalar_hits(instance, levels, x, f, draws):
+    """The per-draw definition: observe each asset, sum with the weights,
+    and count the draws whose necessity degree reaches eta."""
+    weights = [float(w) for w in x]
+    return sum(
+        necessity_geq_scalar(weighted_sum([observe(a, t) for a in instance.assets], weights), f) >= levels.eta
+        for t in draws.tolist()
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_certificate_matches_the_scalar_referee():
+    rng = np.random.default_rng(5)
+    flat = empty = 0
+    for _ in range(200):
+        inst, levels, x, margin = certificate_case(rng)
+        seed = int(rng.integers(2**32))
+        cert = necessity_certificate(inst, levels, x, n_samples=500, rng=seed, margin=margin)
+        draws = np.random.default_rng(seed).normal(inst.factor.mean, inst.factor.std_dev, size=500)
+        hits = scalar_hits(inst, levels, x, cert.threshold, draws)
+        assert cert.probability == hits / 500
+        flat += sum(a.beta * w for a, w in zip(inst.assets, x)) == 0.0
+        empty += 0 < hits < 500
+    # the draws must reach the zero-spread step and the shoulder in between
+    assert flat >= 40 and empty >= 40
+
+
+def test_crisp_verdict_agrees_with_certificate_on_2000_instances():
+    rng = np.random.default_rng(2000)
+    decisive = 0
+    for _ in range(2000):
+        inst, levels, x, margin = certificate_case(rng)
+        cert = necessity_certificate(inst, levels, x, n_samples=2000,
+                                     rng=int(rng.integers(2**32)), margin=margin)
+        if abs(cert.probability - levels.lam) > 3 * max(cert.std_error, 1e-9):
+            decisive += 1
+            assert cert.crisp_holds == cert.meets_level, (levels, x, margin, cert.probability)
+    assert decisive >= 1500
+
+
+def test_certificate_rejects_negative_weights_and_non_finite_peaks(table1):
+    levels = ConfidenceLevels(0.4, 0.4)
+    with pytest.raises(ValueError, match="^weights must be nonnegative$"):
+        necessity_certificate(table1, levels, [-20.0, 40.0, 60.0, 60.0, 60.0], n_samples=10)
+    # a peak shift t * r2 past the float range for |t| > 1.8
+    huge = dataclasses.replace(table1, assets=(FuzzyRandomReturn(1.0, 1.0, 1e308, 0.1, 0.1),) + table1.assets[1:])
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="^field 'a0' must be finite, got -?inf$"):
+        necessity_certificate(huge, levels, [1.0, 19.0, 60.0, 60.0, 60.0], n_samples=1000)
