@@ -164,14 +164,14 @@ def _levels(args) -> list[ConfidenceLevels]:
         raise ValidationError(f"{flags[exc.field]}: {exc}") from None
 
 
-def _row(lp, oracle, solver, seed, x, objective, published=None) -> SweepRow:
-    """One report row for allocation x at lp's levels; oracle is the exact
-    optimum there and published, if given, the published objective.  The
-    row alone decides whether the objective clears the return floor."""
-    ok = objective >= lp.threshold
+def _row(level, threshold, oracle, solver, seed, x, budget_residual, objective, published=None) -> SweepRow:
+    """One report row for allocation x at level, whose return floor is
+    threshold; oracle is the exact optimum there and published, if given,
+    the published objective.  The row alone decides whether x clears it."""
+    ok = objective >= threshold
     return SweepRow(
-        lam=lp.levels.lam,
-        eta=lp.levels.eta,
+        lam=level.lam,
+        eta=level.eta,
         solver=solver,
         seed=seed,
         status="heuristic" if solver == "ica" else "optimal" if ok else "threshold_infeasible",
@@ -179,9 +179,9 @@ def _row(lp, oracle, solver, seed, x, objective, published=None) -> SweepRow:
         oracle_objective=oracle,
         # exactly 0.0 for the exact row, whose objective is the finite oracle
         rel_gap=(oracle - objective) / abs(oracle) if oracle != 0.0 else 0.0,
-        threshold=lp.threshold,
+        threshold=threshold,
         threshold_ok=ok,
-        budget_residual=float(x.sum() - lp.total_fund),
+        budget_residual=budget_residual,
         allocation=tuple(x.tolist()),
         published_objective=published,
         published_gap=None if published is None else (objective - published) / published,
@@ -224,22 +224,31 @@ def _sweep(instance, levels, exact_rows, seeds, penalty_cfg, ica_cfg, published=
     """The exact row (when exact_rows), then one ICA row per seed in
     ascending order, at every level in the given ascending order, and
     whether the exact optimum clears the return floor at every level.
+    The first level to fail a check raises, ICA's included.
 
     published maps a coupled level to its published (allocation, objective).
     """
-    rows: list[SweepRow] = []
-    all_satisfied = True
-    seeds = sorted(seeds)
-    for level in levels:
-        lp = reformulate(instance, level)
+    try:
+        lp = reformulate(instance, levels)
         exact = solve_exact(lp)
-        all_satisfied &= exact.objective >= lp.threshold
+    except ValidationError:
+        # a level before the one that raised may fail a later check: sweep one level at a time
+        for level in levels if len(levels) > 1 else ():
+            _sweep(instance, [level], exact_rows, seeds, penalty_cfg, ica_cfg, published)
+        raise
+    rows: list[SweepRow] = []
+    seeds = sorted(seeds)
+    thresholds, optima = lp.threshold.tolist(), exact.objective.tolist()
+    budget = (exact.x.sum(axis=1) - lp.total_fund).tolist()
+    for i, level in enumerate(levels):
         if exact_rows:
             pub = None if published is None else published[level.lam][1]
-            rows.append(_row(lp, exact.objective, "exact", None, exact.x, exact.objective, pub))
-        for report in ica.run(lp, penalty_cfg, ica_cfg, seeds) if seeds else ():
-            rows.append(_row(lp, exact.objective, "ica", report.seed, report.best_position, report.best_objective))
-    return rows, all_satisfied
+            rows.append(_row(level, thresholds[i], optima[i], "exact", None, exact.x[i], budget[i], optima[i], pub))
+        for report in ica.run(lp[i], penalty_cfg, ica_cfg, seeds) if seeds else ():
+            x = report.best_position
+            rows.append(_row(level, thresholds[i], optima[i], "ica", report.seed, x,
+                             float(x.sum() - lp.total_fund), report.best_objective))
+    return rows, bool((exact.objective >= lp.threshold).all())
 
 
 def _cmd_solve(args) -> int:
@@ -269,12 +278,9 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_reproduce(args)
-    except BudgetInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BudgetInfeasibleError) else 2
 
 
 if __name__ == "__main__":

@@ -100,10 +100,6 @@ class RandomFactor:
         if not self.std_dev > 0:
             raise ValueError(f"std_dev must be positive, got {self.std_dev}")
 
-    def cdf(self, t: float) -> float:
-        z = (t - self.mean) / self.std_dev
-        return 0.5 * math.erfc(-z / _SQRT2)
-
 
 def membership(a: LRFuzzyNumber, x):
     """Membership degree of x in a.  Accepts scalars or numpy arrays.

@@ -12,14 +12,15 @@ normal quantile of the random factor; the reformulation is exact
 because the left shoulders are linear.  The return-floor constraint has
 the same left side as the objective, so it is carried as a scalar
 threshold instead of being kept as a row; the CLI's report row checks
-the optimal value against it.
+the optimal value against it.  A sweep reformulates its L levels at once,
+as (L, n) coefficients and (L,) thresholds; one ConfidenceLevels is the
+L = 1 case of the same arithmetic, returned without the level axis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -57,33 +58,13 @@ class PortfolioInstance:
         if len(self.assets) < 1:
             raise ValidationError("at least one asset is required")
         if len(u) != len(self.assets):
-            raise ValidationError(
-                f"expected {len(self.assets)} upper bounds, got {len(u)}"
-            )
+            raise ValidationError(f"expected {len(self.assets)} upper bounds, got {len(u)}")
         if not all(math.isfinite(b) and b > 0 for b in u):
             raise ValidationError("upper bounds must be finite and positive")
         if not (math.isfinite(self.total_fund) and self.total_fund > 0):
             raise ValidationError(f"total fund must be positive, got {self.total_fund}")
         if sum(u) < self.total_fund:
-            raise BudgetInfeasibleError(
-                f"upper bounds sum to {sum(u)}, below the total fund {self.total_fund}"
-            )
-
-    @property
-    def n_assets(self) -> int:
-        return len(self.assets)
-
-    @cached_property
-    def _asset_columns(self) -> np.ndarray:
-        """The assets' r0, r2 and beta as three rows of a (3, n) array."""
-        return np.array([(a.r0, a.r2, a.beta) for a in self.assets], dtype=float).T
-
-    @cached_property
-    def _bounds(self) -> np.ndarray:
-        """The upper bounds as a read-only array, shared by every level's LP."""
-        u = np.array(self.upper_bounds)
-        u.setflags(write=False)
-        return u
+            raise BudgetInfeasibleError(f"upper bounds sum to {sum(u)}, below the total fund {self.total_fund}")
 
 
 @dataclass(frozen=True)
@@ -105,51 +86,67 @@ class ConfidenceLevels:
 @dataclass(frozen=True)
 class DeterministicLP:
     """The crisp problem: maximize c . x on the budget slice of a box.
-    ``reformulate`` produces it, from an instance whose bounds absorb the fund."""
+    ``reformulate`` produces it, from an instance whose bounds absorb the fund.
+    At L levels, coefficients, threshold and levels are (L, n), (L,) and an
+    L-tuple, and ``lp[i]`` is level i's LP; at one level, (n,), a float and one."""
 
     coefficients: np.ndarray
     total_fund: float
     upper_bounds: np.ndarray
-    threshold: float
-    levels: ConfidenceLevels
+    threshold: float | np.ndarray
+    levels: ConfidenceLevels | tuple[ConfidenceLevels, ...]
 
     @property
     def n(self) -> int:
-        return int(self.coefficients.size)
+        """The number of assets: the last axis, at one level or at L."""
+        return int(self.coefficients.shape[-1])
+
+    def __getitem__(self, i: int) -> DeterministicLP:
+        return DeterministicLP(self.coefficients[i], self.total_fund, self.upper_bounds,
+                               float(self.threshold[i]), self.levels[i])
 
 
-def reformulate(instance: PortfolioInstance, levels: ConfidenceLevels) -> DeterministicLP:
-    """Build the deterministic LP for the given confidence levels.
+def reformulate(instance: PortfolioInstance, levels: ConfidenceLevels | Sequence[ConfidenceLevels]) -> DeterministicLP:
+    """Build the deterministic LP at one confidence level, or at several.
 
     Pure function: identical inputs produce bitwise-identical coefficient
-    vectors.  Raises ValidationError naming the first asset, or the
-    target, whose coefficient overflows.
+    vectors, whatever other levels come along.  Raises ValidationError at
+    the first level whose coefficient overflows, naming the first such
+    asset, or else the target.
     """
-    t_star = normal_quantile(1.0 - levels.lam, instance.factor)
+    batch = (levels,) if isinstance(levels, ConfidenceLevels) else tuple(levels)
+    t_star = np.array([normal_quantile(1.0 - lv.lam, instance.factor) for lv in batch])
     # eta, taken through 1 - eta as the shoulder's inverse gives it: the
     # round trip moves some levels (0.1 among them) one ulp, and the
     # reported coefficients keep that rounding
-    l_star = 1.0 - (1.0 - levels.eta)
-    r0, r2, beta = instance._asset_columns
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = r0 + t_star * r2 - l_star * beta
+    l_star = 1.0 - (1.0 - np.array([lv.eta for lv in batch]))
+    r0, r2, beta = np.array([(a.r0, a.r2, a.beta) for a in instance.assets], dtype=float).T
     tgt = instance.target
-    threshold = tgt.r0 + t_star * tgt.r2 - tgt.beta * l_star
-    if not (np.isfinite(c).all() and math.isfinite(threshold)):
-        bad = np.flatnonzero(~np.isfinite(c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = r0 + t_star[:, None] * r2 - l_star[:, None] * beta
+        threshold = tgt.r0 + t_star * tgt.r2 - tgt.beta * l_star
+    finite = np.isfinite(c).all(axis=1) & np.isfinite(threshold)
+    if not finite.all():
+        i = finite.argmin()
+        bad = np.flatnonzero(~np.isfinite(c[i]))
         where = f"assets[{bad[0]}]: the coefficient" if bad.size else "target: the return threshold"
         raise ValidationError(
-            f"{where} overflows at lambda={levels.lam}, eta={levels.eta}; rescale the instance")
+            f"{where} overflows at lambda={batch[i].lam}, eta={batch[i].eta}; rescale the instance")
+    u = np.array(instance.upper_bounds)
     c.setflags(write=False)
-    return DeterministicLP(c, instance.total_fund, instance._bounds, threshold, levels)
+    u.setflags(write=False)
+    lp = DeterministicLP(c, instance.total_fund, u, threshold, batch)
+    return lp[0] if isinstance(levels, ConfidenceLevels) else lp
 
 
 def objective(lp: DeterministicLP, x: Sequence[float]) -> float:
-    """The crisp objective c . x; also the left side of the threshold check."""
+    """The crisp objective c . x of a one-level LP; also the left side of the
+    threshold check.  A value past the float range is inf, without a warning."""
     x = np.asarray(x, dtype=float)
-    if x.shape != lp.coefficients.shape:
-        raise ValueError(f"allocation shape {x.shape} does not match {lp.coefficients.shape}")
-    return float(lp.coefficients @ x)
+    if lp.coefficients.ndim != 1 or x.shape != lp.coefficients.shape:
+        raise ValueError(f"expected a one-level LP and an (n,) allocation, got {lp.coefficients.shape} and {x.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(lp.coefficients @ x)
 
 
 # feasibility tolerances of residuals: budget equality, threshold, box bounds
@@ -172,9 +169,7 @@ def residuals(lp: DeterministicLP, x: Sequence[float]) -> ResidualReport:
     thresh = objective(lp, x) - lp.threshold  # raises on a shape mismatch
     budget = float(x.sum() - lp.total_fund)
     viol = np.maximum(x - lp.upper_bounds, 0.0) + np.maximum(-x, 0.0)
-    feasible = (
-        abs(budget) <= EQ_TOL and thresh >= -INEQ_TOL and float(viol.max()) <= BOX_TOL
-    )
+    feasible = abs(budget) <= EQ_TOL and thresh >= -INEQ_TOL and float(viol.max()) <= BOX_TOL
     return ResidualReport(budget, thresh, viol, feasible)
 
 
@@ -215,6 +210,8 @@ def necessity_certificate(
     rng = np.random.default_rng(rng)
     lp = reformulate(instance, levels)
     crisp_value = objective(lp, x)
+    if not math.isfinite(crisp_value):
+        raise ValueError(f"the crisp value c . x must be finite, got {crisp_value}")
     f = crisp_value - margin
     weights = [float(w) for w in x]
     if any(w < 0 for w in weights):

@@ -81,16 +81,8 @@ def render_json(rows: list[SweepRow], meta: dict) -> str:
     return json.dumps({**meta, "rows": records}, indent=2) + "\n"
 
 
-def _num(value: float) -> str:
-    return format(value, ".6g")
-
-
-def _pct(value: float) -> str:
-    return format(value, ".3%")
-
-
 def _memo_num():
-    """_num with one format call per distinct value, for repeated entries."""
+    """Six significant digits, with one format call per distinct value, for repeated entries."""
     memo: dict = {}
 
     def num(value: float) -> str:
@@ -98,7 +90,7 @@ def _memo_num():
         key = value if value else (value, math.copysign(1.0, value))
         text = memo.get(key)
         if text is None:
-            text = memo[key] = _num(value)
+            text = memo[key] = format(value, ".6g")
         return text
 
     return num
@@ -124,14 +116,14 @@ def render_table(rows: list[SweepRow]) -> str:
             if r.published_objective is not None:
                 lines.append(
                     f"          published {num(r.published_objective):>10}"
-                    f"  deviation {_pct(r.published_gap)}"
+                    f"  deviation {r.published_gap:.3%}"
                 )
         if ica:
             objs = [r.objective for r in ica]
             best = max(ica, key=lambda r: r.objective)
             lines.append(
                 f"  ica     seeds {len(ica):>3}  best {num(max(objs))}  median {num(statistics.median(objs))}"
-                f"  worst {num(min(objs))}  gap(best) {_pct(best.rel_gap)}"
+                f"  worst {num(min(objs))}  gap(best) {best.rel_gap:.3%}"
             )
             lines.append(
                 f"          best x = [{', '.join(map(num, best.allocation))}] (seed {best.seed})"

@@ -41,7 +41,7 @@ def parse_csv(text):
 
 def test_bundled_fixture_matches_published_parameters():
     inst = bundled_instance("paper_table1")
-    assert inst.n_assets == 5
+    assert len(inst.assets) == 5
     assert inst.total_fund == 200.0
     assert inst.upper_bounds == (60.0,) * 5
     assert [a.r0 for a in inst.assets] == [1.3, 1.2, 1.35, 1.4, 1.45]
@@ -366,6 +366,27 @@ def test_exact_solver_rejects_an_instance_whose_objective_overflows(tmp_path, ca
     code, out, err = run_cli(["solve", "--instance", str(src), "--levels", "0.1", "--format", "csv"], capsys)
     assert (code, out) == (2, "")
     assert err == "error: the optimal objective overflows at lambda=0.1, eta=0.1; rescale the instance\n"
+
+
+# assets[2]'s coefficient overflows at lambda = 0.99, yet lambda = 0.5 fails first:
+# its optimal objective overflows, or, at a smaller fund, the ICA penalty bound
+@pytest.mark.parametrize("fund, flags, message", [
+    (1.7e308, [], "the optimal objective overflows at lambda=0.5, eta=0.5; rescale the instance"),
+    (1e200, ["--solver", "ica", "--iters", "3"],
+     "the penalized objective overflows inside the box; rescale the instance for the ICA solver"),
+])
+@pytest.mark.filterwarnings("error")
+def test_the_first_failing_level_names_the_error(tmp_path, capsys, fund, flags, message):
+    data = json.loads(PAPER_JSON)
+    data["assets"][2]["r2"] = 1e308
+    data["total_fund"] = fund
+    data["upper_bounds"] = [min(fund, 1.7e308)] * 5
+    src = tmp_path / "inst.json"
+    src.write_text(json.dumps(data))
+    code, out, err = run_cli(["solve", "--instance", str(src), "--levels", "0.5,0.99", *flags], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, _, err = run_cli(["solve", "--instance", str(src), "--levels", "0.99", *flags], capsys)
+    assert (code, err) == (2, "error: assets[2]: the coefficient overflows at lambda=0.99, eta=0.99; rescale the instance\n")
 
 
 def test_default_levels_and_table_format(capsys):

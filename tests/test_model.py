@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fuzzfolio.fuzzy import (
 from fuzzfolio.io import bundled_instance
 from fuzzfolio.model import (
     ConfidenceLevels,
+    DeterministicLP,
     PortfolioInstance,
     necessity_certificate,
     objective,
@@ -117,11 +119,38 @@ def test_reformulate_matches_the_per_asset_formula():
     rng = np.random.default_rng(5)
     for _ in range(50):
         inst = random_instance(rng, n_assets=int(rng.integers(1, 40)))
-        lv = ConfidenceLevels(float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.01, 0.99)))
-        t_star = normal_quantile(1.0 - lv.lam, inst.factor)
-        l_star = 1.0 - (1.0 - lv.eta)
-        want = np.array([a.r0 + t_star * a.r2 - l_star * a.beta for a in inst.assets])
-        assert reformulate(inst, lv).coefficients.tobytes() == want.tobytes()
+        # one to eight levels, each reformulated alone and all stacked in one call
+        levels = [ConfidenceLevels(float(rng.uniform(0.01, 0.99)), float(rng.uniform(0.01, 0.99)))
+                  for _ in range(int(rng.integers(1, 9)))]
+        stacked = reformulate(inst, levels)
+        assert stacked.coefficients.shape == (len(levels), len(inst.assets)) and stacked.levels == tuple(levels)
+        tgt = inst.target
+        for i, lv in enumerate(levels):
+            t_star = normal_quantile(1.0 - lv.lam, inst.factor)
+            l_star = 1.0 - (1.0 - lv.eta)
+            want = np.array([a.r0 + t_star * a.r2 - l_star * a.beta for a in inst.assets])
+            threshold = tgt.r0 + t_star * tgt.r2 - tgt.beta * l_star
+            alone = reformulate(inst, lv)
+            assert alone.coefficients.tobytes() == want.tobytes()
+            assert stacked.coefficients[i].tobytes() == want.tobytes()
+            assert np.float64(alone.threshold).tobytes() == stacked.threshold[i].tobytes()
+            assert np.float64(threshold).tobytes() == stacked.threshold[i].tobytes()
+
+
+def test_a_stacked_call_names_its_first_failing_level(table1):
+    from fuzzfolio.oracle import solve_exact
+
+    # r2 = 1e308 overflows the coefficient wherever |T*| > 1.8
+    huge = dataclasses.replace(table1, assets=table1.assets[:2] + (
+        dataclasses.replace(table1.assets[2], r2=1e308),) + table1.assets[3:])
+    levels = [ConfidenceLevels(v, v) for v in (0.5, 0.01, 0.99)]
+    with pytest.raises(ValidationError, match=r"^assets\[2\]: the coefficient overflows at lambda=0\.01, "):
+        reformulate(huge, levels)
+    # optima 1e308, 3e308 and 2e308: the second and third overflow
+    lp = DeterministicLP(np.array([[1.0, 0.5], [3.0, 0.5], [2.0, 0.5]]), 1e308, np.array([1e308, 1.0]),
+                         np.zeros(3), tuple(levels))
+    with pytest.raises(ValidationError, match=r"^the optimal objective overflows at lambda=0\.01, "):
+        solve_exact(lp)
 
 
 def test_coefficients_monotone_in_levels(table1):
@@ -165,6 +194,11 @@ def test_objective_examples(table1):
 
     with pytest.raises(ValueError):
         objective(lp, np.zeros(4))
+    # a level-batched LP has no single objective
+    both = reformulate(table1, [ConfidenceLevels(0.1, 0.1), ConfidenceLevels(0.9, 0.9)])
+    for x in (np.stack([x, x9]), x):
+        with pytest.raises(ValueError, match=r"^expected a one-level LP"):
+            objective(both, x)
 
 
 def test_residuals_examples(table1):
@@ -244,7 +278,7 @@ def certificate_case(rng):
     allocation need not meet the budget: the reformulation is exact at
     every nonnegative allocation."""
     inst = random_instance(rng)
-    flat = rng.random(inst.n_assets) < (1.0 if rng.random() < 0.25 else 0.3)
+    flat = rng.random(len(inst.assets)) < (1.0 if rng.random() < 0.25 else 0.3)
     inst = dataclasses.replace(inst, assets=tuple(
         dataclasses.replace(a, beta=0.0) if z else a for a, z in zip(inst.assets, flat)))
     x = random_feasible_x(rng, inst)
@@ -302,3 +336,12 @@ def test_certificate_rejects_negative_weights_and_non_finite_peaks(table1):
     huge = dataclasses.replace(table1, assets=(FuzzyRandomReturn(1.0, 1.0, 1e308, 0.1, 0.1),) + table1.assets[1:])
     with np.errstate(all="raise"), pytest.raises(ValueError, match="^field 'a0' must be finite, got -?inf$"):
         necessity_certificate(huge, levels, [1.0, 19.0, 60.0, 60.0, 60.0], n_samples=1000)
+    # at weight 20 the crisp value c . x itself overflows; it is named, with no
+    # numpy warning, before a single draw
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the crisp value c \. x must be finite, got inf$"):
+            necessity_certificate(huge, levels, [20.0, 0.0, 60.0, 60.0, 60.0], rng=rng)
+    assert rng.bit_generator.state == state

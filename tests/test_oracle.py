@@ -60,17 +60,22 @@ def greedy_loop(lp):
 def test_greedy_fill_matches_the_per_asset_loop():
     rng = np.random.default_rng(41)
     for _ in range(300):
-        n = int(rng.integers(1, 30))
-        # few distinct values, so ties and budgets that fill an asset exactly are common
-        c = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0, float(rng.normal())], size=n)
+        n, k = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+        # few distinct values, so ties and budgets that fill an asset exactly are
+        # common; k levels share the box and the budget
+        c = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0, float(rng.normal())], size=(k, n))
         u = rng.choice([1.0, 2.5, 10.0, float(rng.uniform(0.1, 20.0))], size=n)
-        m0 = float(rng.choice([u.sum(), u[:int(rng.integers(1, n + 1))].sum(),
-                               rng.uniform(0.01, 1.0) * u.sum()]))
-        lp = make_lp(c, min(m0, float(u.sum())), u)
-        sol = solve_exact(lp)
-        want = greedy_loop(lp)
-        assert sol.x.tobytes() == want.tobytes()
-        assert sol.objective == float(lp.coefficients @ want)
+        m0 = min(float(rng.choice([u.sum(), u[:int(rng.integers(1, n + 1))].sum(),
+                                   rng.uniform(0.01, 1.0) * u.sum()])), float(u.sum()))
+        stacked = solve_exact(DeterministicLP(c, m0, u, np.full(k, -1e9), (LEVELS,) * k))
+        want = np.array([greedy_loop(make_lp(row, m0, u)) for row in c])
+        objectives = np.array([float(c_i @ x_i) for c_i, x_i in zip(c, want)])
+        assert stacked.x.tobytes() == want.tobytes()
+        assert stacked.objective.tobytes() == objectives.tobytes()
+        for i, row in enumerate(c):
+            sol = solve_exact(make_lp(row, m0, u))
+            assert sol.x.tobytes() == want[i].tobytes()
+            assert np.float64(sol.objective).tobytes() == objectives[i].tobytes()
 
 
 def test_single_asset_forced():
