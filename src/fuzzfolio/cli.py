@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation failure, 3 budget-infeasible instance
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -224,7 +225,8 @@ def _sweep(instance, levels, exact_rows, seeds, penalty_cfg, ica_cfg, published=
     """The exact row (when exact_rows), then one ICA row per seed in
     ascending order, at every level in the given ascending order, and
     whether the exact optimum clears the return floor at every level.
-    The first level to fail a check raises, ICA's included.
+    The first level to fail a check raises, ICA's included; as ica.run
+    refuses before its first iteration, finding that level runs no search.
 
     published maps a coupled level to its published (allocation, objective).
     """
@@ -234,7 +236,8 @@ def _sweep(instance, levels, exact_rows, seeds, penalty_cfg, ica_cfg, published=
     except ValidationError:
         # a level before the one that raised may fail a later check: sweep one level at a time
         for level in levels if len(levels) > 1 else ():
-            _sweep(instance, [level], exact_rows, seeds, penalty_cfg, ica_cfg, published)
+            _sweep(instance, [level], exact_rows, seeds, penalty_cfg,
+                   dataclasses.replace(ica_cfg, max_iterations=0), published)
         raise
     rows: list[SweepRow] = []
     seeds = sorted(seeds)

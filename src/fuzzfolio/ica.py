@@ -11,19 +11,21 @@ weakest empire loses its weakest colony to a roulette-selected rival
 All seeds of a run evolve together: for S seeds of N countries over n
 assets, positions (S, N, n) and costs (S, N), each country's empire
 label owner (S, N), each empire's ruling country imperialist (S, K) and
-alive flag (S, K), and the running seeds active (S,).  Each phase
-evaluates the costs of all seeds in one batch.  A seed's results never
-depend on the seeds it runs with: it has its own generator (one draw
-per iteration, see ``draw``), every reduction runs over its row alone,
-and costs are computed row by row.  A seed left with one empire stops.
-Costs are minimized (cost = -penalized objective): lower is stronger.
+alive flag (S, K), and the running seeds active (S,).  The phases only
+move countries or relabel empires; ``run`` alone evaluates costs, one
+batch of all seeds after initialization and after each move.  A seed's
+results never depend on the seeds it runs with: it has its own generator
+(one draw per iteration, see ``draw``), every reduction runs over its
+row alone, and costs are computed row by row.  A seed left with one
+empire stops.  Costs are minimized (cost = -penalized objective): lower
+is stronger.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .penalty import PenaltyConfig, penalized_objective_batch, penalized_objecti
 
 __all__ = [
     "IcaConfig",
-    "IterationRecord",
     "RunReport",
     "initialize",
     "form_empires",
@@ -44,8 +45,6 @@ __all__ = [
     "compete",
     "run",
 ]
-
-CostFn = Callable[[np.ndarray], np.ndarray]  # positions (S, N, n) -> costs (S, N)
 
 # a colony moves by up to twice its distance to the imperialist on each
 # axis, so it can overshoot it (Atashpaz-Gargari & Lucas, 2007)
@@ -81,22 +80,14 @@ class IcaConfig:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
-    iteration: int
-    best_cost: float
-    n_empires: int
-
-
-@dataclass(frozen=True)
 class RunReport:
     """Outcome of one seed's run.
 
     ``best_position`` is the budget-repaired best allocation ever
     evaluated and ``best_objective`` its plain (unpenalized) objective;
     ``best_cost`` is the raw internal cost of the unrepaired best.
-    ``history`` (T, 2) holds the best cost so far and the number of
-    empires after each of the T iterations, an array as a run keeps every
-    seed's report until it ends; ``trace`` gives them as records.
+    ``history`` (T, 2) holds the best cost so far (column 0) and the
+    number of empires (column 1) after each of the T iterations.
     """
 
     best_position: np.ndarray
@@ -105,15 +96,10 @@ class RunReport:
     history: np.ndarray
     seed: int
 
-    @property
-    def trace(self) -> tuple[IterationRecord, ...]:
-        return tuple(IterationRecord(i, cost, int(n)) for i, (cost, n) in enumerate(self.history.tolist(), 1))
 
-
-def initialize(cost_fn: CostFn, config: IcaConfig, bounds: np.ndarray, rngs: Sequence[np.random.Generator]):
-    """Draw each seed's positions uniformly inside the box: positions (S, N, n), costs (S, N)."""
-    positions = np.stack([rng.uniform(0.0, bounds, size=(config.n_countries, bounds.size)) for rng in rngs])
-    return positions, cost_fn(positions)
+def initialize(config: IcaConfig, bounds: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Draw each seed's positions uniformly inside the box: positions (S, N, n)."""
+    return np.stack([rng.uniform(0.0, bounds, size=(config.n_countries, bounds.size)) for rng in rngs])
 
 
 def form_empires(costs: np.ndarray, config: IcaConfig, rngs: Sequence[np.random.Generator]):
@@ -175,19 +161,17 @@ def draw(rngs: Sequence[np.random.Generator], active: np.ndarray, n_countries: i
     return u[:, 0], grid[..., :n], grid[..., n], grid[..., n + 1:]
 
 
-def assimilate(positions, costs, rulers: np.ndarray, moving: np.ndarray, steps, cost_fn: CostFn, bounds) -> None:
+def assimilate(positions: np.ndarray, rulers: np.ndarray, moving: np.ndarray, steps, bounds) -> None:
     """Move each country flagged in ``moving`` (S, N) toward its ruler by the given steps, in place."""
     target = np.take_along_axis(positions, rulers[..., None], axis=1)
     moved = positions + ASSIMILATION_BETA * steps * (target - positions)
     np.clip(moved, 0.0, bounds, out=moved)
     np.copyto(positions, moved, where=moving[..., None])
-    costs[...] = cost_fn(positions)
 
 
-def revolve(positions: np.ndarray, costs: np.ndarray, chosen: np.ndarray, fresh: np.ndarray, cost_fn: CostFn) -> None:
+def revolve(positions: np.ndarray, chosen: np.ndarray, fresh: np.ndarray) -> None:
     """Replace each country flagged in ``chosen`` (S, N) by its fresh position, in place."""
     np.copyto(positions, fresh, where=chosen[..., None])
-    costs[...] = cost_fn(positions)
 
 
 def exchange(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray) -> None:
@@ -214,15 +198,15 @@ def _powers(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray, confi
     return np.where(counts > 0, ruler + config.epsilon * (sums / np.maximum(counts, 1)), ruler)
 
 
-def compete(costs, owner, imperialist, alive, active, roulette: np.ndarray, config: IcaConfig) -> None:
-    """In every active seed with two or more empires, move the weakest
+def compete(costs, owner, imperialist, alive, roulette: np.ndarray, config: IcaConfig) -> None:
+    """In every seed with two or more empires, move the weakest
     empire's weakest colony to a roulette winner, in place.
 
     The weakest empire is the first of largest power; it loses its first
     colony of highest cost and takes no part in the roulette.  Left with
     no colonies it collapses, its imperialist joining the winner.
     """
-    rows = np.flatnonzero(active & (alive.sum(axis=1) > 1))
+    rows = np.flatnonzero(alive.sum(axis=1) > 1)
     powers, live = _powers(costs, owner, imperialist, config)[rows], alive[rows]
     weakest = np.where(live, powers, -np.inf).argmax(axis=1)
     candidate = live.copy()
@@ -253,14 +237,22 @@ def run(lp: DeterministicLP, penalty_cfg: PenaltyConfig = PenaltyConfig(), ica_c
     Seeds evolve together in blocks of at most SEED_BLOCK.  The global
     best of a seed is tracked across every cost evaluation, so positions
     visited and then lost to revolution still count.  The returned
-    allocation is the repaired best.  Raises ValidationError, before
-    allocating anything, when a cost in the box could overflow or a
-    block's draw buffer would exceed MAX_DRAW_BYTES.
+    allocation is the repaired best.  Before it starts any block, run
+    refuses, in this order: an LP with a level axis (ValueError), a block
+    whose draw buffer would exceed MAX_DRAW_BYTES, and a box in which a
+    cost could overflow (both ValidationError).
     """
+    if lp.coefficients.ndim != 1:
+        raise ValueError(f"ica.run takes a one-level LP, got coefficients of shape {lp.coefficients.shape} "
+                         "with a level axis; pass lp[i]")
     size = 8 * min(len(seeds), SEED_BLOCK) * (1 + ica_cfg.n_countries * (2 * lp.n + 1))
     if size > MAX_DRAW_BYTES:
         raise ValidationError(f"n_countries: {ica_cfg.n_countries} countries of {lp.n} assets need a "
                               f"{size / 2**30:.1f} GiB draw buffer, above the {MAX_DRAW_BYTES / 2**30:.0f} GiB limit")
+    # power shares and empire powers sum up to n_countries costs or cost
+    # differences, each at most twice the largest cost in magnitude
+    if not math.isfinite(4.0 * ica_cfg.n_countries * penalized_objective_bound(lp, penalty_cfg)):
+        raise ValidationError("the penalized objective overflows inside the box; rescale the instance for the ICA solver")
     reports = []
     for start in range(0, len(seeds), SEED_BLOCK):
         reports += _run_block(lp, penalty_cfg, ica_cfg, seeds[start:start + SEED_BLOCK])
@@ -268,12 +260,6 @@ def run(lp: DeterministicLP, penalty_cfg: PenaltyConfig = PenaltyConfig(), ica_c
 
 
 def _run_block(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConfig, seeds) -> list[RunReport]:
-    # power shares and empire powers sum up to n_countries costs or cost
-    # differences, each at most twice the largest cost in magnitude
-    if not math.isfinite(4.0 * ica_cfg.n_countries * penalized_objective_bound(lp, penalty_cfg)):
-        raise ValidationError(
-            "the penalized objective overflows inside the box; rescale the instance for the ICA solver"
-        )
     rngs = [np.random.default_rng(seed) for seed in seeds]
     bounds = lp.upper_bounds
     s, m, n = len(seeds), ica_cfg.n_countries, lp.n
@@ -290,7 +276,8 @@ def _run_block(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConf
         best_position[better] = x[rows[better], i[better]]
         return costs
 
-    positions, costs = initialize(tracked, ica_cfg, bounds, rngs)
+    positions = initialize(ica_cfg, bounds, rngs)
+    costs = tracked(positions)
     owner, imperialist = form_empires(costs, ica_cfg, rngs)
     alive = np.ones(imperialist.shape, dtype=bool)
     active = np.ones(s, dtype=bool)
@@ -300,10 +287,12 @@ def _run_block(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConf
         roulette, steps, trials, fresh = draw(rngs, active, m, n)
         rulers = _rulers(owner, imperialist)
         moving = (rulers != np.arange(m)) & active[:, None]
-        assimilate(positions, costs, rulers, moving, steps, tracked, bounds)
-        revolve(positions, costs, moving & (trials < ica_cfg.revolution_rate), bounds * fresh, tracked)
+        assimilate(positions, rulers, moving, steps, bounds)
+        costs = tracked(positions)
+        revolve(positions, moving & (trials < ica_cfg.revolution_rate), bounds * fresh)
+        costs = tracked(positions)
         exchange(costs, owner, imperialist)
-        compete(costs, owner, imperialist, alive, active, roulette, ica_cfg)
+        compete(costs, owner, imperialist, alive, roulette, ica_cfg)
         exchange(costs, owner, imperialist)
         n_empires = alive.sum(axis=1)
         history.append(np.stack([best_cost, n_empires], axis=1))

@@ -149,9 +149,9 @@ def test_criterion_6_ica_mechanics(ica_sweep):
         assert __debug__  # in-loop bound/partition assertions were active
         for reports in runs.values():
             for report in reports:
-                costs = [rec.best_cost for rec in report.trace]
+                costs = report.history[:, 0].tolist()
                 assert all(b <= a for a, b in zip(costs, costs[1:]))
-                assert len(report.trace) == 25
+                assert len(costs) == 25
                 assert np.all(report.best_position >= 0.0)
                 assert np.all(report.best_position <= 60.0)
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from fuzzfolio import ica
 from fuzzfolio.cli import MAX_SEEDS, _parse_seeds, main
 from fuzzfolio.errors import BudgetInfeasibleError, ValidationError
 from fuzzfolio.fuzzy import FuzzyRandomReturn, RandomFactor
@@ -387,6 +388,28 @@ def test_the_first_failing_level_names_the_error(tmp_path, capsys, fund, flags, 
     assert (code, out, err) == (2, "", f"error: {message}\n")
     code, _, err = run_cli(["solve", "--instance", str(src), "--levels", "0.99", *flags], capsys)
     assert (code, err) == (2, "error: assets[2]: the coefficient overflows at lambda=0.99, eta=0.99; rescale the instance\n")
+
+
+def test_a_failing_later_level_runs_no_search_on_the_earlier_ones(tmp_path, capsys, monkeypatch):
+    # lambda = 0.5 passes every check at this fund, lambda = 0.99 fails in
+    # reformulate; finding that out draws no ICA iteration at lambda = 0.5
+    data = json.loads(PAPER_JSON)
+    data["assets"][2]["r2"] = 1e308
+    data["total_fund"] = 1e-4
+    data["upper_bounds"] = [1e-4] * 5
+    src = tmp_path / "inst.json"
+    src.write_text(json.dumps(data))
+    code, out, _ = run_cli(["solve", "--instance", str(src), "--levels", "0.5", "--solver", "ica", "--iters", "1",
+                            "--format", "csv"], capsys)
+    assert code == 0 and len(parse_csv(out)) == 1
+
+    def no_draw(*args):
+        raise AssertionError("an ICA iteration ran")
+
+    monkeypatch.setattr(ica, "draw", no_draw)
+    code, out, err = run_cli(["solve", "--instance", str(src), "--levels", "0.5,0.99", "--solver", "ica"], capsys)
+    assert (code, out, err) == (2, "", "error: assets[2]: the coefficient overflows at lambda=0.99, eta=0.99; "
+                                       "rescale the instance\n")
 
 
 def test_default_levels_and_table_format(capsys):

@@ -87,20 +87,18 @@ def test_paper_parameter_defaults():
 
 def test_initialize_deterministic_and_bounded():
     cfg = ica.IcaConfig(n_countries=20, n_imperialists=3)
-    pos_a, cost_a = ica.initialize(sum_cost, cfg, U5, [np.random.default_rng(5), np.random.default_rng(6)])
-    pos_b, cost_b = ica.initialize(sum_cost, cfg, U5, [np.random.default_rng(5), np.random.default_rng(6)])
+    pos_a = ica.initialize(cfg, U5, [np.random.default_rng(5), np.random.default_rng(6)])
+    pos_b = ica.initialize(cfg, U5, [np.random.default_rng(5), np.random.default_rng(6)])
     assert pos_a.tobytes() == pos_b.tobytes()
-    assert cost_a.tobytes() == cost_b.tobytes()
-    assert pos_a.shape == (2, 20, 5) and cost_a.shape == (2, 20)
+    assert pos_a.shape == (2, 20, 5)
     assert np.all(pos_a >= 0) and np.all(pos_a <= U5)
-    assert cost_a.tolist() == sum_cost(pos_a).tolist()
     # each seed's rows come from its own generator
     assert pos_a[1].tobytes() == np.random.default_rng(6).uniform(0.0, U5, size=(20, 5)).tobytes()
 
 
 def test_initialize_degenerate_box():
     cfg = ica.IcaConfig(n_countries=8, n_imperialists=2)
-    positions, _ = ica.initialize(sum_cost, cfg, np.zeros(3), [np.random.default_rng(0)])
+    positions = ica.initialize(cfg, np.zeros(3), [np.random.default_rng(0)])
     assert np.all(positions == 0.0)
 
 
@@ -139,7 +137,7 @@ def test_apportionment_sums_exactly():
 
 def test_form_empires_partition():
     cfg = ica.IcaConfig(n_countries=100, n_imperialists=10)
-    _, costs = ica.initialize(sum_cost, cfg, U5, [np.random.default_rng(1)])
+    costs = sum_cost(ica.initialize(cfg, U5, [np.random.default_rng(1)]))
     owner, imperialist = ica.form_empires(costs, cfg, [np.random.default_rng(2)])
     assert owner.shape == (1, 100) and imperialist.shape == (1, 10)
     # empire k is ruled by the k-th best country and owns it
@@ -191,25 +189,22 @@ def test_draw_follows_the_per_seed_stream():
 def test_assimilate_mirror_point_then_clamp():
     assert ica.ASSIMILATION_BETA == 2.0
     positions = np.array([[[50.0, 10.0], [10.0, 50.0], [20.0, 20.0]]])
-    costs = np.zeros((1, 3))
     rulers = np.array([[0, 0, 0]])
     moving = np.array([[False, True, False]])
     # u = 1 everywhere: the colony lands at the mirror 2*imp - colony, clamped
-    ica.assimilate(positions, costs, rulers, moving, np.ones((1, 3, 2)), sum_cost, np.array([60.0, 60.0]))
+    ica.assimilate(positions, rulers, moving, np.ones((1, 3, 2)), np.array([60.0, 60.0]))
     assert positions[0, 1].tolist() == [60.0, 0.0]  # (90, -30) clamped
     assert positions[0, 0].tolist() == [50.0, 10.0]
     assert positions[0, 2].tolist() == [20.0, 20.0]  # a colony not flagged stays
-    assert costs.tolist() == [[-60.0, -60.0, -40.0]]
 
 
 def test_assimilate_fixed_point_and_bounds():
     rng = np.random.default_rng(3)
     positions = np.array([[[30.0, 30.0], [30.0, 30.0], [0.0, 60.0]]])
-    costs = np.zeros((1, 3))
     rulers = np.array([[0, 0, 0]])
     moving = np.array([[False, True, True]])
     for _ in range(25):
-        ica.assimilate(positions, costs, rulers, moving, rng.random((1, 3, 2)), sum_cost, np.array([60.0, 60.0]))
+        ica.assimilate(positions, rulers, moving, rng.random((1, 3, 2)), np.array([60.0, 60.0]))
         assert positions[0, 1].tolist() == [30.0, 30.0]
         assert np.all(positions[0, 2] >= 0.0) and np.all(positions[0, 2] <= 60.0)
 
@@ -219,25 +214,23 @@ def test_revolve_rate_extremes():
     colony = np.arange(7) > 0
     for rate, moved in ((0.0, False), (1.0, True)):
         positions = np.full((1, 7, 4), 5.0)
-        costs = np.zeros((1, 7))
         _, _, trials, fresh = ica.draw([np.random.default_rng(0)], np.array([True]), 7, 4)
         chosen = colony & (trials < rate)
         assert chosen[0].tolist() == [False] + [moved] * 6
-        ica.revolve(positions, costs, chosen, bounds * fresh, sum_cost)
+        ica.revolve(positions, chosen, bounds * fresh)
         assert positions[0, 0].tolist() == [5.0] * 4
         assert all((p.tolist() != [5.0] * 4) == moved for p in positions[0, 1:])
         assert np.all(positions <= bounds)
-        assert costs.tolist() == sum_cost(positions).tolist()
 
 
 def test_revolve_deterministic():
     bounds = np.full(3, 10.0)
 
     def snapshot(seed):
-        positions, costs = np.full((1, 9, 3), 2.0), np.zeros((1, 9))
+        positions = np.full((1, 9, 3), 2.0)
         _, _, trials, fresh = ica.draw([np.random.default_rng(seed)], np.array([True]), 9, 3)
-        ica.revolve(positions, costs, (np.arange(9) > 0) & (trials < 0.5), bounds * fresh, sum_cost)
-        return positions.tolist(), costs.tolist()
+        ica.revolve(positions, (np.arange(9) > 0) & (trials < 0.5), bounds * fresh)
+        return positions.tobytes()
 
     assert snapshot(12) == snapshot(12)
 
@@ -288,7 +281,7 @@ def test_empire_power():
 def test_compete_collapse():
     cfg = ica.IcaConfig(n_countries=10, n_imperialists=2)
     _, costs, owner, imperialist, alive = state([1.0, 2.0, 9.0, 12.0], [0, 1], [2, 3])
-    ica.compete(costs, owner, imperialist, alive, np.array([True]), np.array([0.5]), cfg)
+    ica.compete(costs, owner, imperialist, alive, np.array([0.5]), cfg)
     # the lost colony and then the demoted imperialist join the winner
     assert owner.tolist() == [[0, 0, 0, 0]]
     assert alive.tolist() == [[True, False]]
@@ -297,12 +290,8 @@ def test_compete_collapse():
 def test_compete_single_empire_noop():
     cfg = ica.IcaConfig(n_countries=10, n_imperialists=2)
     _, costs, owner, imperialist, alive = state([1.0, 2.0], [0, 1])
-    ica.compete(costs, owner, imperialist, alive, np.array([True]), np.array([0.5]), cfg)
+    ica.compete(costs, owner, imperialist, alive, np.array([0.5]), cfg)
     assert owner.tolist() == [[0, 0]] and alive.tolist() == [[True]]
-    # an inactive seed does not compete either
-    _, costs, owner, imperialist, alive = state([1.0, 2.0, 9.0, 12.0], [0, 1], [2, 3])
-    ica.compete(costs, owner, imperialist, alive, np.array([False]), np.array([0.5]), cfg)
-    assert owner.tolist() == [[0, 0, 1, 1]] and alive.tolist() == [[True, True]]
 
 
 def _roulette_wins(costs, trials, seed):
@@ -313,7 +302,7 @@ def _roulette_wins(costs, trials, seed):
     alive = np.repeat(alive, trials, axis=0)
     roulette = np.random.default_rng(seed).random(trials)
     ica.compete(np.repeat(costs, trials, axis=0), owner, np.repeat(imperialist, trials, axis=0),
-                alive, np.ones(trials, dtype=bool), roulette, cfg)
+                alive, roulette, cfg)
     assert (owner[:, :8] == [0, 0, 1, 1, 2, 2, 3, 3]).all()  # the weakest colony left
     assert alive.all()
     return np.bincount(owner[:, 8], minlength=3)
@@ -337,7 +326,7 @@ def test_compete_weakest_loses_its_first_highest_cost_colony():
     cfg = ica.IcaConfig(n_countries=10, n_imperialists=3)
     _, costs, owner, imperialist, alive = state([1.0, 2.0, 5.0, 7.0, 7.0, 5.0, 7.0, 7.0],
                                                 [0, 1], [2, 4, 3], [5, 7, 6])
-    ica.compete(costs, owner, imperialist, alive, np.array([True]), np.array([0.0]), cfg)
+    ica.compete(costs, owner, imperialist, alive, np.array([0.0]), cfg)
     assert owner.tolist() == [[0, 0, 1, 0, 1, 2, 2, 2]]
 
 
@@ -422,12 +411,24 @@ def test_run_refuses_a_huge_draw_buffer_before_allocating(lp01):
     assert peak < 2**20
 
 
+def test_run_refuses_before_any_block(lp01, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a block started")
+
+    monkeypatch.setattr(ica, "_run_block", unreachable)
+    levels = [ConfidenceLevels(0.1, 0.1), ConfidenceLevels(0.5, 0.5)]
+    with pytest.raises(ValueError, match=r"with a level axis; pass lp\[i\]$"):
+        ica.run(reformulate(bundled_instance("paper_table1"), levels), seeds=[1])
+    huge = dataclasses.replace(lp01, total_fund=1e200, upper_bounds=np.full(5, 1e200))
+    with pytest.raises(ValidationError, match="^the penalized objective overflows inside the box"):
+        ica.run(huge, seeds=range(100))
+
+
 def test_run_zero_iterations_returns_initial_best(lp01):
     [report] = ica.run(lp01, ica_cfg=ica.IcaConfig(max_iterations=0), seeds=[42])
-    _, costs = ica.initialize(lambda x: -penalized_objective_batch(lp01, x, PenaltyConfig()), ica.IcaConfig(),
-                              lp01.upper_bounds, [np.random.default_rng(42)])
-    assert report.best_cost == costs.min()
-    assert report.trace == ()
+    positions = ica.initialize(ica.IcaConfig(), lp01.upper_bounds, [np.random.default_rng(42)])
+    assert report.best_cost == -penalized_objective_batch(lp01, positions[0], PenaltyConfig()).max()
+    assert report.history.shape == (0, 2)
 
 
 def test_run_deterministic_replay(lp01):
@@ -436,7 +437,7 @@ def test_run_deterministic_replay(lp01):
     assert a.best_position.tobytes() == b.best_position.tobytes()
     assert a.best_cost == b.best_cost
     assert a.best_objective == b.best_objective
-    assert a.trace == b.trace
+    assert a.history.tobytes() == b.history.tobytes()
     assert a.seed == b.seed == 7
 
 
@@ -452,29 +453,26 @@ def test_run_evaluates_one_batch_per_phase(lp01, monkeypatch):
     reports = ica.run(lp01, seeds=[4, 5, 6])
     # initialization, then assimilation and revolution per iteration, each
     # one 2-D batch of every seed's countries
-    assert len(reports[0].trace) == 25
+    assert len(reports[0].history) == 25
     assert batches == [(300, 5)] * (1 + 2 * 25)
 
 
 def test_run_trace_monotone_and_conserving(lp01):
     [report] = ica.run(lp01, seeds=[3])
-    costs = [r.best_cost for r in report.trace]
-    assert all(b <= a for a, b in zip(costs, costs[1:]))
-    assert report.trace[-1].best_cost == report.best_cost
-    assert len(report.trace) == 25
-    assert all(r.n_empires >= 1 for r in report.trace)
-    assert all(
-        later.n_empires <= earlier.n_empires
-        for earlier, later in zip(report.trace, report.trace[1:])
-    )
+    costs, n_empires = report.history.T
+    assert report.history.shape == (25, 2)
+    assert (np.diff(costs) <= 0).all()
+    assert costs[-1] == report.best_cost
+    assert (n_empires >= 1).all() and (np.diff(n_empires) <= 0).all()
 
 
 def test_run_collapses_to_one_empire_and_stops(lp01):
     [report] = ica.run(lp01, ica_cfg=ica.IcaConfig(n_countries=12, n_imperialists=4, max_iterations=500),
                        seeds=[2])
-    assert report.trace[-1].n_empires == 1
-    assert len(report.trace) < 500
-    assert all(r.n_empires > 1 for r in report.trace[:-1])
+    n_empires = report.history[:, 1]
+    assert n_empires[-1] == 1
+    assert len(n_empires) < 500
+    assert (n_empires[:-1] > 1).all()
 
 
 def test_run_repaired_solution_feasible_and_bounded(lp01):
@@ -511,8 +509,8 @@ def test_each_seed_runs_as_if_alone(level, penalty_cfg, ica_cfg, seeds):
         assert got.best_position.tobytes() == alone.best_position.tobytes()
         assert got.best_cost == alone.best_cost
         assert got.best_objective == alone.best_objective
-        assert got.trace == alone.trace
+        assert got.history.tobytes() == alone.history.tobytes()
     if ica_cfg is COLLAPSING:
-        lengths = {len(r.trace) for r in batch}
+        lengths = {len(r.history) for r in batch}
         assert len(lengths) > 1 and max(lengths) < 500
-        assert all(r.trace[-1].n_empires == 1 for r in batch)
+        assert all(r.history[-1, 1] == 1 for r in batch)
