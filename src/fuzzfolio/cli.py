@@ -165,10 +165,10 @@ def _levels(args) -> list[ConfidenceLevels]:
         raise ValidationError(f"{flags[exc.field]}: {exc}") from None
 
 
-def _row(level, threshold, oracle, solver, seed, x, budget_residual, objective, published=None) -> SweepRow:
-    """One report row for allocation x at level, whose return floor is
+def _row(level, threshold, oracle, solver, seed, allocation, budget_residual, objective, published=None) -> SweepRow:
+    """One report row for the allocation tuple at level, whose return floor is
     threshold; oracle is the exact optimum there and published, if given,
-    the published objective.  The row alone decides whether x clears it."""
+    the published objective.  The row alone decides whether it clears the floor."""
     ok = objective >= threshold
     return SweepRow(
         lam=level.lam,
@@ -183,7 +183,7 @@ def _row(level, threshold, oracle, solver, seed, x, budget_residual, objective, 
         threshold=threshold,
         threshold_ok=ok,
         budget_residual=budget_residual,
-        allocation=tuple(x.tolist()),
+        allocation=allocation,
         published_objective=published,
         published_gap=None if published is None else (objective - published) / published,
     )
@@ -236,20 +236,24 @@ def _sweep(instance, levels, exact_rows, seeds, penalty_cfg, ica_cfg, published=
     except ValidationError:
         # a level before the one that raised may fail a later check: sweep one level at a time
         for level in levels if len(levels) > 1 else ():
-            _sweep(instance, [level], exact_rows, seeds, penalty_cfg,
+            # ica.run's refusals depend on the seed count only up to one block
+            _sweep(instance, [level], exact_rows, seeds[:ica.SEED_BLOCK], penalty_cfg,
                    dataclasses.replace(ica_cfg, max_iterations=0), published)
         raise
     rows: list[SweepRow] = []
     seeds = sorted(seeds)
     thresholds, optima = lp.threshold.tolist(), exact.objective.tolist()
     budget = (exact.x.sum(axis=1) - lp.total_fund).tolist()
+    # a row whose bits (the sign of zero included) equal the previous row's shares its tuple
+    repeats = [False, *(exact.x[1:].view("i8") == exact.x[:-1].view("i8")).all(axis=1).tolist()]
     for i, level in enumerate(levels):
         if exact_rows:
+            allocation = allocation if repeats[i] else tuple(exact.x[i].tolist())
             pub = None if published is None else published[level.lam][1]
-            rows.append(_row(level, thresholds[i], optima[i], "exact", None, exact.x[i], budget[i], optima[i], pub))
+            rows.append(_row(level, thresholds[i], optima[i], "exact", None, allocation, budget[i], optima[i], pub))
         for report in ica.run(lp[i], penalty_cfg, ica_cfg, seeds) if seeds else ():
             x = report.best_position
-            rows.append(_row(level, thresholds[i], optima[i], "ica", report.seed, x,
+            rows.append(_row(level, thresholds[i], optima[i], "ica", report.seed, tuple(x.tolist()),
                              float(x.sum() - lp.total_fund), report.best_objective))
     return rows, bool((exact.objective >= lp.threshold).all())
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import statistics
+import struct
 from dataclasses import dataclass
 
 __all__ = ["SweepRow", "CSV_COLUMNS", "render_csv", "render_json", "render_table"]
@@ -61,17 +61,32 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".12g")
-    if isinstance(value, tuple):
-        return ";".join(map(_fmt, value))
     return str(value)
+
+
+def _memo_allocation(spec: str, sep: str):
+    """Formats each distinct allocation once, for the repeated rows of a frontier.
+    The key is the allocation's bits: (0.0,) == (-0.0,), yet they print 0 and -0."""
+    memo: dict[bytes, str] = {}
+
+    def text(allocation: tuple[float, ...]) -> str:
+        key = struct.pack(f"{len(allocation)}d", *allocation)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = sep.join(format(v, spec) for v in allocation)
+        return out
+
+    return text
 
 
 def render_csv(rows: list[SweepRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
+    allocation = _memo_allocation(".12g", ";")
     for row in rows:
-        writer.writerow([_fmt(getattr(row, attr)) for _, attr in _COLUMNS])
+        # allocation is the last column
+        writer.writerow([*(_fmt(getattr(row, attr)) for _, attr in _COLUMNS[:-1]), allocation(row.allocation)])
     return buf.getvalue()
 
 
@@ -81,27 +96,12 @@ def render_json(rows: list[SweepRow], meta: dict) -> str:
     return json.dumps({**meta, "rows": records}, indent=2) + "\n"
 
 
-def _memo_num():
-    """Six significant digits, with one format call per distinct value, for repeated entries."""
-    memo: dict = {}
-
-    def num(value: float) -> str:
-        # -0.0 == 0.0 with the same hash, yet it formats as "-0"
-        key = value if value else (value, math.copysign(1.0, value))
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = format(value, ".6g")
-        return text
-
-    return num
-
-
 def render_table(rows: list[SweepRow]) -> str:
     """Per-level summary: the exact row as is, ICA seeds aggregated."""
     groups: dict[tuple[float, float], list[SweepRow]] = {}
     for r in rows:
         groups.setdefault((r.lam, r.eta), []).append(r)
-    num = _memo_num()
+    allocation = _memo_allocation(".6g", ", ")
     lines = []
     for lam, eta in sorted(groups):
         lines.append(f"lambda={_fmt(lam)} eta={_fmt(eta)}")
@@ -110,22 +110,22 @@ def render_table(rows: list[SweepRow]) -> str:
         ica = [r for r in group if r.solver == "ica"]
         for r in exact:
             lines.append(
-                f"  exact   objective {num(r.objective):>10}  threshold {num(r.threshold)}"
-                f"  satisfied {_fmt(r.threshold_ok)}  x = [{', '.join(map(num, r.allocation))}]"
+                f"  exact   objective {r.objective:>10.6g}  threshold {r.threshold:.6g}"
+                f"  satisfied {_fmt(r.threshold_ok)}  x = [{allocation(r.allocation)}]"
             )
             if r.published_objective is not None:
                 lines.append(
-                    f"          published {num(r.published_objective):>10}"
+                    f"          published {r.published_objective:>10.6g}"
                     f"  deviation {r.published_gap:.3%}"
                 )
         if ica:
             objs = [r.objective for r in ica]
             best = max(ica, key=lambda r: r.objective)
             lines.append(
-                f"  ica     seeds {len(ica):>3}  best {num(max(objs))}  median {num(statistics.median(objs))}"
-                f"  worst {num(min(objs))}  gap(best) {best.rel_gap:.3%}"
+                f"  ica     seeds {len(ica):>3}  best {max(objs):.6g}  median {statistics.median(objs):.6g}"
+                f"  worst {min(objs):.6g}  gap(best) {best.rel_gap:.3%}"
             )
             lines.append(
-                f"          best x = [{', '.join(map(num, best.allocation))}] (seed {best.seed})"
+                f"          best x = [{allocation(best.allocation)}] (seed {best.seed})"
             )
     return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ from fuzzfolio.errors import BudgetInfeasibleError, ValidationError
 from fuzzfolio.fuzzy import FuzzyRandomReturn, RandomFactor
 from fuzzfolio.io import bundled_instance, bundled_names, load_instance, loads_instance, write_instance
 from fuzzfolio.model import PortfolioInstance
-from fuzzfolio.report import CSV_COLUMNS, SweepRow, render_table
+from fuzzfolio.report import CSV_COLUMNS, SweepRow, render_csv, render_table
 
 
 def run_cli(args, capsys):
@@ -406,10 +406,22 @@ def test_a_failing_later_level_runs_no_search_on_the_earlier_ones(tmp_path, caps
     def no_draw(*args):
         raise AssertionError("an ICA iteration ran")
 
+    # the refusals depend on the seed count only up to one block, so at
+    # most one block of seeds is initialized
+    initialized = []
+    initialize = ica.initialize
+
+    def counted_initialize(config, bounds, rngs):
+        initialized.append(len(rngs))
+        return initialize(config, bounds, rngs)
+
     monkeypatch.setattr(ica, "draw", no_draw)
-    code, out, err = run_cli(["solve", "--instance", str(src), "--levels", "0.5,0.99", "--solver", "ica"], capsys)
+    monkeypatch.setattr(ica, "initialize", counted_initialize)
+    code, out, err = run_cli(["solve", "--instance", str(src), "--levels", "0.5,0.99", "--solver", "ica",
+                              "--seeds", f"1..{3 * ica.SEED_BLOCK}"], capsys)
     assert (code, out, err) == (2, "", "error: assets[2]: the coefficient overflows at lambda=0.99, eta=0.99; "
                                        "rescale the instance\n")
+    assert 0 < sum(initialized) <= ica.SEED_BLOCK
 
 
 def test_default_levels_and_table_format(capsys):
@@ -421,10 +433,19 @@ def test_default_levels_and_table_format(capsys):
 
 
 def test_table_keeps_the_sign_of_zero():
-    row = SweepRow(lam=0.5, eta=0.5, solver="exact", seed=None, status="optimal",
-                   objective=1.0, oracle_objective=1.0, rel_gap=0.0, threshold=0.0,
-                   threshold_ok=True, budget_residual=0.0, allocation=(0.0, 2.0, -0.0, 0.0))
-    assert "x = [0, 2, -0, 0]" in render_table([row])
+    def row(level, allocation):
+        return SweepRow(lam=level, eta=level, solver="exact", seed=None, status="optimal",
+                        objective=1.0, oracle_objective=1.0, rel_gap=0.0, threshold=0.0,
+                        threshold_ok=True, budget_residual=0.0, allocation=allocation)
+
+    assert "x = [0, 2, -0, 0]" in render_table([row(0.5, (0.0, 2.0, -0.0, 0.0))])
+    # (0.0, 2.0) == (-0.0, 2.0): allocations that compare equal still print their own zero
+    for first, second in (((0.0, 2.0), (-0.0, 2.0)), ((-0.0, 2.0), (0.0, 2.0))):
+        rows = [row(0.2, first), row(0.4, second)]
+        zeros = ["-0" if math.copysign(1.0, a[0]) < 0 else "0" for a in (first, second)]
+        table = [line.split("x = ")[1] for line in render_table(rows).splitlines() if "x = " in line]
+        assert table == [f"[{z}, 2]" for z in zeros]
+        assert [r["allocation"] for r in parse_csv(render_csv(rows))] == [f"{z};2" for z in zeros]
 
 
 def test_json_format(capsys):

@@ -9,8 +9,16 @@ renderer and the per-asset greedy loop before they were replaced.  Any
 change to the draw order, the tie rules, the arithmetic of a phase, the
 greedy fill, the table layout or the CSV and JSON columns shows up here
 as a changed byte.
+
+The 1000-level frontier on a 100-asset instance is pinned by sha256
+(``frontier_100_levels_1000.sha256``, in ``sha256sum`` format, written by
+the per-row renderers before equal rows shared their allocation text).
+Its instance, ``frontier_100.json``, is
+``instgen.random_instance(np.random.default_rng(100), n_assets=100)``
+written with ``io.write_instance``; most of its rows repeat the one before.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -21,6 +29,9 @@ DATA = Path(__file__).parent / "data"
 
 # 50 coupled levels 0.01, 0.03, ..., 0.99
 FIFTY_LEVELS = ",".join(f"{0.01 + 0.02 * i:.2f}" for i in range(50))
+
+# 1000 coupled levels 0.0005, 0.0015, ..., 0.9995
+THOUSAND_LEVELS = ",".join(str((2 * i + 1) / 2000) for i in range(1000))
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -39,3 +50,18 @@ def test_output_matches_golden_file(argv, name, tmp_path, capsys):
     out = tmp_path / name
     assert main([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("fmt, name", [
+    ("table", "frontier_100_levels_1000.txt"),
+    ("csv", "frontier_100_levels_1000.csv"),
+    ("json", "frontier_100_levels_1000.json"),
+])
+def test_large_frontier_matches_its_digest(fmt, name, tmp_path, monkeypatch):
+    digests = dict(line.split()[::-1] for line in (DATA / "frontier_100_levels_1000.sha256").read_text().splitlines())
+    # the JSON output names the instance as given: run beside it
+    monkeypatch.chdir(DATA)
+    out = tmp_path / name
+    assert main(["solve", "--instance", "frontier_100.json", "--levels", THOUSAND_LEVELS, "--format", fmt,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[name]
