@@ -16,6 +16,7 @@ oracle for the closed form).
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -147,25 +148,38 @@ def weighted_sum(observations: Sequence[LRFuzzyNumber], x: Sequence[float]) -> L
     return LRFuzzyNumber(a0, a1, beta, gamma)
 
 
-def normal_quantile(p: float, factor: RandomFactor = RandomFactor()) -> float:
-    """Generalized inverse of the factor's normal CDF.
+def normal_quantile(p: float | np.ndarray, factor: RandomFactor = RandomFactor()) -> float | np.ndarray:
+    """Generalized inverse of the factor's normal CDF, at a float p or at each entry of an array.
 
-    Computed by bisection against the erfc-based CDF, so the result t
-    satisfies |CDF(t) - p| well below 1e-10.  This is deliberately the
-    slow, trustworthy route: the value feeds the deterministic
-    reformulation and every oracle built on it.
+    Bisection from [-40, 40] against the CDF 0.5 * erfc(-t / sqrt 2) down to a
+    width of 1e-13.  After k halvings every bound is a multiple of 80 / 2**k
+    that a float holds exactly, so all entries share the width and lo + width
+    is exactly the midpoint 0.5 * (lo + hi).  A midpoint farther than
+    1e-13 * (1 + |q| + p / pdf(q)) from q = NormalDist().inv_cdf(p) takes the
+    side mid < q without erfc: over that distance the CDF moves by more than
+    its float error and q's, so each entry is bitwise the scalar loop's.  erfc
+    decides every midpoint where that distance is not finite or p <= 1e-300.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must lie strictly in (0, 1), got {p}")
-    lo, hi = -40.0, 40.0
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if 0.5 * math.erfc(-mid / _SQRT2) < p:
-            lo = mid
-        else:
-            hi = mid
-    z = 0.5 * (lo + hi)
-    return factor.mean + factor.std_dev * z
+    flat = np.asarray(p, dtype=float).ravel()
+    bad = np.flatnonzero(~((flat > 0.0) & (flat < 1.0)))
+    if bad.size:
+        where = "" if np.ndim(p) == 0 else f" at index {bad[0]}"
+        raise ValueError(f"probability must lie strictly in (0, 1), got {flat[bad[0]]}{where}")
+    q = np.array(list(map(statistics.NormalDist().inv_cdf, flat.tolist())))
+    with np.errstate(over="ignore"):
+        delta = 1e-13 * (1.0 + np.abs(q) + flat * math.sqrt(math.tau) * np.exp(0.5 * q * q))
+    delta[~np.isfinite(delta) | (flat <= 1e-300)] = np.inf
+    lo, width = np.full_like(flat, -40.0), 80.0
+    while width > 1e-13:
+        width *= 0.5
+        mid = lo + width
+        below = mid < q
+        near = np.flatnonzero(np.abs(mid - q) <= delta)
+        if near.size:
+            below[near] = 0.5 * np.array(list(map(math.erfc, (-mid[near] / _SQRT2).tolist()))) < flat[near]
+        lo = np.where(below, mid, lo)
+    t = factor.mean + factor.std_dev * (lo + 0.5 * width).reshape(np.shape(p))
+    return float(t) if t.ndim == 0 else t
 
 
 def necessity_geq_scalar(a: LRFuzzyNumber, f: float) -> float:

@@ -115,7 +115,7 @@ def reformulate(instance: PortfolioInstance, levels: ConfidenceLevels | Sequence
     asset, or else the target.
     """
     batch = (levels,) if isinstance(levels, ConfidenceLevels) else tuple(levels)
-    t_star = np.array([normal_quantile(1.0 - lv.lam, instance.factor) for lv in batch])
+    t_star = normal_quantile(1.0 - np.array([lv.lam for lv in batch]), instance.factor)
     # eta, taken through 1 - eta as the shoulder's inverse gives it: the
     # round trip moves some levels (0.1 among them) one ulp, and the
     # reported coefficients keep that rounding

@@ -12,7 +12,7 @@ import io
 import json
 import statistics
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["SweepRow", "CSV_COLUMNS", "render_csv", "render_json", "render_table"]
 
@@ -36,8 +36,7 @@ _COLUMNS = (("lambda", "lam"),) + tuple((name, name) for name in (
 CSV_COLUMNS = tuple(column for column, _ in _COLUMNS)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     lam: float
     eta: float
     solver: str
@@ -68,13 +67,15 @@ def _memo_allocation(spec: str, sep: str):
     """Formats each distinct allocation once, for the repeated rows of a frontier.
     The key is the allocation's bits: (0.0,) == (-0.0,), yet they print 0 and -0."""
     memo: dict[bytes, str] = {}
+    last = [None, ""]  # the previous allocation and its text: a run of equal rows shares one tuple
 
     def text(allocation: tuple[float, ...]) -> str:
-        key = struct.pack(f"{len(allocation)}d", *allocation)
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = sep.join(format(v, spec) for v in allocation)
-        return out
+        if allocation is not last[0]:
+            key = struct.pack(f"{len(allocation)}d", *allocation)
+            if key not in memo:
+                memo[key] = sep.join(format(v, spec) for v in allocation)
+            last[:] = allocation, memo[key]
+        return last[1]
 
     return text
 

@@ -446,6 +446,21 @@ def test_table_keeps_the_sign_of_zero():
         table = [line.split("x = ")[1] for line in render_table(rows).splitlines() if "x = " in line]
         assert table == [f"[{z}, 2]" for z in zeros]
         assert [r["allocation"] for r in parse_csv(render_csv(rows))] == [f"{z};2" for z in zeros]
+    # a run of rows shares one tuple, as the sweep builds them; the next tuple differs only in its zero
+    shared = (0.0, 2.0)
+    rows = [row(0.2, shared), row(0.4, shared), row(0.6, (-0.0, 2.0)), row(0.8, shared)]
+    table = [line.split("x = ")[1] for line in render_table(rows).splitlines() if "x = " in line]
+    assert table == ["[0, 2]", "[0, 2]", "[-0, 2]", "[0, 2]"]
+    assert [r["allocation"] for r in parse_csv(render_csv(rows))] == ["0;2", "0;2", "-0;2", "0;2"]
+
+
+def test_rows_are_immutable():
+    row = SweepRow(lam=0.5, eta=0.5, solver="exact", seed=None, status="optimal", objective=1.0,
+                   oracle_objective=1.0, rel_gap=0.0, threshold=0.0, threshold_ok=True,
+                   budget_residual=0.0, allocation=(1.0,))
+    assert (row.published_objective, row.published_gap) == (None, None)
+    with pytest.raises(AttributeError):
+        row.objective = 2.0
 
 
 def test_json_format(capsys):

@@ -17,6 +17,7 @@ from fuzzfolio.fuzzy import (
     observe,
     weighted_sum,
 )
+from referees import scalar_normal_quantile
 
 # independent reference values for the standard normal quantile
 # (frozen from scipy.stats.norm.ppf, not computed by this package)
@@ -180,11 +181,50 @@ def test_quantile_examples():
 
 
 def test_quantile_domain_and_scaling():
-    for bad in (0.0, 1.0, -0.2, 1.7):
+    for bad in (0.0, 1.0, -0.2, 1.7, math.nan):
         with pytest.raises(ValueError):
             normal_quantile(bad)
     shifted = RandomFactor(mean=3.0, std_dev=2.0)
     assert normal_quantile(0.9, shifted) == pytest.approx(3.0 + 2.0 * PPF_09, abs=1e-8)
+
+
+def test_quantile_domain_errors_name_the_value():
+    with pytest.raises(ValueError) as scalar:
+        normal_quantile(0.0)
+    assert str(scalar.value) == "probability must lie strictly in (0, 1), got 0.0"
+    for bad, named in ((1.0, "got 1.0 at index 2"), (-0.2, "got -0.2 at index 2"), (math.nan, "got nan at index 2")):
+        with pytest.raises(ValueError, match=f"^probability must lie strictly in \\(0, 1\\), {named}$"):
+            normal_quantile(np.array([0.3, 0.5, bad, 0.0]))
+    with pytest.raises(ValueError, match="got nan at index 3$"):
+        normal_quantile(np.array([[0.3, 0.5], [0.9, math.nan]]))
+
+
+def test_quantile_array_is_bitwise_the_scalar_referee():
+    rng = np.random.default_rng(14)
+    u = rng.random(20_000)
+    ps = np.concatenate([
+        u,
+        1.0 - 10.0 ** -rng.uniform(1, 16, 21_000),
+        10.0 ** -rng.uniform(1, 323, 20_000),
+        1.0 - u ** 10,
+        rng.uniform(0.4, 0.6, 10_000),
+        10.0 ** -rng.uniform(295, 305, 10_000),  # both sides of the 1e-300 switch to erfc alone
+        [2.0 ** -53, 1.0 - 2.0 ** -53, 5e-324, 1e-300, np.nextafter(1e-300, 1.0), 0.5, np.nextafter(1.0, 0.0)],
+    ])
+    ps = ps[(ps > 0.0) & (ps < 1.0)]
+    assert ps.size >= 100_000
+    for factor in (RandomFactor(), RandomFactor(3.0, 2.0)):
+        want = np.array([scalar_normal_quantile(p, factor) for p in ps.tolist()])
+        assert (normal_quantile(ps, factor).view("i8") == want.view("i8")).all()
+
+
+def test_quantile_shapes():
+    assert type(normal_quantile(0.3)) is float
+    assert normal_quantile(np.array(0.3)) == normal_quantile(0.3)
+    grid = np.array([[0.1, 0.3, 0.5], [0.7, 0.9, 0.99]])
+    out = normal_quantile(grid)
+    assert out.shape == (2, 3)
+    assert out.ravel().tolist() == [normal_quantile(p) for p in grid.ravel().tolist()]
 
 
 @given(st.floats(1e-6, 1 - 1e-6))

@@ -9,7 +9,6 @@ from fuzzfolio.fuzzy import (
     FuzzyRandomReturn,
     RandomFactor,
     necessity_geq_scalar,
-    normal_quantile,
     observe,
     weighted_sum,
 )
@@ -24,6 +23,7 @@ from fuzzfolio.model import (
     residuals,
 )
 from instgen import random_feasible_x, random_instance
+from referees import scalar_normal_quantile
 
 # frozen from scipy.stats.norm.ppf
 PPF = {0.9: 1.2815515655446004, 0.6: 0.2533471031357997, 0.5: 0.0,
@@ -126,7 +126,7 @@ def test_reformulate_matches_the_per_asset_formula():
         assert stacked.coefficients.shape == (len(levels), len(inst.assets)) and stacked.levels == tuple(levels)
         tgt = inst.target
         for i, lv in enumerate(levels):
-            t_star = normal_quantile(1.0 - lv.lam, inst.factor)
+            t_star = scalar_normal_quantile(1.0 - lv.lam, inst.factor)
             l_star = 1.0 - (1.0 - lv.eta)
             want = np.array([a.r0 + t_star * a.r2 - l_star * a.beta for a in inst.assets])
             threshold = tgt.r0 + t_star * tgt.r2 - tgt.beta * l_star
