@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 validation failure, 3 budget-infeasible instance
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -221,25 +220,33 @@ def _configs(args) -> tuple[PenaltyConfig, ica.IcaConfig]:
         raise ValidationError(f"{_FLAGS.get(exc.field, exc.field)}: {exc}") from None
 
 
+def _checked(instance, levels, seeds, penalty_cfg, ica_cfg):
+    """The level-batched LP and its exact optimum.  The first level, in the
+    given order, to fail a check raises, as if each level were checked alone
+    in turn: its coefficients, threshold and optimal objective, then, with
+    seeds, ica.refuse; so no search runs before a failing level is found."""
+    try:
+        lp = reformulate(instance, levels)
+        exact = solve_exact(lp)
+        for i in range(len(levels)) if seeds else ():
+            ica.refuse(lp[i], penalty_cfg, ica_cfg, len(seeds))
+    except ValidationError:
+        # a level before the one that raised may fail a later check: check one level at a time
+        for level in levels if len(levels) > 1 else ():
+            _checked(instance, [level], seeds, penalty_cfg, ica_cfg)
+        raise
+    return lp, exact
+
+
 def _sweep(instance, levels, exact_rows, seeds, penalty_cfg, ica_cfg, published=None):
     """The exact row (when exact_rows), then one ICA row per seed in
     ascending order, at every level in the given ascending order, and
     whether the exact optimum clears the return floor at every level.
-    The first level to fail a check raises, ICA's included; as ica.run
-    refuses before its first iteration, finding that level runs no search.
+    Every level is checked (see _checked) before any ICA search starts.
 
     published maps a coupled level to its published (allocation, objective).
     """
-    try:
-        lp = reformulate(instance, levels)
-        exact = solve_exact(lp)
-    except ValidationError:
-        # a level before the one that raised may fail a later check: sweep one level at a time
-        for level in levels if len(levels) > 1 else ():
-            # ica.run's refusals depend on the seed count only up to one block
-            _sweep(instance, [level], exact_rows, seeds[:ica.SEED_BLOCK], penalty_cfg,
-                   dataclasses.replace(ica_cfg, max_iterations=0), published)
-        raise
+    lp, exact = _checked(instance, levels, seeds, penalty_cfg, ica_cfg)
     rows: list[SweepRow] = []
     seeds = sorted(seeds)
     thresholds, optima = lp.threshold.tolist(), exact.objective.tolist()

@@ -43,6 +43,7 @@ __all__ = [
     "revolve",
     "exchange",
     "compete",
+    "refuse",
     "run",
 ]
 
@@ -53,7 +54,7 @@ ASSIMILATION_BETA = 2.0
 # most seeds evolved together; it bounds memory and cannot change a result
 SEED_BLOCK = 64
 
-# largest draw buffer of one seed block, in bytes; run refuses a larger one
+# largest draw buffer of one seed block, in bytes; refuse rejects a larger one
 MAX_DRAW_BYTES = 2 * 2**30
 
 
@@ -229,6 +230,20 @@ def compete(costs, owner, imperialist, alive, roulette: np.ndarray, config: IcaC
     alive[rows[fall], weakest[fall]] = False
 
 
+def refuse(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConfig, n_seeds: int) -> None:
+    """Raise the ValidationError ``run`` would raise for n_seeds seeds at the
+    one-level lp, in this order: a seed block whose draw buffer would
+    exceed MAX_DRAW_BYTES, and a box in which a cost could overflow."""
+    size = 8 * min(n_seeds, SEED_BLOCK) * (1 + ica_cfg.n_countries * (2 * lp.n + 1))
+    if size > MAX_DRAW_BYTES:
+        raise ValidationError(f"n_countries: {ica_cfg.n_countries} countries of {lp.n} assets need a "
+                              f"{size / 2**30:.1f} GiB draw buffer, above the {MAX_DRAW_BYTES / 2**30:.0f} GiB limit")
+    # power shares and empire powers sum up to n_countries costs or cost
+    # differences, each at most twice the largest cost in magnitude
+    if not math.isfinite(4.0 * ica_cfg.n_countries * penalized_objective_bound(lp, penalty_cfg)):
+        raise ValidationError("the penalized objective overflows inside the box; rescale the instance for the ICA solver")
+
+
 def run(lp: DeterministicLP, penalty_cfg: PenaltyConfig = PenaltyConfig(), ica_cfg: IcaConfig = IcaConfig(),
         seeds: Sequence[int] = (0,)) -> list[RunReport]:
     """One search per seed, deterministic given the seed; the reports come
@@ -238,21 +253,13 @@ def run(lp: DeterministicLP, penalty_cfg: PenaltyConfig = PenaltyConfig(), ica_c
     best of a seed is tracked across every cost evaluation, so positions
     visited and then lost to revolution still count.  The returned
     allocation is the repaired best.  Before it starts any block, run
-    refuses, in this order: an LP with a level axis (ValueError), a block
-    whose draw buffer would exceed MAX_DRAW_BYTES, and a box in which a
-    cost could overflow (both ValidationError).
+    refuses an LP with a level axis (ValueError), then makes the
+    refusals of ``refuse``.
     """
     if lp.coefficients.ndim != 1:
         raise ValueError(f"ica.run takes a one-level LP, got coefficients of shape {lp.coefficients.shape} "
                          "with a level axis; pass lp[i]")
-    size = 8 * min(len(seeds), SEED_BLOCK) * (1 + ica_cfg.n_countries * (2 * lp.n + 1))
-    if size > MAX_DRAW_BYTES:
-        raise ValidationError(f"n_countries: {ica_cfg.n_countries} countries of {lp.n} assets need a "
-                              f"{size / 2**30:.1f} GiB draw buffer, above the {MAX_DRAW_BYTES / 2**30:.0f} GiB limit")
-    # power shares and empire powers sum up to n_countries costs or cost
-    # differences, each at most twice the largest cost in magnitude
-    if not math.isfinite(4.0 * ica_cfg.n_countries * penalized_objective_bound(lp, penalty_cfg)):
-        raise ValidationError("the penalized objective overflows inside the box; rescale the instance for the ICA solver")
+    refuse(lp, penalty_cfg, ica_cfg, len(seeds))
     reports = []
     for start in range(0, len(seeds), SEED_BLOCK):
         reports += _run_block(lp, penalty_cfg, ica_cfg, seeds[start:start + SEED_BLOCK])

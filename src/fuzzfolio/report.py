@@ -9,34 +9,17 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import statistics
-import struct
 from typing import NamedTuple
 
 __all__ = ["SweepRow", "CSV_COLUMNS", "render_csv", "render_json", "render_table"]
 
-# (CSV column and JSON key, SweepRow attribute): every column shows the
-# attribute of its name but "lambda", a Python keyword, which shows lam
-_COLUMNS = (("lambda", "lam"),) + tuple((name, name) for name in (
-    "eta",
-    "solver",
-    "seed",
-    "status",
-    "objective",
-    "oracle_objective",
-    "rel_gap",
-    "threshold",
-    "threshold_ok",
-    "budget_residual",
-    "published_objective",
-    "published_gap",
-    "allocation",
-))
-CSV_COLUMNS = tuple(column for column, _ in _COLUMNS)
-
 
 class SweepRow(NamedTuple):
+    """One report row; its fields, in order, are the CSV columns and the JSON keys."""
+
     lam: float
     eta: float
     solver: str
@@ -48,9 +31,13 @@ class SweepRow(NamedTuple):
     threshold: float
     threshold_ok: bool
     budget_residual: float
+    published_objective: float | None
+    published_gap: float | None
     allocation: tuple[float, ...]
-    published_objective: float | None = None
-    published_gap: float | None = None
+
+
+# the fields' names, but lam's column is "lambda", a Python keyword
+CSV_COLUMNS = ("lambda", *SweepRow._fields[1:])
 
 
 def _fmt(value) -> str:
@@ -64,17 +51,14 @@ def _fmt(value) -> str:
 
 
 def _memo_allocation(spec: str, sep: str):
-    """Formats each distinct allocation once, for the repeated rows of a frontier.
-    The key is the allocation's bits: (0.0,) == (-0.0,), yet they print 0 and -0."""
-    memo: dict[bytes, str] = {}
-    last = [None, ""]  # the previous allocation and its text: a run of equal rows shares one tuple
+    """Formats a run of rows sharing one allocation tuple, as the sweep builds
+    them, once.  Each distinct tuple is formatted from its own floats, so
+    (0.0,) and (-0.0,), which compare equal, print 0 and -0."""
+    last = [None, ""]  # the previous allocation and its text
 
     def text(allocation: tuple[float, ...]) -> str:
         if allocation is not last[0]:
-            key = struct.pack(f"{len(allocation)}d", *allocation)
-            if key not in memo:
-                memo[key] = sep.join(format(v, spec) for v in allocation)
-            last[:] = allocation, memo[key]
+            last[:] = allocation, sep.join(format(v, spec) for v in allocation)
         return last[1]
 
     return text
@@ -87,26 +71,24 @@ def render_csv(rows: list[SweepRow]) -> str:
     allocation = _memo_allocation(".12g", ";")
     for row in rows:
         # allocation is the last column
-        writer.writerow([*(_fmt(getattr(row, attr)) for _, attr in _COLUMNS[:-1]), allocation(row.allocation)])
+        writer.writerow([*map(_fmt, row[:-1]), allocation(row.allocation)])
     return buf.getvalue()
 
 
 def render_json(rows: list[SweepRow], meta: dict) -> str:
     # json writes the allocation tuple as an array
-    records = [{column: getattr(row, attr) for column, attr in _COLUMNS} for row in rows]
+    records = [dict(zip(CSV_COLUMNS, row)) for row in rows]
     return json.dumps({**meta, "rows": records}, indent=2) + "\n"
 
 
 def render_table(rows: list[SweepRow]) -> str:
-    """Per-level summary: the exact row as is, ICA seeds aggregated."""
-    groups: dict[tuple[float, float], list[SweepRow]] = {}
-    for r in rows:
-        groups.setdefault((r.lam, r.eta), []).append(r)
+    """Per-level summary: the exact row as is, ICA seeds aggregated.  The
+    rows come in sweep order, so each level's rows are consecutive."""
     allocation = _memo_allocation(".6g", ", ")
     lines = []
-    for lam, eta in sorted(groups):
+    for (lam, eta), group in itertools.groupby(rows, lambda r: (r.lam, r.eta)):
         lines.append(f"lambda={_fmt(lam)} eta={_fmt(eta)}")
-        group = groups[lam, eta]
+        group = list(group)
         exact = [r for r in group if r.solver == "exact"]
         ica = [r for r in group if r.solver == "ica"]
         for r in exact:
@@ -115,10 +97,7 @@ def render_table(rows: list[SweepRow]) -> str:
                 f"  satisfied {_fmt(r.threshold_ok)}  x = [{allocation(r.allocation)}]"
             )
             if r.published_objective is not None:
-                lines.append(
-                    f"          published {r.published_objective:>10.6g}"
-                    f"  deviation {r.published_gap:.3%}"
-                )
+                lines.append(f"          published {r.published_objective:>10.6g}  deviation {r.published_gap:.3%}")
         if ica:
             objs = [r.objective for r in ica]
             best = max(ica, key=lambda r: r.objective)
@@ -126,7 +105,5 @@ def render_table(rows: list[SweepRow]) -> str:
                 f"  ica     seeds {len(ica):>3}  best {max(objs):.6g}  median {statistics.median(objs):.6g}"
                 f"  worst {min(objs):.6g}  gap(best) {best.rel_gap:.3%}"
             )
-            lines.append(
-                f"          best x = [{allocation(best.allocation)}] (seed {best.seed})"
-            )
+            lines.append(f"          best x = [{allocation(best.allocation)}] (seed {best.seed})")
     return "\n".join(lines) + "\n"

@@ -406,8 +406,7 @@ def test_a_failing_later_level_runs_no_search_on_the_earlier_ones(tmp_path, caps
     def no_draw(*args):
         raise AssertionError("an ICA iteration ran")
 
-    # the refusals depend on the seed count only up to one block, so at
-    # most one block of seeds is initialized
+    # every level is checked before any search starts, so no seed is initialized
     initialized = []
     initialize = ica.initialize
 
@@ -421,7 +420,36 @@ def test_a_failing_later_level_runs_no_search_on_the_earlier_ones(tmp_path, caps
                               "--seeds", f"1..{3 * ica.SEED_BLOCK}"], capsys)
     assert (code, out, err) == (2, "", "error: assets[2]: the coefficient overflows at lambda=0.99, eta=0.99; "
                                        "rescale the instance\n")
-    assert 0 < sum(initialized) <= ica.SEED_BLOCK
+    assert initialized == []
+
+
+# ICA's refusals are checked at every level before any search: at a fund
+# of 5 the penalty bound overflows at lambda = 0.99 alone; at 1e-4 the
+# draw buffer is refused at lambda = 0.5, before reformulate fails at 0.99
+@pytest.mark.parametrize("r2, fund, flags, first, message", [
+    (1e305, 5.0, [], "0.99",
+     "the penalized objective overflows inside the box; rescale the instance for the ICA solver"),
+    (1e308, 1e-4, ["--countries", "1000000000"], "0.5",
+     "n_countries: 1000000000 countries of 5 assets need a 5245.2 GiB draw buffer, above the 2 GiB limit"),
+])
+def test_a_later_level_refused_by_ica_runs_no_search(tmp_path, capsys, monkeypatch, r2, fund, flags, first, message):
+    data = json.loads(PAPER_JSON)
+    data["assets"][2]["r2"] = r2
+    data["total_fund"] = fund
+    data["upper_bounds"] = [2 * fund] * 5
+    src = tmp_path / "inst.json"
+    src.write_text(json.dumps(data))
+    solve = ["solve", "--instance", str(src), "--solver", "ica", "--seeds", "1..2000", *flags]
+    code, _, err = run_cli([*solve, "--levels", first], capsys)
+    assert (code, err) == (2, f"error: {message}\n")
+
+    def no_search(*args):
+        raise AssertionError("an ICA search started")
+
+    monkeypatch.setattr(ica, "initialize", no_search)
+    monkeypatch.setattr(ica, "draw", no_search)
+    code, out, err = run_cli([*solve, "--levels", "0.5,0.99"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_default_levels_and_table_format(capsys):
@@ -436,7 +464,8 @@ def test_table_keeps_the_sign_of_zero():
     def row(level, allocation):
         return SweepRow(lam=level, eta=level, solver="exact", seed=None, status="optimal",
                         objective=1.0, oracle_objective=1.0, rel_gap=0.0, threshold=0.0,
-                        threshold_ok=True, budget_residual=0.0, allocation=allocation)
+                        threshold_ok=True, budget_residual=0.0, published_objective=None,
+                        published_gap=None, allocation=allocation)
 
     assert "x = [0, 2, -0, 0]" in render_table([row(0.5, (0.0, 2.0, -0.0, 0.0))])
     # (0.0, 2.0) == (-0.0, 2.0): allocations that compare equal still print their own zero
@@ -457,8 +486,7 @@ def test_table_keeps_the_sign_of_zero():
 def test_rows_are_immutable():
     row = SweepRow(lam=0.5, eta=0.5, solver="exact", seed=None, status="optimal", objective=1.0,
                    oracle_objective=1.0, rel_gap=0.0, threshold=0.0, threshold_ok=True,
-                   budget_residual=0.0, allocation=(1.0,))
-    assert (row.published_objective, row.published_gap) == (None, None)
+                   budget_residual=0.0, published_objective=None, published_gap=None, allocation=(1.0,))
     with pytest.raises(AttributeError):
         row.objective = 2.0
 
