@@ -12,13 +12,13 @@ All seeds of a run evolve together: for S seeds of N countries over n
 assets, positions (S, N, n) and costs (S, N), each country's empire
 label owner (S, N), each empire's ruling country imperialist (S, K) and
 alive flag (S, K), and the running seeds active (S,).  The phases only
-move countries or relabel empires; ``run`` alone evaluates costs, one
-batch of all seeds after initialization and after each move.  A seed's
-results never depend on the seeds it runs with: it has its own generator
-(one draw per iteration, see ``draw``), every reduction runs over its
-row alone, and costs are computed row by row.  A seed left with one
-empire stops.  Costs are minimized (cost = -penalized objective): lower
-is stronger.
+move countries or relabel empires; ``run`` alone evaluates costs, in one
+batch of all seeds each time: every country after initialization, then
+the countries each move changed.  A seed's results never depend on the
+seeds it runs with: it has its own generator (one draw per iteration,
+see ``draw``), every reduction runs over its row alone, and costs are
+computed row by row.  A seed left with one empire stops.  Costs are
+minimized (cost = -penalized objective): lower is stronger.
 """
 
 from __future__ import annotations
@@ -84,8 +84,9 @@ class IcaConfig:
 class RunReport:
     """Outcome of one seed's run.
 
-    ``best_position`` is the budget-repaired best allocation ever
-    evaluated and ``best_objective`` its plain (unpenalized) objective;
+    ``best_position`` is the budget-repaired best of the positions the
+    seed reached, each evaluated once, when it was reached, and
+    ``best_objective`` its plain (unpenalized) objective;
     ``best_cost`` is the raw internal cost of the unrepaired best.
     ``history`` (T, 2) holds the best cost so far (column 0) and the
     number of empires (column 1) after each of the T iterations.
@@ -140,9 +141,14 @@ def _largest_remainder(shares: np.ndarray, total: int) -> list[int]:
     return counts.tolist()
 
 
+def _flat(index: np.ndarray, width: int) -> np.ndarray:
+    """Row-wise indices (S, M) into rows of the given width, as indices into the flattened array."""
+    return index + width * np.arange(len(index))[:, None]
+
+
 def _rulers(owner: np.ndarray, imperialist: np.ndarray) -> np.ndarray:
     """The imperialist ruling each country (S, N); an imperialist rules itself."""
-    return np.take_along_axis(imperialist, owner, axis=1)
+    return np.take(imperialist, _flat(owner, imperialist.shape[1]))
 
 
 def _colonies(owner: np.ndarray, imperialist: np.ndarray) -> np.ndarray:
@@ -164,7 +170,8 @@ def draw(rngs: Sequence[np.random.Generator], active: np.ndarray, n_countries: i
 
 def assimilate(positions: np.ndarray, rulers: np.ndarray, moving: np.ndarray, steps, bounds) -> None:
     """Move each country flagged in ``moving`` (S, N) toward its ruler by the given steps, in place."""
-    target = np.take_along_axis(positions, rulers[..., None], axis=1)
+    s, m, n = positions.shape
+    target = np.take(positions.reshape(s * m, n), _flat(rulers, m), axis=0)
     moved = positions + ASSIMILATION_BETA * steps * (target - positions)
     np.clip(moved, 0.0, bounds, out=moved)
     np.copyto(positions, moved, where=moving[..., None])
@@ -178,12 +185,19 @@ def revolve(positions: np.ndarray, chosen: np.ndarray, fresh: np.ndarray) -> Non
 def exchange(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray) -> None:
     """Seat each empire's best colony as its imperialist if that colony is
     strictly better, in place; the lowest index wins a tie among colonies."""
-    labels = np.arange(imperialist.shape[1])[:, None]
-    member = (owner[:, None, :] == labels) & _colonies(owner, imperialist)[:, None, :]
-    colony_costs = np.where(member, costs[:, None, :], np.inf)
-    best = colony_costs.argmin(axis=2)
-    swap = colony_costs.min(axis=2) < np.take_along_axis(costs, imperialist, axis=1)
-    imperialist[swap] = best[swap]
+    (s, k), m = imperialist.shape, costs.shape[1]
+    # each colony carries its seed's empire label, every imperialist the spare label
+    # s * k; on flat operands ufunc.at takes numpy's fast path
+    labels = np.where(_colonies(owner, imperialist), _flat(owner, k), s * k).ravel()
+    flat_costs = costs.ravel()
+    lowest = np.full(s * k + 1, np.inf)
+    np.minimum.at(lowest, labels, flat_costs)
+    tied = np.flatnonzero(flat_costs == lowest[labels])
+    first = np.full(s * k + 1, s * m)
+    np.minimum.at(first, labels[tied], tied)
+    lowest, first = lowest[:-1].reshape(s, k), first[:-1].reshape(s, k) % m
+    swap = lowest < np.take(costs, _flat(imperialist, m))
+    imperialist[swap] = first[swap]
 
 
 def _powers(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray, config: IcaConfig) -> np.ndarray:
@@ -195,7 +209,7 @@ def _powers(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray, confi
     # colony sum runs left to right over that seed's countries alone
     sums = np.bincount(labels, np.where(colony, costs, 0.0).ravel(), s * k).reshape(s, k)
     counts = np.bincount(labels, colony.ravel(), s * k).reshape(s, k)
-    ruler = np.take_along_axis(costs, imperialist, axis=1)
+    ruler = np.take(costs, _flat(imperialist, costs.shape[1]))
     return np.where(counts > 0, ruler + config.epsilon * (sums / np.maximum(counts, 1)), ruler)
 
 
@@ -249,10 +263,11 @@ def run(lp: DeterministicLP, penalty_cfg: PenaltyConfig = PenaltyConfig(), ica_c
     """One search per seed, deterministic given the seed; the reports come
     in the order of ``seeds``, duplicates included.
 
-    Seeds evolve together in blocks of at most SEED_BLOCK.  The global
-    best of a seed is tracked across every cost evaluation, so positions
-    visited and then lost to revolution still count.  The returned
-    allocation is the repaired best.  Before it starts any block, run
+    Seeds evolve together in blocks of at most SEED_BLOCK.  Each phase
+    evaluates only the countries it moved, and the global best of a seed
+    is tracked across every cost evaluation, so positions visited and then
+    lost to revolution still count.  The returned allocation is the
+    repaired best, one repair call per block.  Before it starts any block, run
     refuses an LP with a level axis (ValueError), then makes the
     refusals of ``refuse``.
     """
@@ -273,18 +288,23 @@ def _run_block(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConf
     rows = np.arange(s)
     best_cost = np.full(s, np.inf)
     best_position = np.zeros((s, n))
+    positions = initialize(ica_cfg, bounds, rngs)
+    costs = np.empty((s, m))
 
-    def tracked(x: np.ndarray) -> np.ndarray:
-        # one 2-D batch of all seeds, a module global so a traced or patched binding is used
-        costs = -penalized_objective_batch(lp, x.reshape(s * m, n), penalty_cfg).reshape(s, m)
+    def tracked(moved: np.ndarray) -> None:
+        # the flagged rows (S, N) of all seeds in one 2-D batch, through the module
+        # global so a traced or patched binding is used; a row's cost is its own
+        index = np.flatnonzero(moved)
+        if index.size == 0:
+            return
+        x = np.take(positions.reshape(s * m, n), index, axis=0)
+        np.put(costs, index, -penalized_objective_batch(lp, x, penalty_cfg))
         i = costs.argmin(axis=1)
         better = costs[rows, i] < best_cost
         best_cost[better] = costs[rows, i][better]
-        best_position[better] = x[rows[better], i[better]]
-        return costs
+        best_position[better] = positions[rows[better], i[better]]
 
-    positions = initialize(ica_cfg, bounds, rngs)
-    costs = tracked(positions)
+    tracked(np.ones((s, m), dtype=bool))
     owner, imperialist = form_empires(costs, ica_cfg, rngs)
     alive = np.ones(imperialist.shape, dtype=bool)
     active = np.ones(s, dtype=bool)
@@ -295,9 +315,10 @@ def _run_block(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConf
         rulers = _rulers(owner, imperialist)
         moving = (rulers != np.arange(m)) & active[:, None]
         assimilate(positions, rulers, moving, steps, bounds)
-        costs = tracked(positions)
-        revolve(positions, moving & (trials < ica_cfg.revolution_rate), bounds * fresh)
-        costs = tracked(positions)
+        tracked(moving)
+        revolting = moving & (trials < ica_cfg.revolution_rate)
+        revolve(positions, revolting, bounds * fresh)
+        tracked(revolting)
         exchange(costs, owner, imperialist)
         compete(costs, owner, imperialist, alive, roulette, ica_cfg)
         exchange(costs, owner, imperialist)
@@ -310,21 +331,20 @@ def _run_block(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConf
             break
 
     history = np.array(history).reshape(-1, s, 2)
-    reports = []
-    for i, (seed, t) in enumerate(zip(seeds, lengths)):
-        x = repair(best_position[i], lp.total_fund, bounds)
-        reports.append(RunReport(x, float(best_cost[i]), objective(lp, x), history[:t, i].copy(), seed))
-    return reports
+    repaired = repair(best_position, lp.total_fund, bounds)
+    return [RunReport(x, float(best_cost[i]), objective(lp, x), history[:t, i].copy(), seed)
+            for i, (x, seed, t) in enumerate(zip(repaired, seeds, lengths))]
 
 
 def _check_invariants(positions, costs, owner, imperialist, alive, bounds) -> None:
     # explicit raises rather than asserts, so the checks also run under python -O
-    k = alive.shape[1]
-    if not (((owner >= 0) & (owner < k)).all() and np.take_along_axis(alive, owner, axis=1).all()):
+    # the range check comes first: a stray label would gather from another seed's row
+    k, m = alive.shape[1], owner.shape[1]
+    if not (((owner >= 0) & (owner < k)).all() and np.take(alive, _flat(owner, k)).all()):
         raise RuntimeError("ICA invariant violated: a country belongs to no live empire of its seed")
-    if not (np.take_along_axis(owner, imperialist, axis=1) == np.arange(k))[alive].all():
+    if not (np.take(owner, _flat(imperialist, m)) == np.arange(k))[alive].all():
         raise RuntimeError("ICA invariant violated: an imperialist does not belong to its own empire")
     if not ((positions >= 0.0).all() and (positions <= bounds).all()):
         raise RuntimeError("ICA invariant violated: a country lies outside the box")
-    if not (np.take_along_axis(costs, _rulers(owner, imperialist), axis=1) <= costs).all():
+    if not (np.take(costs, _flat(_rulers(owner, imperialist), m)) <= costs).all():
         raise RuntimeError("ICA invariant violated: an imperialist is weaker than one of its colonies")

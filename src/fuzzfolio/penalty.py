@@ -71,28 +71,32 @@ def penalized_objective_bound(lp: DeterministicLP, cfg: PenaltyConfig = PenaltyC
 
 
 def repair(x, m0: float, upper) -> np.ndarray:
-    """Project an allocation onto {sum(x) = m0, 0 <= x <= upper}, a set the
-    caller's instance keeps nonempty: it guarantees sum(upper) >= m0.
+    """Project one allocation (n,) or each row of a batch (k, n) onto
+    {sum(x) = m0, 0 <= x <= upper}, a set the caller's instance keeps
+    nonempty: it guarantees sum(upper) >= m0.
 
     Clamps to the box, then settles the budget: a deficit is spread in proportion
     to the remaining headroom (which cannot overshoot any bound), a surplus is
     removed in proportion to current mass.  Repeats until the residual is under
-    1e-12 of the budget, so reapplying the repair returns its input bitwise.
+    1e-12 of the budget, so reapplying the repair returns its input bitwise.  A
+    row stops on its own residual, so its result does not depend on its batch.
     """
     upper = np.asarray(upper, dtype=float)
     x = np.clip(np.asarray(x, dtype=float), 0.0, upper)
+    rows = x.reshape(-1, upper.size)
     tol = 1e-12 * max(1.0, abs(m0))
     for _ in range(100):
-        residual = m0 - float(x.sum())
-        if abs(residual) <= tol:
+        mass = rows.sum(axis=-1)
+        residual = m0 - mass
+        headroom = upper - rows
+        total_headroom = headroom.sum(axis=-1)
+        deficit = residual > 0
+        # a row is settled within tol, or stuck on a deficit with no headroom left
+        unsettled = ~(np.abs(residual) <= tol) & ~(deficit & (total_headroom <= 0.0))
+        if not unsettled.any():
             break
-        if residual > 0:
-            headroom = upper - x
-            total_headroom = float(headroom.sum())
-            if total_headroom <= 0.0:
-                break
-            x = x + residual * (headroom / total_headroom)
-        else:
-            x = x * (m0 / float(x.sum()))
-        x = np.clip(x, 0.0, upper)
+        up, down = unsettled & deficit, unsettled & ~deficit
+        rows[up] += residual[up, None] * (headroom[up] / total_headroom[up, None])
+        rows[down] *= (m0 / mass[down])[:, None]
+        rows[unsettled] = np.clip(rows[unsettled], 0.0, upper)
     return x

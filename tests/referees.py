@@ -1,6 +1,8 @@
-"""Scalar referees for the package's array paths."""
+"""Referees for the package's array paths: the scalar loops and masks they replace."""
 
 import math
+
+import numpy as np
 
 from fuzzfolio.fuzzy import RandomFactor
 
@@ -18,3 +20,37 @@ def scalar_normal_quantile(p: float, factor: RandomFactor = RandomFactor()) -> f
         else:
             hi = mid
     return factor.mean + factor.std_dev * (0.5 * (lo + hi))
+
+
+def scalar_repair(x, m0: float, upper) -> np.ndarray:
+    """One allocation's budget repair, a loop over its own passes: repair
+    must return these bits for the allocation alone and as any batch row."""
+    upper = np.asarray(upper, dtype=float)
+    x = np.clip(np.asarray(x, dtype=float), 0.0, upper)
+    tol = 1e-12 * max(1.0, abs(m0))
+    for _ in range(100):
+        residual = m0 - float(x.sum())
+        if abs(residual) <= tol:
+            break
+        if residual > 0:
+            headroom = upper - x
+            total_headroom = float(headroom.sum())
+            if total_headroom <= 0.0:
+                break
+            x = x + residual * (headroom / total_headroom)
+        else:
+            x = x * (m0 / float(x.sum()))
+        x = np.clip(x, 0.0, upper)
+    return x
+
+
+def mask_exchange(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray) -> None:
+    """ica.exchange over an (S, K, N) membership mask: each empire's first
+    colony of lowest cost takes the seat if strictly better, in place."""
+    colony = np.take_along_axis(imperialist, owner, axis=1) != np.arange(owner.shape[1])
+    labels = np.arange(imperialist.shape[1])[:, None]
+    member = (owner[:, None, :] == labels) & colony[:, None, :]
+    colony_costs = np.where(member, costs[:, None, :], np.inf)
+    best = colony_costs.argmin(axis=2)
+    swap = colony_costs.min(axis=2) < np.take_along_axis(costs, imperialist, axis=1)
+    imperialist[swap] = best[swap]

@@ -16,6 +16,11 @@ the per-row renderers before equal rows shared their allocation text).
 Its instance, ``frontier_100.json``, is
 ``instgen.random_instance(np.random.default_rng(100), n_assets=100)``
 written with ``io.write_instance``; most of its rows repeat the one before.
+
+Two longer ICA runs are pinned by sha256 too (``ica_runs.sha256``, written
+before the phases evaluated only the countries that moved): the default
+20-seed ``reproduce-paper`` sweep, and three levels of the 100-asset
+instance, the only pinned ICA run whose row sums are pairwise.
 """
 
 import hashlib
@@ -52,16 +57,33 @@ def test_output_matches_golden_file(argv, name, tmp_path, capsys):
     assert out.read_bytes() == (DATA / name).read_bytes()
 
 
+def _digests(name):
+    return dict(line.split()[::-1] for line in (DATA / name).read_text().splitlines())
+
+
 @pytest.mark.parametrize("fmt, name", [
     ("table", "frontier_100_levels_1000.txt"),
     ("csv", "frontier_100_levels_1000.csv"),
     ("json", "frontier_100_levels_1000.json"),
 ])
 def test_large_frontier_matches_its_digest(fmt, name, tmp_path, monkeypatch):
-    digests = dict(line.split()[::-1] for line in (DATA / "frontier_100_levels_1000.sha256").read_text().splitlines())
+    digests = _digests("frontier_100_levels_1000.sha256")
     # the JSON output names the instance as given: run beside it
     monkeypatch.chdir(DATA)
     out = tmp_path / name
     assert main(["solve", "--instance", "frontier_100.json", "--levels", THOUSAND_LEVELS, "--format", fmt,
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[name]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["reproduce-paper", "--format", "json"], "reproduce_paper.json"),
+    (["solve", "--instance", "frontier_100.json", "--solver", "ica", "--levels", "0.05,0.5,0.95", "--seeds", "1..3",
+      "--countries", "60", "--imperialists", "6", "--iters", "40", "--format", "csv"],
+     "frontier_100_ica_levels_3_seeds_1_3.csv"),
+])
+def test_ica_run_matches_its_digest(argv, name, tmp_path, monkeypatch):
+    monkeypatch.chdir(DATA)
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _digests("ica_runs.sha256")[name]

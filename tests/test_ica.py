@@ -17,6 +17,7 @@ from fuzzfolio.io import bundled_instance
 from fuzzfolio.model import ConfidenceLevels, reformulate, residuals
 from fuzzfolio.oracle import solve_exact
 from fuzzfolio.penalty import PenaltyConfig, penalized_objective_batch
+from referees import mask_exchange
 
 U5 = np.full(5, 60.0)
 
@@ -261,6 +262,39 @@ def test_exchange_rules():
     assert imperialist.tolist() == [[0, 2, 4]]
 
 
+def _random_empires(rng, s, m, k):
+    # s seeds of m countries in k empires, some dead and some with no colonies;
+    # integer costs tie often, and some zeros are -0.0
+    owner = np.empty((s, m), dtype=np.intp)
+    imperialist = np.empty((s, k), dtype=np.intp)
+    for row in range(s):
+        live = np.flatnonzero(rng.random(k) < 0.7)
+        if live.size == 0:
+            live = np.array([rng.integers(k)])
+        seats = rng.permutation(m)
+        imperialist[row] = rng.integers(m, size=k)  # a dead empire's seat is any country
+        imperialist[row, live] = seats[:live.size]
+        owner[row] = live[rng.integers(live.size, size=m)]
+        if rng.random() < 0.5:
+            owner[row][owner[row] == live[0]] = live[-1]  # may leave live[0] with no colonies
+        owner[row, seats[:live.size]] = live
+    costs = rng.integers(-3, 4, size=(s, m)).astype(float)
+    costs[(costs == 0.0) & (rng.random((s, m)) < 0.5)] = -0.0
+    return costs, owner, imperialist
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_exchange_is_the_mask_referee(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 30))
+    k = int(rng.integers(1, min(m, 8) + 1))
+    costs, owner, imperialist = _random_empires(rng, int(rng.integers(1, 6)), m, k)
+    want = imperialist.copy()
+    mask_exchange(costs, owner, want)
+    ica.exchange(costs, owner, imperialist)
+    assert imperialist.tolist() == want.tolist()
+
+
 def test_empire_power():
     cfg = ica.IcaConfig(epsilon=0.05)
     _, costs, owner, imperialist, _ = state([10.0, 20.0, 30.0, 10.0], [0, 1, 2], [3])
@@ -441,20 +475,47 @@ def test_run_deterministic_replay(lp01):
     assert a.seed == b.seed == 7
 
 
+def _record(monkeypatch, name, calls, keep):
+    original = getattr(ica, name)
+
+    def recording(*args):
+        result = original(*args)
+        calls.append(keep(args, result))
+        return result
+
+    monkeypatch.setattr(ica, name, recording)
+
+
 def test_run_evaluates_one_batch_per_phase(lp01, monkeypatch):
-    batches = []
-    original = ica.penalized_objective_batch
-
-    def counting(lp, x, cfg):
-        batches.append(x.shape)
-        return original(lp, x, cfg)
-
-    monkeypatch.setattr(ica, "penalized_objective_batch", counting)
+    batches, draws, moves, revolts = [], [], [], []
+    _record(monkeypatch, "penalized_objective_batch", batches, lambda args, _: args[1].copy())
+    _record(monkeypatch, "draw", draws, lambda _, result: result[2].copy())
+    _record(monkeypatch, "assimilate", moves, lambda args, _: (args[0].copy(), args[1], args[2].copy()))
+    _record(monkeypatch, "revolve", revolts, lambda args, _: (args[0].copy(), args[1].copy()))
     reports = ica.run(lp01, seeds=[4, 5, 6])
-    # initialization, then assimilation and revolution per iteration, each
-    # one 2-D batch of every seed's countries
-    assert len(reports[0].history) == 25
-    assert batches == [(300, 5)] * (1 + 2 * 25)
+    # every country after initialization, then per iteration one batch of the
+    # colonies that assimilated and one of those that revolted
+    history = np.stack([r.history for r in reports])
+    assert history.shape == (3, 25, 2)
+    assert len(batches) == 1 + 2 * 25
+    assert batches[0].shape == (300, 5)
+    empires = np.concatenate([np.full((3, 1), 10.0), history[:, :-1, 1]], axis=1)
+    for t, (trials, (after_moves, rulers, moving), (after_revolts, revolting)) in enumerate(zip(draws, moves, revolts)):
+        assert (moving == (rulers != np.arange(100))).all()  # every seed is active
+        assert (moving.sum(axis=1) == 100 - empires[:, t]).all()
+        assert batches[1 + 2 * t].tobytes() == after_moves[moving].tobytes()
+        assert (revolting == moving & (trials < 0.2)).all()
+        assert batches[2 + 2 * t].tobytes() == after_revolts[revolting].tobytes()
+
+
+def test_run_evaluates_no_empty_batch(lp01, monkeypatch):
+    batches = []
+    _record(monkeypatch, "penalized_objective_batch", batches, lambda args, _: args[1].shape)
+    reports = ica.run(lp01, ica_cfg=ica.IcaConfig(revolution_rate=0.0), seeds=[1, 2])
+    # no country revolts, so each iteration evaluates the assimilation batch alone
+    iterations = max(len(r.history) for r in reports)
+    assert len(batches) == 1 + iterations
+    assert all(rows > 0 for rows, _ in batches)
 
 
 def test_run_trace_monotone_and_conserving(lp01):

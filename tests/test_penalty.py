@@ -15,6 +15,7 @@ from fuzzfolio.penalty import (
     penalized_objective_bound,
     repair,
 )
+from referees import scalar_repair
 
 LEVELS = ConfidenceLevels(0.5, 0.5)
 
@@ -154,3 +155,27 @@ def test_repair_feasibility_and_idempotence(n, seed, fill):
     assert abs(fixed.sum() - m0) <= 1e-9 * max(1.0, m0)
     again = repair(fixed, m0, u)
     assert again.tobytes() == fixed.tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 50])
+def test_repair_rows_are_bitwise_the_scalar_referee(n):
+    # feasible, deficit, surplus and box-clamped rows, each settled in its
+    # own number of passes, alone and mixed in one batch
+    rng = np.random.default_rng(n)
+    u = rng.uniform(0.5, 20.0, size=n)
+    for fill in (0.05, 0.5, 0.97, 1.0, 1.2):  # 1.2: a deficit no headroom can meet
+        m0 = float(fill * u.sum())
+        inside = rng.uniform(0.0, u, size=(300, n))
+        xs = np.vstack([
+            np.array([scalar_repair(row, m0, u) for row in inside[:100]]),
+            inside[100:200] * rng.uniform(0.0, 0.5, size=(100, 1)),
+            inside[200:] * rng.uniform(1.5, 4.0, size=(100, 1)),
+            rng.uniform(-5.0, 25.0, size=(300, n)),
+            np.zeros((1, n)),
+            u[None, :],
+        ])
+        xs = xs[rng.permutation(len(xs))]
+        want = np.array([scalar_repair(row, m0, u) for row in xs])
+        assert repair(xs, m0, u).tobytes() == want.tobytes()
+        for row, expected in zip(xs[:50], want):
+            assert repair(row, m0, u).tobytes() == expected.tobytes()
