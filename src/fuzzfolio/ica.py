@@ -173,13 +173,13 @@ def assimilate(positions: np.ndarray, rulers: np.ndarray, moving: np.ndarray, st
     s, m, n = positions.shape
     target = np.take(positions.reshape(s * m, n), _flat(rulers, m), axis=0)
     moved = positions + ASSIMILATION_BETA * steps * (target - positions)
-    np.clip(moved, 0.0, bounds, out=moved)
-    np.copyto(positions, moved, where=moving[..., None])
+    np.clip(moved, 0.0, bounds, out=positions, where=moving[..., None])
 
 
-def revolve(positions: np.ndarray, chosen: np.ndarray, fresh: np.ndarray) -> None:
-    """Replace each country flagged in ``chosen`` (S, N) by its fresh position, in place."""
-    np.copyto(positions, fresh, where=chosen[..., None])
+def revolve(positions: np.ndarray, chosen: np.ndarray, fresh: np.ndarray, bounds) -> None:
+    """Replace each country flagged in ``chosen`` (S, N) by its fresh position in the
+    unit box scaled to the bounds, in place."""
+    np.multiply(bounds, fresh, out=positions, where=chosen[..., None])
 
 
 def exchange(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray) -> None:
@@ -317,7 +317,7 @@ def _run_block(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConf
         assimilate(positions, rulers, moving, steps, bounds)
         tracked(moving)
         revolting = moving & (trials < ica_cfg.revolution_rate)
-        revolve(positions, revolting, bounds * fresh)
+        revolve(positions, revolting, fresh, bounds)
         tracked(revolting)
         exchange(costs, owner, imperialist)
         compete(costs, owner, imperialist, alive, roulette, ica_cfg)

@@ -16,6 +16,8 @@ scatter; one level is the L = 1 case of the same fill.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,13 +70,15 @@ def solve_exact(lp: DeterministicLP) -> ExactSolution:
 
 
 def brute_force(lp: DeterministicLP, grid_step: float) -> ExactSolution:
-    """Enumerate every lattice allocation with the given step and pick the best.
+    """Scan every lattice allocation with the given step and pick the best.
 
     Requires grid_step to divide the budget and every upper bound, in
     which case the greedy optimum lies on the lattice (its single
     partially-filled coordinate is a multiple of the step too) and the
-    two solvers must agree.  Independent verification only; aborts past
-    a 1e8 node budget.
+    two solvers must agree.  The first n - 1 coordinates run in
+    lexicographic order, the budget forces the last, and the first strict
+    best wins.  Independent verification only; refuses a scan of more
+    than 1e8 prefixes, and a budget that no lattice allocation spends.
     """
     if lp.n > 6:
         raise ValueError(f"brute force is limited to 6 assets, got {lp.n}")
@@ -82,45 +86,23 @@ def brute_force(lp: DeterministicLP, grid_step: float) -> ExactSolution:
         raise ValueError(f"grid step must be positive, got {grid_step}")
     budget_units = _as_units(lp.total_fund, grid_step, "total_fund")
     cap_units = [_as_units(float(b), grid_step, f"upper bound {j}") for j, b in enumerate(lp.upper_bounds)]
-    # a-priori explosion guard: bound the prefix tree before walking it
-    estimate = 1
-    for cap in cap_units[:-1]:
-        estimate *= min(cap, budget_units) + 1
-        if estimate > _NODE_BUDGET:
-            raise EnumerationLimitError(
-                f"enumeration would exceed {_NODE_BUDGET} nodes for step {grid_step}"
-            )
+    prefixes = [range(min(cap, budget_units) + 1) for cap in cap_units[:-1]]
+    # a-priori explosion guard: the scan visits exactly this many prefixes
+    if math.prod(map(len, prefixes)) > _NODE_BUDGET:
+        raise EnumerationLimitError(f"enumeration would exceed {_NODE_BUDGET} nodes for step {grid_step}")
 
     c = lp.coefficients
-    n = lp.n
-    suffix_cap = np.concatenate([np.cumsum(cap_units[::-1])[::-1], [0]])
-    best_units: list[int] | None = None
-    best_obj = -np.inf
-    nodes = 0
-    stack = [(0, budget_units, [])]
-    while stack:
-        j, left, prefix = stack.pop()
-        nodes += 1
-        if nodes > _NODE_BUDGET:
-            raise EnumerationLimitError(f"enumeration exceeded {_NODE_BUDGET} nodes")
-        if j == n - 1:
-            # last coordinate is forced by the budget
-            if 0 <= left <= cap_units[j]:
-                units = prefix + [left]
-                obj = grid_step * float(sum(c[i] * k for i, k in enumerate(units)))
-                if obj > best_obj:
-                    best_obj = obj
-                    best_units = units
-            continue
-        # descend in reverse so lexicographically smaller prefixes are tried first
-        hi = min(cap_units[j], left)
-        lo = max(0, left - int(suffix_cap[j + 1]))
-        for k in range(hi, lo - 1, -1):
-            stack.append((j + 1, left - k, prefix + [k]))
-
-    assert best_units is not None  # sum(cap) >= budget guarantees a lattice point
-    x = grid_step * np.array(best_units, dtype=float)
-    return ExactSolution(x, best_obj)
+    best_units, best_obj = None, -np.inf
+    for prefix in itertools.product(*prefixes):
+        last = budget_units - sum(prefix)
+        if 0 <= last <= cap_units[-1]:
+            units = (*prefix, last)
+            obj = grid_step * float(sum(c[i] * k for i, k in enumerate(units)))
+            if obj > best_obj:
+                best_units, best_obj = units, obj
+    if best_units is None:
+        raise ValueError(f"no allocation on the lattice of step {grid_step} spends total_fund = {lp.total_fund}")
+    return ExactSolution(grid_step * np.array(best_units, dtype=float), best_obj)
 
 
 def _as_units(value: float, step: float, what: str) -> int:

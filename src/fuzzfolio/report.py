@@ -87,14 +87,14 @@ def render_table(rows: list[SweepRow]) -> str:
     allocation = _memo_allocation(".6g", ", ")
     lines = []
     for (lam, eta), group in itertools.groupby(rows, lambda r: (r.lam, r.eta)):
-        lines.append(f"lambda={_fmt(lam)} eta={_fmt(eta)}")
+        lines.append(f"lambda={lam:.12g} eta={eta:.12g}")
         group = list(group)
         exact = [r for r in group if r.solver == "exact"]
         ica = [r for r in group if r.solver == "ica"]
         for r in exact:
             lines.append(
                 f"  exact   objective {r.objective:>10.6g}  threshold {r.threshold:.6g}"
-                f"  satisfied {_fmt(r.threshold_ok)}  x = [{allocation(r.allocation)}]"
+                f"  satisfied {'true' if r.threshold_ok else 'false'}  x = [{allocation(r.allocation)}]"
             )
             if r.published_objective is not None:
                 lines.append(f"          published {r.published_objective:>10.6g}  deviation {r.published_gap:.3%}")

@@ -7,11 +7,9 @@ import numpy as np
 from fuzzfolio.fuzzy import RandomFactor
 
 
-def scalar_normal_quantile(p: float, factor: RandomFactor = RandomFactor()) -> float:
-    """The factor's normal quantile at one p, one erfc call per halving.
-
-    Bisection from [-40, 40] against the erfc-based CDF down to a width of
-    1e-13: normal_quantile must return these bits at every entry."""
+def scalar_standard_quantile(p: float) -> float:
+    """The standard normal quantile at one p, one erfc call per halving:
+    bisection from [-40, 40] against the erfc-based CDF down to a width of 1e-13."""
     lo, hi = -40.0, 40.0
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
@@ -19,7 +17,13 @@ def scalar_normal_quantile(p: float, factor: RandomFactor = RandomFactor()) -> f
             lo = mid
         else:
             hi = mid
-    return factor.mean + factor.std_dev * (0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
+
+
+def scalar_normal_quantile(p: float, factor: RandomFactor = RandomFactor()) -> float:
+    """The factor's normal quantile at one p: normal_quantile must return
+    these bits at every entry."""
+    return factor.mean + factor.std_dev * scalar_standard_quantile(p)
 
 
 def scalar_repair(x, m0: float, upper) -> np.ndarray:

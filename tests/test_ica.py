@@ -218,7 +218,7 @@ def test_revolve_rate_extremes():
         _, _, trials, fresh = ica.draw([np.random.default_rng(0)], np.array([True]), 7, 4)
         chosen = colony & (trials < rate)
         assert chosen[0].tolist() == [False] + [moved] * 6
-        ica.revolve(positions, chosen, bounds * fresh)
+        ica.revolve(positions, chosen, fresh, bounds)
         assert positions[0, 0].tolist() == [5.0] * 4
         assert all((p.tolist() != [5.0] * 4) == moved for p in positions[0, 1:])
         assert np.all(positions <= bounds)
@@ -230,7 +230,7 @@ def test_revolve_deterministic():
     def snapshot(seed):
         positions = np.full((1, 9, 3), 2.0)
         _, _, trials, fresh = ica.draw([np.random.default_rng(seed)], np.array([True]), 9, 3)
-        ica.revolve(positions, (np.arange(9) > 0) & (trials < 0.5), bounds * fresh)
+        ica.revolve(positions, (np.arange(9) > 0) & (trials < 0.5), fresh, bounds)
         return positions.tobytes()
 
     assert snapshot(12) == snapshot(12)

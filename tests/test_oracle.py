@@ -92,6 +92,12 @@ def test_brute_force_guards():
         brute_force(make_lp([1.0] * 6, 3000.0, [3000.0] * 6), grid_step=0.25)
 
 
+def test_brute_force_refuses_an_unreachable_budget():
+    # the bounds hold 20 of the 30 to spend: no allocation on the lattice exists
+    with pytest.raises(ValueError, match=r"^no allocation on the lattice of step 10\.0 spends total_fund = 30\.0$"):
+        brute_force(make_lp([1.0, 1.0], 30.0, [10.0, 10.0]), grid_step=10.0)
+
+
 @pytest.mark.parametrize("level", sorted(BENCHMARK))
 def test_brute_force_agrees_on_benchmark(table1, level):
     lp = reformulate(table1, ConfidenceLevels(level, level))
