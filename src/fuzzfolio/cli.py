@@ -20,14 +20,9 @@ from .report import SweepRow, render_csv, render_json, render_table
 
 __all__ = ["main", "BENCHMARK_LEVELS", "PUBLISHED_RESULTS"]
 
-# reference results published for the bundled five-asset benchmark
-# (allocation and objective value per coupled lambda = eta level)
-PUBLISHED_RESULTS = {
-    0.1: ((60.0, 0.0, 20.0, 60.0, 60.0), 422.54),
-    0.4: ((20.0, 0.0, 60.0, 60.0, 60.0), 289.3),
-    0.7: ((20.0, 0.0, 60.0, 60.0, 60.0), 187.48),
-    0.9: ((0.0, 60.0, 60.0, 20.0, 60.0), 95.56),
-}
+# objective values published for the bundled five-asset benchmark,
+# per coupled lambda = eta level
+PUBLISHED_RESULTS = {0.1: 422.54, 0.4: 289.3, 0.7: 187.48, 0.9: 95.56}
 
 BENCHMARK_LEVELS = tuple(PUBLISHED_RESULTS)
 
@@ -244,7 +239,7 @@ def _sweep(instance, levels, exact_rows, seeds, penalty_cfg, ica_cfg, published=
     whether the exact optimum clears the return floor at every level.
     Every level is checked (see _checked) before any ICA search starts.
 
-    published maps a coupled level to its published (allocation, objective).
+    published maps a coupled level to its published objective.
     """
     lp, exact = _checked(instance, levels, seeds, penalty_cfg, ica_cfg)
     rows: list[SweepRow] = []
@@ -256,7 +251,7 @@ def _sweep(instance, levels, exact_rows, seeds, penalty_cfg, ica_cfg, published=
     for i, level in enumerate(levels):
         if exact_rows:
             allocation = allocation if repeats[i] else tuple(exact.x[i].tolist())
-            pub = None if published is None else published[level.lam][1]
+            pub = None if published is None else published[level.lam]
             rows.append(_row(level, thresholds[i], optima[i], "exact", None, allocation, budget[i], optima[i], pub))
         for report in ica.run(lp[i], penalty_cfg, ica_cfg, seeds) if seeds else ():
             x = report.best_position

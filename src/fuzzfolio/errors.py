@@ -14,7 +14,3 @@ class ValidationError(ValueError):
 
 class BudgetInfeasibleError(ValidationError):
     """The upper bounds cannot absorb the total fund (sum(U) < M0)."""
-
-
-class EnumerationLimitError(RuntimeError):
-    """Brute-force enumeration would exceed its node budget."""

@@ -45,6 +45,8 @@ def loads_instance(text: str, source: str = "<string>") -> PortfolioInstance:
         raw = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{source}: arrays or objects nested too deeply to parse") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"{source}: top level must be an object")
     for f in dataclasses.fields(PortfolioInstance):

@@ -1,7 +1,8 @@
-"""Exact ground truth for the deterministic LP, plus a brute-force referee.
+"""Exact ground truth for the deterministic LP.
 
-Both return only the optimum; whether it clears the return floor, whose
-left side is the objective, is decided by the CLI's report row.
+The solver returns only the optimum; whether it clears the return floor,
+whose left side is the objective, is decided by the CLI's report row.  Its
+referee, a brute-force lattice scan, lives in tests/referees.py.
 
 The feasible set is a box sliced by one budget hyperplane and the
 objective is linear, so a greedy fill by descending coefficient is
@@ -16,18 +17,14 @@ scatter; one level is the L = 1 case of the same fill.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationLimitError, ValidationError
+from .errors import ValidationError
 from .model import DeterministicLP
 
-__all__ = ["ExactSolution", "solve_exact", "brute_force"]
-
-_NODE_BUDGET = 100_000_000
+__all__ = ["ExactSolution", "solve_exact"]
 
 
 @dataclass(frozen=True)
@@ -67,46 +64,3 @@ def solve_exact(lp: DeterministicLP) -> ExactSolution:
         raise ValidationError(
             f"the optimal objective overflows at lambda={level.lam}, eta={level.eta}; rescale the instance")
     return ExactSolution(x[0], float(obj[0])) if one else ExactSolution(x, obj)
-
-
-def brute_force(lp: DeterministicLP, grid_step: float) -> ExactSolution:
-    """Scan every lattice allocation with the given step and pick the best.
-
-    Requires grid_step to divide the budget and every upper bound, in
-    which case the greedy optimum lies on the lattice (its single
-    partially-filled coordinate is a multiple of the step too) and the
-    two solvers must agree.  The first n - 1 coordinates run in
-    lexicographic order, the budget forces the last, and the first strict
-    best wins.  Independent verification only; refuses a scan of more
-    than 1e8 prefixes, and a budget that no lattice allocation spends.
-    """
-    if lp.n > 6:
-        raise ValueError(f"brute force is limited to 6 assets, got {lp.n}")
-    if grid_step <= 0:
-        raise ValueError(f"grid step must be positive, got {grid_step}")
-    budget_units = _as_units(lp.total_fund, grid_step, "total_fund")
-    cap_units = [_as_units(float(b), grid_step, f"upper bound {j}") for j, b in enumerate(lp.upper_bounds)]
-    prefixes = [range(min(cap, budget_units) + 1) for cap in cap_units[:-1]]
-    # a-priori explosion guard: the scan visits exactly this many prefixes
-    if math.prod(map(len, prefixes)) > _NODE_BUDGET:
-        raise EnumerationLimitError(f"enumeration would exceed {_NODE_BUDGET} nodes for step {grid_step}")
-
-    c = lp.coefficients
-    best_units, best_obj = None, -np.inf
-    for prefix in itertools.product(*prefixes):
-        last = budget_units - sum(prefix)
-        if 0 <= last <= cap_units[-1]:
-            units = (*prefix, last)
-            obj = grid_step * float(sum(c[i] * k for i, k in enumerate(units)))
-            if obj > best_obj:
-                best_units, best_obj = units, obj
-    if best_units is None:
-        raise ValueError(f"no allocation on the lattice of step {grid_step} spends total_fund = {lp.total_fund}")
-    return ExactSolution(grid_step * np.array(best_units, dtype=float), best_obj)
-
-
-def _as_units(value: float, step: float, what: str) -> int:
-    units = round(value / step)
-    if abs(units * step - value) > 1e-9 * max(1.0, abs(value)):
-        raise ValueError(f"grid step {step} does not divide {what} = {value}")
-    return units

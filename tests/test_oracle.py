@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from fuzzfolio.errors import EnumerationLimitError
 from fuzzfolio.io import bundled_instance
 from fuzzfolio.model import ConfidenceLevels, DeterministicLP, objective, reformulate
-from fuzzfolio.oracle import brute_force, solve_exact
+from fuzzfolio.oracle import solve_exact
 from fuzzfolio.penalty import repair
+from referees import brute_force
 
 LEVELS = ConfidenceLevels(0.5, 0.5)
 
@@ -88,7 +88,7 @@ def test_brute_force_guards():
         brute_force(make_lp([1.0] * 7, 10.0, [10.0] * 7), grid_step=1.0)
     with pytest.raises(ValueError):
         brute_force(make_lp([1.0, 1.0], 10.0, [7.5, 7.5]), grid_step=2.0)
-    with pytest.raises(EnumerationLimitError):
+    with pytest.raises(RuntimeError, match=r"^enumeration would exceed 100000000 nodes for step 0\.25$"):
         brute_force(make_lp([1.0] * 6, 3000.0, [3000.0] * 6), grid_step=0.25)
 
 
