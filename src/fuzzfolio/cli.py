@@ -215,20 +215,20 @@ def _configs(args) -> tuple[PenaltyConfig, ica.IcaConfig]:
         raise ValidationError(f"{_FLAGS.get(exc.field, exc.field)}: {exc}") from None
 
 
-def _checked(instance, levels, seeds, penalty_cfg, ica_cfg):
+def _checked(instance, levels, n_rows, penalty_cfg, ica_cfg):
     """The level-batched LP and its exact optimum.  The first level, in the
     given order, to fail a check raises, as if each level were checked alone
-    in turn: its coefficients, threshold and optimal objective, then, with
-    seeds, ica.refuse; so no search runs before a failing level is found."""
+    in turn: its coefficients, threshold and optimal objective, then ica.refuse
+    for the sweep's n_rows rows; so no search runs before a failing level is found."""
     try:
         lp = reformulate(instance, levels)
         exact = solve_exact(lp)
-        for i in range(len(levels)) if seeds else ():
-            ica.refuse(lp[i], penalty_cfg, ica_cfg, len(seeds))
+        if n_rows:
+            ica.refuse(lp, penalty_cfg, ica_cfg, n_rows)
     except ValidationError:
         # a level before the one that raised may fail a later check: check one level at a time
         for level in levels if len(levels) > 1 else ():
-            _checked(instance, [level], seeds, penalty_cfg, ica_cfg)
+            _checked(instance, [level], n_rows, penalty_cfg, ica_cfg)
         raise
     return lp, exact
 
@@ -237,13 +237,14 @@ def _sweep(instance, levels, exact_rows, seeds, penalty_cfg, ica_cfg, published=
     """The exact row (when exact_rows), then one ICA row per seed in
     ascending order, at every level in the given ascending order, and
     whether the exact optimum clears the return floor at every level.
-    Every level is checked (see _checked) before any ICA search starts.
+    Every level is checked (see _checked) before the one ICA run starts.
 
     published maps a coupled level to its published objective.
     """
-    lp, exact = _checked(instance, levels, seeds, penalty_cfg, ica_cfg)
+    lp, exact = _checked(instance, levels, len(levels) * len(seeds), penalty_cfg, ica_cfg)
     rows: list[SweepRow] = []
     seeds = sorted(seeds)
+    reports = ica.run(lp, penalty_cfg, ica_cfg, seeds) if seeds else []
     thresholds, optima = lp.threshold.tolist(), exact.objective.tolist()
     budget = (exact.x.sum(axis=1) - lp.total_fund).tolist()
     # a row whose bits (the sign of zero included) equal the previous row's shares its tuple
@@ -253,7 +254,7 @@ def _sweep(instance, levels, exact_rows, seeds, penalty_cfg, ica_cfg, published=
             allocation = allocation if repeats[i] else tuple(exact.x[i].tolist())
             pub = None if published is None else published[level.lam]
             rows.append(_row(level, thresholds[i], optima[i], "exact", None, allocation, budget[i], optima[i], pub))
-        for report in ica.run(lp[i], penalty_cfg, ica_cfg, seeds) if seeds else ():
+        for report in reports[i * len(seeds):(i + 1) * len(seeds)]:
             x = report.best_position
             rows.append(_row(level, thresholds[i], optima[i], "ica", report.seed, tuple(x.tolist()),
                              float(x.sum() - lp.total_fund), report.best_objective))

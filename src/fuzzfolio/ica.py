@@ -8,17 +8,17 @@ colony that overtakes its imperialist swaps roles (exchange), and the
 weakest empire loses its weakest colony to a roulette-selected rival
 (competition), collapsing once it has none left.
 
-All seeds of a run evolve together: for S seeds of N countries over n
-assets, positions (S, N, n) and costs (S, N), each country's empire
-label owner (S, N), each empire's ruling country imperialist (S, K) and
-alive flag (S, K), and the running seeds active (S,).  The phases only
-move countries or relabel empires; ``run`` alone evaluates costs, in one
-batch of all seeds each time: every country after initialization, then
-the countries each move changed.  A seed's results never depend on the
-seeds it runs with: it has its own generator (one draw per iteration,
-see ``draw``), every reduction runs over its row alone, and costs are
-computed row by row.  A seed left with one empire stops.  Costs are
-minimized (cost = -penalized objective): lower is stronger.
+A row is one (level, seed) pair of a run, and all rows evolve together:
+for S rows of N countries over n assets, positions (S, N, n) and costs
+(S, N), each country's empire label owner (S, N), each empire's ruling
+country imperialist (S, K) and alive flag (S, K), and the running rows
+active (S,).  The phases only move countries or relabel empires; ``run``
+alone evaluates costs, each at its row's level, in one batch of all rows
+each time: every country after initialization, then the countries each
+move changed.  A row never depends on the rows it runs with: it has its
+own generator (one draw per iteration, see ``draw``), and every reduction
+and cost runs over its row alone.  A row left with one empire stops.
+Costs are minimized (cost = -penalized objective): lower is stronger.
 """
 
 from __future__ import annotations
@@ -33,28 +33,17 @@ from .errors import ValidationError
 from .model import DeterministicLP, objective
 from .penalty import PenaltyConfig, penalized_objective_batch, penalized_objective_bound, repair
 
-__all__ = [
-    "IcaConfig",
-    "RunReport",
-    "initialize",
-    "form_empires",
-    "draw",
-    "assimilate",
-    "revolve",
-    "exchange",
-    "compete",
-    "refuse",
-    "run",
-]
+__all__ = ["IcaConfig", "RunReport", "initialize", "form_empires", "draw", "assimilate", "revolve", "exchange",
+           "compete", "refuse", "run"]
 
 # a colony moves by up to twice its distance to the imperialist on each
 # axis, so it can overshoot it (Atashpaz-Gargari & Lucas, 2007)
 ASSIMILATION_BETA = 2.0
 
-# most seeds evolved together; it bounds memory and cannot change a result
-SEED_BLOCK = 64
+# most (level, seed) rows evolved together; it bounds memory and cannot change a result
+ROW_BLOCK = 128
 
-# largest draw buffer of one seed block, in bytes; refuse rejects a larger one
+# largest draw buffer of one row block, in bytes; refuse rejects a larger one
 MAX_DRAW_BYTES = 2 * 2**30
 
 
@@ -82,10 +71,10 @@ class IcaConfig:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Outcome of one seed's run.
+    """Outcome of one (level, seed) row's run.
 
     ``best_position`` is the budget-repaired best of the positions the
-    seed reached, each evaluated once, when it was reached, and
+    row reached, each evaluated once, when it was reached, and
     ``best_objective`` its plain (unpenalized) objective;
     ``best_cost`` is the raw internal cost of the unrepaired best.
     ``history`` (T, 2) holds the best cost so far (column 0) and the
@@ -100,12 +89,12 @@ class RunReport:
 
 
 def initialize(config: IcaConfig, bounds: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Draw each seed's positions uniformly inside the box: positions (S, N, n)."""
+    """Draw each row's positions uniformly inside the box: positions (S, N, n)."""
     return np.stack([rng.uniform(0.0, bounds, size=(config.n_countries, bounds.size)) for rng in rngs])
 
 
 def form_empires(costs: np.ndarray, config: IcaConfig, rngs: Sequence[np.random.Generator]):
-    """Split each seed's population into empires with power-proportional colony
+    """Split each row's population into empires with power-proportional colony
     counts: owner (S, N), and imperialist (S, K) whose k-th is the k-th best country."""
     k = config.n_imperialists
     owner = np.empty(costs.shape, dtype=np.intp)
@@ -157,10 +146,10 @@ def _colonies(owner: np.ndarray, imperialist: np.ndarray) -> np.ndarray:
 
 
 def draw(rngs: Sequence[np.random.Generator], active: np.ndarray, n_countries: int, n: int):
-    """Draw one iteration's numbers, one ``random(1 + N(2n + 1))`` per active seed: the
+    """Draw one iteration's numbers, one ``random(1 + N(2n + 1))`` per active row: the
     roulette numbers (S,), then per country the assimilation steps (S, N, n), revolution
     trials (S, N) and fresh positions in the unit box (S, N, n), unused for imperialists.
-    An inactive seed draws nothing and gets zeros."""
+    An inactive row draws nothing and gets zeros."""
     u = np.zeros((len(rngs), 1 + n_countries * (2 * n + 1)))
     for s in np.flatnonzero(active):
         rngs[s].random(out=u[s])
@@ -171,8 +160,10 @@ def draw(rngs: Sequence[np.random.Generator], active: np.ndarray, n_countries: i
 def assimilate(positions: np.ndarray, rulers: np.ndarray, moving: np.ndarray, steps, bounds) -> None:
     """Move each country flagged in ``moving`` (S, N) toward its ruler by the given steps, in place."""
     s, m, n = positions.shape
-    target = np.take(positions.reshape(s * m, n), _flat(rulers, m), axis=0)
-    moved = positions + ASSIMILATION_BETA * steps * (target - positions)
+    moved = np.take(positions.reshape(s * m, n), _flat(rulers, m), axis=0)  # the targets, moved in place
+    np.subtract(moved, positions, out=moved)
+    np.multiply(moved, ASSIMILATION_BETA * steps, out=moved)
+    np.add(moved, positions, out=moved)
     np.clip(moved, 0.0, bounds, out=positions, where=moving[..., None])
 
 
@@ -186,7 +177,7 @@ def exchange(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray) -> N
     """Seat each empire's best colony as its imperialist if that colony is
     strictly better, in place; the lowest index wins a tie among colonies."""
     (s, k), m = imperialist.shape, costs.shape[1]
-    # each colony carries its seed's empire label, every imperialist the spare label
+    # each colony carries its row's empire label, every imperialist the spare label
     # s * k; on flat operands ufunc.at takes numpy's fast path
     labels = np.where(_colonies(owner, imperialist), _flat(owner, k), s * k).ravel()
     flat_costs = costs.ravel()
@@ -206,7 +197,7 @@ def _powers(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray, confi
     colony = _colonies(owner, imperialist)
     labels = (owner + k * np.arange(s)[:, None]).ravel()
     # bincount adds each label's weights in index order, so every empire's
-    # colony sum runs left to right over that seed's countries alone
+    # colony sum runs left to right over that row's countries alone
     sums = np.bincount(labels, np.where(colony, costs, 0.0).ravel(), s * k).reshape(s, k)
     counts = np.bincount(labels, colony.ravel(), s * k).reshape(s, k)
     ruler = np.take(costs, _flat(imperialist, costs.shape[1]))
@@ -214,7 +205,7 @@ def _powers(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray, confi
 
 
 def compete(costs, owner, imperialist, alive, roulette: np.ndarray, config: IcaConfig) -> None:
-    """In every seed with two or more empires, move the weakest
+    """In every row with two or more empires, move the weakest
     empire's weakest colony to a roulette winner, in place.
 
     The weakest empire is the first of largest power; it loses its first
@@ -244,11 +235,11 @@ def compete(costs, owner, imperialist, alive, roulette: np.ndarray, config: IcaC
     alive[rows[fall], weakest[fall]] = False
 
 
-def refuse(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConfig, n_seeds: int) -> None:
-    """Raise the ValidationError ``run`` would raise for n_seeds seeds at the
-    one-level lp, in this order: a seed block whose draw buffer would
-    exceed MAX_DRAW_BYTES, and a box in which a cost could overflow."""
-    size = 8 * min(n_seeds, SEED_BLOCK) * (1 + ica_cfg.n_countries * (2 * lp.n + 1))
+def refuse(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConfig, n_rows: int) -> None:
+    """Raise the ValidationError ``run`` would raise for n_rows (level, seed)
+    rows at lp, one level or L, in this order: a row block whose draw buffer
+    would exceed MAX_DRAW_BYTES, and a level's box in which a cost could overflow."""
+    size = 8 * min(n_rows, ROW_BLOCK) * (1 + ica_cfg.n_countries * (2 * lp.n + 1))
     if size > MAX_DRAW_BYTES:
         raise ValidationError(f"n_countries: {ica_cfg.n_countries} countries of {lp.n} assets need a "
                               f"{size / 2**30:.1f} GiB draw buffer, above the {MAX_DRAW_BYTES / 2**30:.0f} GiB limit")
@@ -260,31 +251,32 @@ def refuse(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConfig, 
 
 def run(lp: DeterministicLP, penalty_cfg: PenaltyConfig = PenaltyConfig(), ica_cfg: IcaConfig = IcaConfig(),
         seeds: Sequence[int] = (0,)) -> list[RunReport]:
-    """One search per seed, deterministic given the seed; the reports come
-    in the order of ``seeds``, duplicates included.
+    """One search per (level, seed) row of lp, one level or L; the reports
+    come level by level, each in the order of ``seeds``, duplicates included.
 
-    Seeds evolve together in blocks of at most SEED_BLOCK.  Each phase
-    evaluates only the countries it moved, and the global best of a seed
+    Rows evolve together in blocks of at most ROW_BLOCK.  Each phase
+    evaluates only the countries it moved, and the global best of a row
     is tracked across every cost evaluation, so positions visited and then
     lost to revolution still count.  The returned allocation is the
-    repaired best, one repair call per block.  Before it starts any block, run
-    refuses an LP with a level axis (ValueError), then makes the
-    refusals of ``refuse``.
+    repaired best, one repair call per block.  Before it starts any block,
+    run makes the refusals of ``refuse``.
     """
-    if lp.coefficients.ndim != 1:
-        raise ValueError(f"ica.run takes a one-level LP, got coefficients of shape {lp.coefficients.shape} "
-                         "with a level axis; pass lp[i]")
-    refuse(lp, penalty_cfg, ica_cfg, len(seeds))
-    reports = []
-    for start in range(0, len(seeds), SEED_BLOCK):
-        reports += _run_block(lp, penalty_cfg, ica_cfg, seeds[start:start + SEED_BLOCK])
-    return reports
+    if lp.coefficients.ndim == 1:  # one level is the L = 1 case
+        lp = DeterministicLP(lp.coefficients[None], lp.total_fund, lp.upper_bounds,
+                             np.array([lp.threshold]), (lp.levels,))
+    rows = np.arange(len(lp.coefficients) * len(seeds))
+    refuse(lp, penalty_cfg, ica_cfg, rows.size)
+    return [report for start in range(0, rows.size, ROW_BLOCK)
+            for report in _run_block(lp, penalty_cfg, ica_cfg, seeds, rows[start:start + ROW_BLOCK])]
 
 
-def _run_block(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConfig, seeds) -> list[RunReport]:
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+def _run_block(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConfig, seeds, block) -> list[RunReport]:
+    level, seed_index = np.divmod(block, len(seeds))  # run row r: level r // S at seed seeds[r % S]
+    block_seeds = [seeds[i] for i in seed_index.tolist()]
+    rngs = [np.random.default_rng(seed) for seed in block_seeds]
+    coefficients, thresholds = lp.coefficients[level], lp.threshold[level]
     bounds = lp.upper_bounds
-    s, m, n = len(seeds), ica_cfg.n_countries, lp.n
+    s, m, n = len(block), ica_cfg.n_countries, lp.n
     rows = np.arange(s)
     best_cost = np.full(s, np.inf)
     best_position = np.zeros((s, n))
@@ -292,13 +284,15 @@ def _run_block(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConf
     costs = np.empty((s, m))
 
     def tracked(moved: np.ndarray) -> None:
-        # the flagged rows (S, N) of all seeds in one 2-D batch, through the module
-        # global so a traced or patched binding is used; a row's cost is its own
+        # the flagged countries (S, N) of all rows in one 2-D batch at their rows' levels,
+        # through the module global so a traced or patched binding is used
         index = np.flatnonzero(moved)
         if index.size == 0:
             return
         x = np.take(positions.reshape(s * m, n), index, axis=0)
-        np.put(costs, index, -penalized_objective_batch(lp, x, penalty_cfg))
+        row = index // m
+        batch = DeterministicLP(coefficients[row], lp.total_fund, bounds, thresholds[row], lp.levels)
+        np.put(costs, index, -penalized_objective_batch(batch, x, penalty_cfg))
         i = costs.argmin(axis=1)
         better = costs[rows, i] < best_cost
         best_cost[better] = costs[rows, i][better]
@@ -308,7 +302,7 @@ def _run_block(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConf
     owner, imperialist = form_empires(costs, ica_cfg, rngs)
     alive = np.ones(imperialist.shape, dtype=bool)
     active = np.ones(s, dtype=bool)
-    # every seed's best cost and empire count after each iteration, and the iterations it ran
+    # every row's best cost and empire count after each iteration, and the iterations it ran
     history, lengths = [], np.zeros(s, dtype=int)
     for iteration in range(1, ica_cfg.max_iterations + 1):
         roulette, steps, trials, fresh = draw(rngs, active, m, n)
@@ -332,16 +326,16 @@ def _run_block(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConf
 
     history = np.array(history).reshape(-1, s, 2)
     repaired = repair(best_position, lp.total_fund, bounds)
-    return [RunReport(x, float(best_cost[i]), objective(lp, x), history[:t, i].copy(), seed)
-            for i, (x, seed, t) in enumerate(zip(repaired, seeds, lengths))]
+    return [RunReport(x, float(best_cost[i]), objective(lp[level[i]], x), history[:t, i].copy(), seed)
+            for i, (x, seed, t) in enumerate(zip(repaired, block_seeds, lengths))]
 
 
 def _check_invariants(positions, costs, owner, imperialist, alive, bounds) -> None:
     # explicit raises rather than asserts, so the checks also run under python -O
-    # the range check comes first: a stray label would gather from another seed's row
+    # the range check comes first: a stray label would gather from another row
     k, m = alive.shape[1], owner.shape[1]
     if not (((owner >= 0) & (owner < k)).all() and np.take(alive, _flat(owner, k)).all()):
-        raise RuntimeError("ICA invariant violated: a country belongs to no live empire of its seed")
+        raise RuntimeError("ICA invariant violated: a country belongs to no live empire of its row")
     if not (np.take(owner, _flat(imperialist, m)) == np.arange(k))[alive].all():
         raise RuntimeError("ICA invariant violated: an imperialist does not belong to its own empire")
     if not ((positions >= 0.0).all() and (positions <= bounds).all()):

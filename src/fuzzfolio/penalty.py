@@ -45,7 +45,8 @@ class PenaltyConfig:
 
 
 def penalized_objective_batch(lp: DeterministicLP, x: np.ndarray, cfg: PenaltyConfig = PenaltyConfig()) -> np.ndarray:
-    """c . x minus the penalty charges, for one allocation (n,) or a batch (k, n)."""
+    """c . x minus the penalty charges, for one allocation (n,) or a batch (k, n); a batch
+    may carry one coefficient row (k, n) and one threshold (k,) per allocation."""
     x = np.asarray(x, dtype=float)
     # a row's value must not depend on its batch: a matrix-vector product rounds a
     # row by its place in it, and ** 2.0 calls pow on a single allocation's scalar
@@ -59,15 +60,15 @@ def penalized_objective_batch(lp: DeterministicLP, x: np.ndarray, cfg: PenaltyCo
 
 
 def penalized_objective_bound(lp: DeterministicLP, cfg: PenaltyConfig = PenaltyConfig()) -> float:
-    """Upper bound on |penalized objective| over the box; inf when it overflows."""
+    """Upper bound on |penalized objective| over the box at any of lp's levels; inf when it overflows."""
     with np.errstate(over="ignore"):
-        value = float(np.abs(lp.coefficients) @ lp.upper_bounds)
+        value = np.abs(lp.coefficients) @ lp.upper_bounds
         drift = max(lp.total_fund, float(lp.upper_bounds.sum()) - lp.total_fund)
-    bound = value + cfg.eq_factor * drift * drift
-    if cfg.enforce_threshold:
-        shortfall = abs(lp.threshold) + value
-        bound += INEQ_FACTOR * shortfall * shortfall
-    return bound
+        bound = value + cfg.eq_factor * drift * drift
+        if cfg.enforce_threshold:
+            shortfall = np.abs(lp.threshold) + value
+            bound = bound + INEQ_FACTOR * shortfall * shortfall
+    return float(np.max(bound))
 
 
 def repair(x, m0: float, upper) -> np.ndarray:

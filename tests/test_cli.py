@@ -419,7 +419,7 @@ def test_a_failing_later_level_runs_no_search_on_the_earlier_ones(tmp_path, caps
     monkeypatch.setattr(ica, "draw", no_draw)
     monkeypatch.setattr(ica, "initialize", counted_initialize)
     code, out, err = run_cli(["solve", "--instance", str(src), "--levels", "0.5,0.99", "--solver", "ica",
-                              "--seeds", f"1..{3 * ica.SEED_BLOCK}"], capsys)
+                              "--seeds", f"1..{3 * ica.ROW_BLOCK}"], capsys)
     assert (code, out, err) == (2, "", "error: assets[2]: the coefficient overflows at lambda=0.99, eta=0.99; "
                                        "rescale the instance\n")
     assert initialized == []
@@ -432,7 +432,7 @@ def test_a_failing_later_level_runs_no_search_on_the_earlier_ones(tmp_path, caps
     (1e305, 5.0, [], "0.99",
      "the penalized objective overflows inside the box; rescale the instance for the ICA solver"),
     (1e308, 1e-4, ["--countries", "1000000000"], "0.5",
-     "n_countries: 1000000000 countries of 5 assets need a 5245.2 GiB draw buffer, above the 2 GiB limit"),
+     "n_countries: 1000000000 countries of 5 assets need a 10490.4 GiB draw buffer, above the 2 GiB limit"),
 ])
 def test_a_later_level_refused_by_ica_runs_no_search(tmp_path, capsys, monkeypatch, r2, fund, flags, first, message):
     data = json.loads(PAPER_JSON)
@@ -530,6 +530,21 @@ def test_seed_range_forms(capsys):
     assert code == 2
 
 
+def test_a_level_checked_alone_sizes_the_draw_buffer_for_the_whole_sweep(tmp_path, capsys):
+    # 2 levels x 100 seeds fill one 128-row block; lambda = 0.5 alone would need only 100 rows,
+    # but the sweep, refused there before reformulate fails at 0.99, names the sweep's buffer
+    data = json.loads(PAPER_JSON)
+    data["assets"][2]["r2"] = 1e308
+    data["total_fund"] = 1e-4
+    data["upper_bounds"] = [2e-4] * 5
+    src = tmp_path / "inst.json"
+    src.write_text(json.dumps(data))
+    code, out, err = run_cli(["solve", "--instance", str(src), "--solver", "ica", "--seeds", "1..100",
+                              "--countries", "1000000000", "--levels", "0.5,0.99"], capsys)
+    assert (code, out, err) == (2, "", "error: n_countries: 1000000000 countries of 5 assets need a "
+                                       "10490.4 GiB draw buffer, above the 2 GiB limit\n")
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--countries", "5", "--imperialists", "10"], "--countries"),
     (["--countries", "1"], "--countries"),
@@ -542,7 +557,7 @@ def test_seed_range_forms(capsys):
     (["--eq-factor", "0"], "--eq-factor"),
     (["--eq-factor", "nan"], "--eq-factor"),
     (["--eq-factor", "inf"], "--eq-factor"),
-    # refused by ica.run before it allocates the 82 GiB draw buffer
+    # refused before the 328 GiB draw buffer of 4 levels x 1 seed is allocated
     (["--countries", "1000000000"], "n_countries"),
 ])
 def test_invalid_ica_flag_exits_2_with_one_line(flags, named, capsys):

@@ -434,10 +434,10 @@ def test_invariant_check_survives_python_O():
 # --- full runs -----------------------------------------------------------------
 
 def test_run_refuses_a_huge_draw_buffer_before_allocating(lp01):
-    # 64 seeds of 4 * 10**6 countries need 64 * (1 + 44 * 10**6) doubles: 21 GiB
+    # 100 rows of 4 * 10**6 countries need 100 * (1 + 44 * 10**6) doubles: 32.8 GiB
     tracemalloc.start()
     try:
-        with pytest.raises(ValidationError, match=r"^n_countries: 4000000 countries of 5 assets need a 21\.0 GiB "):
+        with pytest.raises(ValidationError, match=r"^n_countries: 4000000 countries of 5 assets need a 32\.8 GiB "):
             ica.run(lp01, ica_cfg=ica.IcaConfig(n_countries=4 * 10**6), seeds=range(100))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -450,9 +450,11 @@ def test_run_refuses_before_any_block(lp01, monkeypatch):
         raise AssertionError("a block started")
 
     monkeypatch.setattr(ica, "_run_block", unreachable)
-    levels = [ConfidenceLevels(0.1, 0.1), ConfidenceLevels(0.5, 0.5)]
-    with pytest.raises(ValueError, match=r"with a level axis; pass lp\[i\]$"):
-        ica.run(reformulate(bundled_instance("paper_table1"), levels), seeds=[1])
+    lp = reformulate(bundled_instance("paper_table1"), [ConfidenceLevels(0.1, 0.1), ConfidenceLevels(0.5, 0.5)])
+    # the second level's coefficients overflow the penalty bound, the first's do not
+    overflowing = dataclasses.replace(lp, coefficients=lp.coefficients * np.array([[1.0], [1e307]]))
+    with pytest.raises(ValidationError, match="^the penalized objective overflows inside the box"):
+        ica.run(overflowing, seeds=[1])
     huge = dataclasses.replace(lp01, total_fund=1e200, upper_bounds=np.full(5, 1e200))
     with pytest.raises(ValidationError, match="^the penalized objective overflows inside the box"):
         ica.run(huge, seeds=range(100))
@@ -552,21 +554,37 @@ COLLAPSING = ica.IcaConfig(n_countries=12, n_imperialists=4, max_iterations=500)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("level, penalty_cfg, ica_cfg, seeds", [
+@pytest.mark.parametrize("levels, penalty_cfg, ica_cfg, seeds", [
     (0.1, PenaltyConfig(), ica.IcaConfig(), range(1, 21)),
     (0.4, PenaltyConfig(), ica.IcaConfig(), [5, 1, 3, 1]),
     # more seeds than one block holds
-    (0.9, PenaltyConfig(), ica.IcaConfig(), range(1, 71)),
+    (0.9, PenaltyConfig(), ica.IcaConfig(), range(1, 131)),
     (0.7, PenaltyConfig(enforce_threshold=True), ica.IcaConfig(), range(1, 11)),
     # seeds collapse to one empire at different iterations
     (0.3, PenaltyConfig(), COLLAPSING, range(1, 21)),
-], ids=["paper", "order-and-duplicates", "two-blocks", "enforce-threshold", "collapse"])
-def test_each_seed_runs_as_if_alone(level, penalty_cfg, ica_cfg, seeds):
-    lp = reformulate(bundled_instance("paper_table1"), ConfidenceLevels(level, level))
+    # a level-batched LP: every (level, seed) row runs as if alone
+    ((0.1, 0.4, 0.7, 0.9), PenaltyConfig(), ica.IcaConfig(), range(1, 21)),
+    # 150 rows: the second block starts inside the third level
+    ((0.2, 0.5, 0.8), PenaltyConfig(), ica.IcaConfig(), range(1, 51)),
+    # each row is charged against its own level's threshold
+    ((0.3, 0.6, 0.9), PenaltyConfig(enforce_threshold=True), ica.IcaConfig(), range(1, 11)),
+    # rows of different levels stop at different iterations
+    ((0.1, 0.5, 0.9), PenaltyConfig(), COLLAPSING, range(1, 11)),
+], ids=["paper", "order-and-duplicates", "two-blocks", "enforce-threshold", "collapse",
+        "paper-levels", "levels-two-blocks", "levels-enforce-threshold", "levels-collapse"])
+def test_each_seed_runs_as_if_alone(levels, penalty_cfg, ica_cfg, seeds):
+    instance = bundled_instance("paper_table1")
+    if isinstance(levels, float):
+        lp = reformulate(instance, ConfidenceLevels(levels, levels))
+        alone_lps = [lp]
+    else:
+        lp = reformulate(instance, [ConfidenceLevels(v, v) for v in levels])
+        alone_lps = [lp[i] for i in range(len(levels))]
     batch = ica.run(lp, penalty_cfg, ica_cfg, seeds)
-    assert [r.seed for r in batch] == list(seeds)
-    for got in batch:
-        [alone] = ica.run(lp, penalty_cfg, ica_cfg, [got.seed])
+    # level by level, each level's reports in the order of seeds
+    assert [r.seed for r in batch] == list(seeds) * len(alone_lps)
+    for i, got in enumerate(batch):
+        [alone] = ica.run(alone_lps[i // len(seeds)], penalty_cfg, ica_cfg, [got.seed])
         assert got.best_position.tobytes() == alone.best_position.tobytes()
         assert got.best_cost == alone.best_cost
         assert got.best_objective == alone.best_objective
@@ -575,3 +593,14 @@ def test_each_seed_runs_as_if_alone(level, penalty_cfg, ica_cfg, seeds):
         lengths = {len(r.history) for r in batch}
         assert len(lengths) > 1 and max(lengths) < 500
         assert all(r.history[-1, 1] == 1 for r in batch)
+
+
+def test_a_level_batched_run_evaluates_one_batch_per_phase_in_all(monkeypatch):
+    batches = []
+    _record(monkeypatch, "penalized_objective_batch", batches, lambda args, _: args[1].shape)
+    lp = reformulate(bundled_instance("paper_table1"), [ConfidenceLevels(v, v) for v in (0.1, 0.4, 0.7, 0.9)])
+    reports = ica.run(lp, seeds=range(1, 21))
+    # 80 rows in one block: one batch for initialization and two per iteration, not per level
+    assert len(reports) == 80 and {len(r.history) for r in reports} == {25}
+    assert len(batches) == 1 + 2 * 25
+    assert batches[0] == (80 * 100, 5)
