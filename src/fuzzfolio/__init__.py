@@ -14,7 +14,6 @@ from .ica import IcaConfig
 from .io import bundled_instance, load_instance, write_instance
 from .model import ConfidenceLevels, necessity_certificate, reformulate
 from .oracle import solve_exact
-from .penalty import PenaltyConfig
 
 __version__ = "0.1.0"
 
@@ -29,5 +28,4 @@ __all__ = [
     "necessity_certificate",
     "reformulate",
     "solve_exact",
-    "PenaltyConfig",
 ]

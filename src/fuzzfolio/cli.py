@@ -15,7 +15,6 @@ from .errors import BudgetInfeasibleError, ValidationError
 from .io import bundled_instance, bundled_names, load_instance
 from .model import ConfidenceLevels, PortfolioInstance, reformulate
 from .oracle import solve_exact
-from .penalty import PenaltyConfig
 from .report import SweepRow, render_csv, render_json, render_table
 
 __all__ = ["main", "BENCHMARK_LEVELS", "PUBLISHED_RESULTS"]
@@ -31,7 +30,7 @@ DEFAULT_INSTANCE = "paper_table1"
 # longest seed list --seeds accepts; checked before the list is built
 MAX_SEEDS = 10_000
 
-# ICA and penalty config fields set by a solve flag
+# IcaConfig fields set by a solve flag
 _FLAGS = {
     "n_countries": "--countries",
     "n_imperialists": "--imperialists",
@@ -104,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--imperialists", type=int, default=ica_defaults.n_imperialists)
     solve.add_argument("--revolution", type=float, default=ica_defaults.revolution_rate)
     solve.add_argument("--epsilon", type=float, default=ica_defaults.epsilon)
-    solve.add_argument("--eq-factor", type=float, default=PenaltyConfig().eq_factor,
+    solve.add_argument("--eq-factor", type=float, default=ica_defaults.eq_factor,
                        help="budget penalty factor for ICA (default: %(default)s)")
     solve.add_argument("--enforce-threshold", action="store_true",
                        help="penalize the return floor inside ICA and fail (exit 4) if it is unsatisfiable")
@@ -199,41 +198,43 @@ def _emit(rows, args, meta) -> None:
         sys.stdout.write(text)
 
 
-def _configs(args) -> tuple[PenaltyConfig, ica.IcaConfig]:
+def _config(args) -> ica.IcaConfig:
     try:
-        return (
-            PenaltyConfig(eq_factor=args.eq_factor, enforce_threshold=args.enforce_threshold),
-            ica.IcaConfig(
-                n_countries=args.countries,
-                n_imperialists=args.imperialists,
-                revolution_rate=args.revolution,
-                max_iterations=args.iters,
-                epsilon=args.epsilon,
-            ),
+        return ica.IcaConfig(
+            n_countries=args.countries,
+            n_imperialists=args.imperialists,
+            revolution_rate=args.revolution,
+            max_iterations=args.iters,
+            epsilon=args.epsilon,
+            eq_factor=args.eq_factor,
+            enforce_threshold=args.enforce_threshold,
         )
     except ValidationError as exc:
         raise ValidationError(f"{_FLAGS.get(exc.field, exc.field)}: {exc}") from None
 
 
-def _checked(instance, levels, n_rows, penalty_cfg, ica_cfg):
+def _checked(instance, levels, n_rows, config):
     """The level-batched LP and its exact optimum.  The first level, in the
     given order, to fail a check raises, as if each level were checked alone
     in turn: its coefficients, threshold and optimal objective, then ica.refuse
-    for the sweep's n_rows rows; so no search runs before a failing level is found."""
+    for the sweep's n_rows rows; so no search runs before a failing level is found.
+    A failure re-checks the first half of the levels, then the second: about 2 log2(L) checks."""
     try:
         lp = reformulate(instance, levels)
         exact = solve_exact(lp)
         if n_rows:
-            ica.refuse(lp, penalty_cfg, ica_cfg, n_rows)
+            ica.refuse(lp, config, n_rows)
     except ValidationError:
-        # a level before the one that raised may fail a later check: check one level at a time
-        for level in levels if len(levels) > 1 else ():
-            _checked(instance, [level], n_rows, penalty_cfg, ica_cfg)
+        # a level fails in a batch exactly when it fails alone, so the first failing half holds the first failing level
+        half = len(levels) // 2
+        if half:
+            _checked(instance, levels[:half], n_rows, config)
+            _checked(instance, levels[half:], n_rows, config)
         raise
     return lp, exact
 
 
-def _sweep(instance, levels, exact_rows, seeds, penalty_cfg, ica_cfg, published=None):
+def _sweep(instance, levels, exact_rows, seeds, config, published=None):
     """The exact row (when exact_rows), then one ICA row per seed in
     ascending order, at every level in the given ascending order, and
     whether the exact optimum clears the return floor at every level.
@@ -241,10 +242,10 @@ def _sweep(instance, levels, exact_rows, seeds, penalty_cfg, ica_cfg, published=
 
     published maps a coupled level to its published objective.
     """
-    lp, exact = _checked(instance, levels, len(levels) * len(seeds), penalty_cfg, ica_cfg)
+    lp, exact = _checked(instance, levels, len(levels) * len(seeds), config)
     rows: list[SweepRow] = []
     seeds = sorted(seeds)
-    reports = ica.run(lp, penalty_cfg, ica_cfg, seeds) if seeds else []
+    reports = ica.run(lp, config, seeds) if seeds else []
     thresholds, optima = lp.threshold.tolist(), exact.objective.tolist()
     budget = (exact.x.sum(axis=1) - lp.total_fund).tolist()
     # a row whose bits (the sign of zero included) equal the previous row's shares its tuple
@@ -262,11 +263,10 @@ def _sweep(instance, levels, exact_rows, seeds, penalty_cfg, ica_cfg, published=
 
 
 def _cmd_solve(args) -> int:
-    penalty_cfg, ica_cfg = _configs(args)
+    config = _config(args)
     instance, source = _resolve_instance(args.instance)
     exact_rows = args.solver == "exact"
-    rows, all_satisfied = _sweep(instance, _levels(args), exact_rows, [] if exact_rows else args.seeds,
-                                 penalty_cfg, ica_cfg)
+    rows, all_satisfied = _sweep(instance, _levels(args), exact_rows, [] if exact_rows else args.seeds, config)
     _emit(rows, args, {"instance": source, "solver": args.solver})
     if args.enforce_threshold and not all_satisfied:
         print("error: return threshold unsatisfiable at one or more levels", file=sys.stderr)
@@ -277,7 +277,7 @@ def _cmd_solve(args) -> int:
 def _cmd_reproduce(args) -> int:
     # the published parameter set is the default config
     rows, _ = _sweep(bundled_instance(DEFAULT_INSTANCE), [ConfidenceLevels(v, v) for v in BENCHMARK_LEVELS],
-                     True, args.seeds, PenaltyConfig(), ica.IcaConfig(), PUBLISHED_RESULTS)
+                     True, args.seeds, ica.IcaConfig(), PUBLISHED_RESULTS)
     _emit(rows, args, {"instance": f"bundled:{DEFAULT_INSTANCE}", "solver": "exact+ica"})
     return 0
 

@@ -24,6 +24,7 @@ Costs are minimized (cost = -penalized objective): lower is stronger.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import DeterministicLP, objective
-from .penalty import PenaltyConfig, penalized_objective_batch, penalized_objective_bound, repair
+from .penalty import penalized_objective_batch, penalized_objective_bound, repair
 
 __all__ = ["IcaConfig", "RunReport", "initialize", "form_empires", "draw", "assimilate", "revolve", "exchange",
            "compete", "refuse", "run"]
@@ -54,9 +55,19 @@ class IcaConfig:
     revolution_rate: float = 0.2
     max_iterations: int = 25
     epsilon: float = 0.05
+    # the budget penalty factor F and whether the return floor is charged too (at
+    # penalty.INEQ_FACTOR); both charges are quadratic and deliberately mild: the answer
+    # is budget-repaired anyway, and a heavy equality penalty makes cost differences
+    # reflect budget noise instead of allocation quality, which measurably stalls the
+    # search.  F caps its budget drift near max(c) / (2F), about 1% of the worked example's budget.
+    eq_factor: float = 0.5
+    enforce_threshold: bool = False
 
     def __post_init__(self):
         rules = (
+            ("eq_factor", math.isfinite(self.eq_factor) and self.eq_factor > 0, "must be finite and positive"),
+            *((name, isinstance(getattr(self, name), numbers.Integral) and not isinstance(getattr(self, name), bool),
+               "must be an integer") for name in ("n_countries", "n_imperialists", "max_iterations")),
             ("n_imperialists", self.n_imperialists >= 1, "must be at least 1"),
             ("n_countries", self.n_countries > self.n_imperialists,
              f"must exceed n_imperialists ({self.n_imperialists})"),
@@ -235,22 +246,21 @@ def compete(costs, owner, imperialist, alive, roulette: np.ndarray, config: IcaC
     alive[rows[fall], weakest[fall]] = False
 
 
-def refuse(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConfig, n_rows: int) -> None:
+def refuse(lp: DeterministicLP, config: IcaConfig, n_rows: int) -> None:
     """Raise the ValidationError ``run`` would raise for n_rows (level, seed)
     rows at lp, one level or L, in this order: a row block whose draw buffer
     would exceed MAX_DRAW_BYTES, and a level's box in which a cost could overflow."""
-    size = 8 * min(n_rows, ROW_BLOCK) * (1 + ica_cfg.n_countries * (2 * lp.n + 1))
+    size = 8 * min(n_rows, ROW_BLOCK) * (1 + config.n_countries * (2 * lp.n + 1))
     if size > MAX_DRAW_BYTES:
-        raise ValidationError(f"n_countries: {ica_cfg.n_countries} countries of {lp.n} assets need a "
+        raise ValidationError(f"n_countries: {config.n_countries} countries of {lp.n} assets need a "
                               f"{size / 2**30:.1f} GiB draw buffer, above the {MAX_DRAW_BYTES / 2**30:.0f} GiB limit")
     # power shares and empire powers sum up to n_countries costs or cost
     # differences, each at most twice the largest cost in magnitude
-    if not math.isfinite(4.0 * ica_cfg.n_countries * penalized_objective_bound(lp, penalty_cfg)):
+    if not math.isfinite(4.0 * config.n_countries * penalized_objective_bound(lp, config)):
         raise ValidationError("the penalized objective overflows inside the box; rescale the instance for the ICA solver")
 
 
-def run(lp: DeterministicLP, penalty_cfg: PenaltyConfig = PenaltyConfig(), ica_cfg: IcaConfig = IcaConfig(),
-        seeds: Sequence[int] = (0,)) -> list[RunReport]:
+def run(lp: DeterministicLP, config: IcaConfig = IcaConfig(), seeds: Sequence[int] = (0,)) -> list[RunReport]:
     """One search per (level, seed) row of lp, one level or L; the reports
     come level by level, each in the order of ``seeds``, duplicates included.
 
@@ -265,22 +275,22 @@ def run(lp: DeterministicLP, penalty_cfg: PenaltyConfig = PenaltyConfig(), ica_c
         lp = DeterministicLP(lp.coefficients[None], lp.total_fund, lp.upper_bounds,
                              np.array([lp.threshold]), (lp.levels,))
     rows = np.arange(len(lp.coefficients) * len(seeds))
-    refuse(lp, penalty_cfg, ica_cfg, rows.size)
+    refuse(lp, config, rows.size)
     return [report for start in range(0, rows.size, ROW_BLOCK)
-            for report in _run_block(lp, penalty_cfg, ica_cfg, seeds, rows[start:start + ROW_BLOCK])]
+            for report in _run_block(lp, config, seeds, rows[start:start + ROW_BLOCK])]
 
 
-def _run_block(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConfig, seeds, block) -> list[RunReport]:
+def _run_block(lp: DeterministicLP, config: IcaConfig, seeds, block) -> list[RunReport]:
     level, seed_index = np.divmod(block, len(seeds))  # run row r: level r // S at seed seeds[r % S]
     block_seeds = [seeds[i] for i in seed_index.tolist()]
     rngs = [np.random.default_rng(seed) for seed in block_seeds]
     coefficients, thresholds = lp.coefficients[level], lp.threshold[level]
     bounds = lp.upper_bounds
-    s, m, n = len(block), ica_cfg.n_countries, lp.n
+    s, m, n = len(block), config.n_countries, lp.n
     rows = np.arange(s)
     best_cost = np.full(s, np.inf)
     best_position = np.zeros((s, n))
-    positions = initialize(ica_cfg, bounds, rngs)
+    positions = initialize(config, bounds, rngs)
     costs = np.empty((s, m))
 
     def tracked(moved: np.ndarray) -> None:
@@ -292,29 +302,29 @@ def _run_block(lp: DeterministicLP, penalty_cfg: PenaltyConfig, ica_cfg: IcaConf
         x = np.take(positions.reshape(s * m, n), index, axis=0)
         row = index // m
         batch = DeterministicLP(coefficients[row], lp.total_fund, bounds, thresholds[row], lp.levels)
-        np.put(costs, index, -penalized_objective_batch(batch, x, penalty_cfg))
+        np.put(costs, index, -penalized_objective_batch(batch, x, config))
         i = costs.argmin(axis=1)
         better = costs[rows, i] < best_cost
         best_cost[better] = costs[rows, i][better]
         best_position[better] = positions[rows[better], i[better]]
 
     tracked(np.ones((s, m), dtype=bool))
-    owner, imperialist = form_empires(costs, ica_cfg, rngs)
+    owner, imperialist = form_empires(costs, config, rngs)
     alive = np.ones(imperialist.shape, dtype=bool)
     active = np.ones(s, dtype=bool)
     # every row's best cost and empire count after each iteration, and the iterations it ran
     history, lengths = [], np.zeros(s, dtype=int)
-    for iteration in range(1, ica_cfg.max_iterations + 1):
+    for iteration in range(1, config.max_iterations + 1):
         roulette, steps, trials, fresh = draw(rngs, active, m, n)
         rulers = _rulers(owner, imperialist)
         moving = (rulers != np.arange(m)) & active[:, None]
         assimilate(positions, rulers, moving, steps, bounds)
         tracked(moving)
-        revolting = moving & (trials < ica_cfg.revolution_rate)
+        revolting = moving & (trials < config.revolution_rate)
         revolve(positions, revolting, fresh, bounds)
         tracked(revolting)
         exchange(costs, owner, imperialist)
-        compete(costs, owner, imperialist, alive, roulette, ica_cfg)
+        compete(costs, owner, imperialist, alive, roulette, config)
         exchange(costs, owner, imperialist)
         n_empires = alive.sum(axis=1)
         history.append(np.stack([best_cost, n_empires], axis=1))

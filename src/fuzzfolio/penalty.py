@@ -3,48 +3,28 @@
 Box bounds are not penalized; the optimizer clamps positions instead.
 The return-threshold constraint can be genuinely unsatisfiable at high
 confidence levels, so by default it is reported post hoc rather than
-penalized; ``enforce_threshold`` restores the fully penalized form.
+penalized; the ``IcaConfig`` field ``enforce_threshold`` restores the
+fully penalized form.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ValidationError
 from .model import DeterministicLP
 
-__all__ = ["PenaltyConfig", "penalized_objective_batch", "penalized_objective_bound", "repair"]
+if TYPE_CHECKING:  # for annotations only: ica imports this module at load time
+    from .ica import IcaConfig
+
+__all__ = ["penalized_objective_batch", "penalized_objective_bound", "repair"]
 
 # factor of the quadratic return-floor charge under enforce_threshold
 INEQ_FACTOR = 0.5
 
 
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """The budget penalty factor, and whether the return floor is charged too
-    (at INEQ_FACTOR); both charges are quadratic.
-
-    The factors are deliberately mild: the final answer is budget-repaired
-    anyway, and a heavy equality penalty makes cost differences reflect
-    budget noise instead of allocation quality, which measurably stalls
-    the population search.  A quadratic factor F caps the search's budget
-    drift near max(c) / (2F), about 1% of the worked example's budget.
-    """
-
-    eq_factor: float = 0.5
-    enforce_threshold: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.eq_factor) and self.eq_factor > 0):
-            raise ValidationError(
-                f"eq_factor must be finite and positive, got {self.eq_factor}", field="eq_factor"
-            )
-
-
-def penalized_objective_batch(lp: DeterministicLP, x: np.ndarray, cfg: PenaltyConfig = PenaltyConfig()) -> np.ndarray:
+def penalized_objective_batch(lp: DeterministicLP, x: np.ndarray, config: IcaConfig) -> np.ndarray:
     """c . x minus the penalty charges, for one allocation (n,) or a batch (k, n); a batch
     may carry one coefficient row (k, n) and one threshold (k,) per allocation."""
     x = np.asarray(x, dtype=float)
@@ -52,20 +32,20 @@ def penalized_objective_batch(lp: DeterministicLP, x: np.ndarray, cfg: PenaltyCo
     # row by its place in it, and ** 2.0 calls pow on a single allocation's scalar
     value = (x * lp.coefficients).sum(axis=-1)
     drift = x.sum(axis=-1) - lp.total_fund
-    penalty = cfg.eq_factor * (drift * drift)
-    if cfg.enforce_threshold:
+    penalty = config.eq_factor * (drift * drift)
+    if config.enforce_threshold:
         shortfall = np.maximum(0.0, lp.threshold - value)
         penalty = penalty + INEQ_FACTOR * (shortfall * shortfall)
     return value - penalty
 
 
-def penalized_objective_bound(lp: DeterministicLP, cfg: PenaltyConfig = PenaltyConfig()) -> float:
+def penalized_objective_bound(lp: DeterministicLP, config: IcaConfig) -> float:
     """Upper bound on |penalized objective| over the box at any of lp's levels; inf when it overflows."""
     with np.errstate(over="ignore"):
         value = np.abs(lp.coefficients) @ lp.upper_bounds
         drift = max(lp.total_fund, float(lp.upper_bounds.sum()) - lp.total_fund)
-        bound = value + cfg.eq_factor * drift * drift
-        if cfg.enforce_threshold:
+        bound = value + config.eq_factor * drift * drift
+        if config.enforce_threshold:
             shortfall = np.abs(lp.threshold) + value
             bound = bound + INEQ_FACTOR * shortfall * shortfall
     return float(np.max(bound))

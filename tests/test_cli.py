@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fuzzfolio import ica
+from fuzzfolio import cli, ica
 from fuzzfolio.cli import MAX_SEEDS, _parse_seeds, main
 from fuzzfolio.errors import BudgetInfeasibleError, ValidationError
 from fuzzfolio.fuzzy import FuzzyRandomReturn, RandomFactor
@@ -425,6 +425,31 @@ def test_a_failing_later_level_runs_no_search_on_the_earlier_ones(tmp_path, caps
     assert initialized == []
 
 
+def test_a_failing_sweep_rechecks_its_levels_by_halves(tmp_path, capsys, monkeypatch):
+    # 4000 passing levels and lambda = 0.99, which fails in reformulate: the
+    # re-check bisects instead of reformulating each level alone
+    data = json.loads(PAPER_JSON)
+    data["assets"][2]["r2"] = 1e308
+    data["total_fund"] = 1e-4
+    data["upper_bounds"] = [1e-4] * 5
+    src = tmp_path / "inst.json"
+    src.write_text(json.dumps(data))
+    code, _, alone = run_cli(["solve", "--instance", str(src), "--levels", "0.99"], capsys)
+    assert code == 2
+    calls = []
+    reformulate = cli.reformulate
+
+    def counted_reformulate(instance, levels):
+        calls.append(len(levels))
+        return reformulate(instance, levels)
+
+    monkeypatch.setattr(cli, "reformulate", counted_reformulate)
+    levels = ",".join(map(repr, [*np.linspace(0.06, 0.94, 4000).tolist(), 0.99]))
+    code, out, err = run_cli(["solve", "--instance", str(src), "--levels", levels], capsys)
+    assert (code, out, err) == (2, "", alone)
+    assert calls[0] == 4001 and len(calls) <= 1 + 2 * math.ceil(math.log2(4001))
+
+
 # ICA's refusals are checked at every level before any search: at a fund
 # of 5 the penalty bound overflows at lambda = 0.99 alone; at 1e-4 the
 # draw buffer is refused at lambda = 0.5, before reformulate fails at 0.99
@@ -559,6 +584,8 @@ def test_a_level_checked_alone_sizes_the_draw_buffer_for_the_whole_sweep(tmp_pat
     (["--eq-factor", "inf"], "--eq-factor"),
     # refused before the 328 GiB draw buffer of 4 levels x 1 seed is allocated
     (["--countries", "1000000000"], "n_countries"),
+    # the eq_factor rule is checked before every other config rule
+    (["--eq-factor", "0", "--countries", "1"], "--eq-factor"),
 ])
 def test_invalid_ica_flag_exits_2_with_one_line(flags, named, capsys):
     assert_one_line_error(*run_cli(["solve", "--solver", "ica", *flags], capsys), named)

@@ -16,7 +16,7 @@ from fuzzfolio.errors import ValidationError
 from fuzzfolio.io import bundled_instance
 from fuzzfolio.model import ConfidenceLevels, reformulate, residuals
 from fuzzfolio.oracle import solve_exact
-from fuzzfolio.penalty import PenaltyConfig, penalized_objective_batch
+from fuzzfolio.penalty import penalized_objective_batch
 from referees import mask_exchange
 
 U5 = np.full(5, 60.0)
@@ -65,12 +65,23 @@ def test_config_validation():
     ({"epsilon": float("nan")}, "epsilon"),
     ({"epsilon": 0.1}, "epsilon"),
     ({"max_iterations": -1}, "max_iterations"),
+    # counts must be integers, not floats or bools
+    ({"max_iterations": 2.5}, "max_iterations"),
+    ({"n_countries": 20.0}, "n_countries"),
+    ({"n_imperialists": 2.0}, "n_imperialists"),
+    ({"max_iterations": True}, "max_iterations"),
+    ({"n_countries": np.float64(20.0)}, "n_countries"),
 ])
 def test_config_errors_name_the_field(kwargs, field):
     with pytest.raises(ValidationError) as err:
         ica.IcaConfig(**kwargs)
     assert err.value.field == field
     assert field in str(err.value)
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = ica.IcaConfig(n_countries=np.int64(20), n_imperialists=np.int32(2), max_iterations=np.int64(3))
+    assert cfg.n_countries == 20
 
 
 def test_paper_parameter_defaults():
@@ -81,7 +92,8 @@ def test_paper_parameter_defaults():
     assert 0.0 < cfg.epsilon < 0.1
     # the seed is an argument of run, not a config field
     assert [f.name for f in dataclasses.fields(cfg)] == [
-        "n_countries", "n_imperialists", "revolution_rate", "max_iterations", "epsilon"]
+        "n_countries", "n_imperialists", "revolution_rate", "max_iterations", "epsilon",
+        "eq_factor", "enforce_threshold"]
 
 
 # --- initialize --------------------------------------------------------------
@@ -438,7 +450,7 @@ def test_run_refuses_a_huge_draw_buffer_before_allocating(lp01):
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError, match=r"^n_countries: 4000000 countries of 5 assets need a 32\.8 GiB "):
-            ica.run(lp01, ica_cfg=ica.IcaConfig(n_countries=4 * 10**6), seeds=range(100))
+            ica.run(lp01, config=ica.IcaConfig(n_countries=4 * 10**6), seeds=range(100))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -461,9 +473,9 @@ def test_run_refuses_before_any_block(lp01, monkeypatch):
 
 
 def test_run_zero_iterations_returns_initial_best(lp01):
-    [report] = ica.run(lp01, ica_cfg=ica.IcaConfig(max_iterations=0), seeds=[42])
+    [report] = ica.run(lp01, config=ica.IcaConfig(max_iterations=0), seeds=[42])
     positions = ica.initialize(ica.IcaConfig(), lp01.upper_bounds, [np.random.default_rng(42)])
-    assert report.best_cost == -penalized_objective_batch(lp01, positions[0], PenaltyConfig()).max()
+    assert report.best_cost == -penalized_objective_batch(lp01, positions[0], ica.IcaConfig()).max()
     assert report.history.shape == (0, 2)
 
 
@@ -513,7 +525,7 @@ def test_run_evaluates_one_batch_per_phase(lp01, monkeypatch):
 def test_run_evaluates_no_empty_batch(lp01, monkeypatch):
     batches = []
     _record(monkeypatch, "penalized_objective_batch", batches, lambda args, _: args[1].shape)
-    reports = ica.run(lp01, ica_cfg=ica.IcaConfig(revolution_rate=0.0), seeds=[1, 2])
+    reports = ica.run(lp01, config=ica.IcaConfig(revolution_rate=0.0), seeds=[1, 2])
     # no country revolts, so each iteration evaluates the assimilation batch alone
     iterations = max(len(r.history) for r in reports)
     assert len(batches) == 1 + iterations
@@ -530,7 +542,7 @@ def test_run_trace_monotone_and_conserving(lp01):
 
 
 def test_run_collapses_to_one_empire_and_stops(lp01):
-    [report] = ica.run(lp01, ica_cfg=ica.IcaConfig(n_countries=12, n_imperialists=4, max_iterations=500),
+    [report] = ica.run(lp01, config=ica.IcaConfig(n_countries=12, n_imperialists=4, max_iterations=500),
                        seeds=[2])
     n_empires = report.history[:, 1]
     assert n_empires[-1] == 1
@@ -554,25 +566,25 @@ COLLAPSING = ica.IcaConfig(n_countries=12, n_imperialists=4, max_iterations=500)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("levels, penalty_cfg, ica_cfg, seeds", [
-    (0.1, PenaltyConfig(), ica.IcaConfig(), range(1, 21)),
-    (0.4, PenaltyConfig(), ica.IcaConfig(), [5, 1, 3, 1]),
+@pytest.mark.parametrize("levels, config, seeds", [
+    (0.1, ica.IcaConfig(), range(1, 21)),
+    (0.4, ica.IcaConfig(), [5, 1, 3, 1]),
     # more seeds than one block holds
-    (0.9, PenaltyConfig(), ica.IcaConfig(), range(1, 131)),
-    (0.7, PenaltyConfig(enforce_threshold=True), ica.IcaConfig(), range(1, 11)),
+    (0.9, ica.IcaConfig(), range(1, 131)),
+    (0.7, ica.IcaConfig(enforce_threshold=True), range(1, 11)),
     # seeds collapse to one empire at different iterations
-    (0.3, PenaltyConfig(), COLLAPSING, range(1, 21)),
+    (0.3, COLLAPSING, range(1, 21)),
     # a level-batched LP: every (level, seed) row runs as if alone
-    ((0.1, 0.4, 0.7, 0.9), PenaltyConfig(), ica.IcaConfig(), range(1, 21)),
+    ((0.1, 0.4, 0.7, 0.9), ica.IcaConfig(), range(1, 21)),
     # 150 rows: the second block starts inside the third level
-    ((0.2, 0.5, 0.8), PenaltyConfig(), ica.IcaConfig(), range(1, 51)),
+    ((0.2, 0.5, 0.8), ica.IcaConfig(), range(1, 51)),
     # each row is charged against its own level's threshold
-    ((0.3, 0.6, 0.9), PenaltyConfig(enforce_threshold=True), ica.IcaConfig(), range(1, 11)),
+    ((0.3, 0.6, 0.9), ica.IcaConfig(enforce_threshold=True), range(1, 11)),
     # rows of different levels stop at different iterations
-    ((0.1, 0.5, 0.9), PenaltyConfig(), COLLAPSING, range(1, 11)),
+    ((0.1, 0.5, 0.9), COLLAPSING, range(1, 11)),
 ], ids=["paper", "order-and-duplicates", "two-blocks", "enforce-threshold", "collapse",
         "paper-levels", "levels-two-blocks", "levels-enforce-threshold", "levels-collapse"])
-def test_each_seed_runs_as_if_alone(levels, penalty_cfg, ica_cfg, seeds):
+def test_each_seed_runs_as_if_alone(levels, config, seeds):
     instance = bundled_instance("paper_table1")
     if isinstance(levels, float):
         lp = reformulate(instance, ConfidenceLevels(levels, levels))
@@ -580,16 +592,16 @@ def test_each_seed_runs_as_if_alone(levels, penalty_cfg, ica_cfg, seeds):
     else:
         lp = reformulate(instance, [ConfidenceLevels(v, v) for v in levels])
         alone_lps = [lp[i] for i in range(len(levels))]
-    batch = ica.run(lp, penalty_cfg, ica_cfg, seeds)
+    batch = ica.run(lp, config, seeds)
     # level by level, each level's reports in the order of seeds
     assert [r.seed for r in batch] == list(seeds) * len(alone_lps)
     for i, got in enumerate(batch):
-        [alone] = ica.run(alone_lps[i // len(seeds)], penalty_cfg, ica_cfg, [got.seed])
+        [alone] = ica.run(alone_lps[i // len(seeds)], config, [got.seed])
         assert got.best_position.tobytes() == alone.best_position.tobytes()
         assert got.best_cost == alone.best_cost
         assert got.best_objective == alone.best_objective
         assert got.history.tobytes() == alone.history.tobytes()
-    if ica_cfg is COLLAPSING:
+    if config is COLLAPSING:
         lengths = {len(r.history) for r in batch}
         assert len(lengths) > 1 and max(lengths) < 500
         assert all(r.history[-1, 1] == 1 for r in batch)

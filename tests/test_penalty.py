@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fuzzfolio.errors import ValidationError
+from fuzzfolio.ica import IcaConfig
 from fuzzfolio.model import ConfidenceLevels, DeterministicLP, objective
 from fuzzfolio.penalty import (
     INEQ_FACTOR,
-    PenaltyConfig,
     penalized_objective_batch,
     penalized_objective_bound,
     repair,
@@ -26,7 +26,7 @@ def make_lp(c, m0, u, threshold=0.0):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PenaltyConfig(eq_factor=0.0)
+        IcaConfig(eq_factor=0.0)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -36,43 +36,43 @@ def test_config_validation():
 ])
 def test_config_errors_name_the_field(field, value):
     with pytest.raises(ValidationError) as err:
-        PenaltyConfig(**{field: value})
+        IcaConfig(**{field: value})
     assert err.value.field == field
     assert str(err.value).startswith(f"{field} must be")
 
 
 def test_feasible_point_pays_nothing():
     lp = make_lp([2.0, 1.0], 10.0, [8.0, 8.0], threshold=5.0)
-    cfg = PenaltyConfig(enforce_threshold=True)
+    cfg = IcaConfig(enforce_threshold=True)
     x = [6.0, 4.0]
     assert penalized_objective_batch(lp, x, cfg) == objective(lp, x)
 
 
 def test_budget_violation_charge():
     lp = make_lp([2.0, 1.0], 10.0, [8.0, 8.0], threshold=-100.0)
-    cfg = PenaltyConfig(eq_factor=1000.0, enforce_threshold=False)
+    cfg = IcaConfig(eq_factor=1000.0, enforce_threshold=False)
     x = [7.0, 4.0]  # budget off by exactly 1
     assert penalized_objective_batch(lp, x, cfg) == pytest.approx(objective(lp, x) - 1000.0)
 
 
 def test_zero_allocation_charge():
     lp = make_lp([2.0] * 5, 200.0, [60.0] * 5)
-    cfg = PenaltyConfig(eq_factor=1000.0, enforce_threshold=False)
+    cfg = IcaConfig(eq_factor=1000.0, enforce_threshold=False)
     assert penalized_objective_batch(lp, np.zeros(5), cfg) == pytest.approx(-4e7)
 
 
 def test_threshold_charge_only_when_enforced():
     lp = make_lp([1.0, 1.0], 10.0, [8.0, 8.0], threshold=50.0)
     x = [6.0, 4.0]  # objective 10, shortfall 40
-    off = penalized_objective_batch(lp, x, PenaltyConfig(enforce_threshold=False))
+    off = penalized_objective_batch(lp, x, IcaConfig(enforce_threshold=False))
     assert off == pytest.approx(10.0)
-    on = penalized_objective_batch(lp, x, PenaltyConfig(enforce_threshold=True))
+    on = penalized_objective_batch(lp, x, IcaConfig(enforce_threshold=True))
     assert on == pytest.approx(10.0 - INEQ_FACTOR * 40.0**2)
 
 
 def test_batch_matches_scalar():
     lp = make_lp([2.0, 1.0, 0.5], 10.0, [8.0, 8.0, 8.0], threshold=9.0)
-    cfg = PenaltyConfig(eq_factor=3.0, enforce_threshold=True)
+    cfg = IcaConfig(eq_factor=3.0, enforce_threshold=True)
     xs = np.random.default_rng(0).uniform(0, 8, size=(20, 3))
     batch = penalized_objective_batch(lp, xs, cfg)
     for row, got in zip(xs, batch):
@@ -85,7 +85,7 @@ def test_batch_rows_do_not_depend_on_the_batch(n):
     # batch, and in any slice of a larger batch
     rng = np.random.default_rng(n)
     lp = make_lp(rng.normal(1.0, 0.5, size=n), 100.0, np.full(n, 60.0), threshold=40.0 * n)
-    cfg = PenaltyConfig(enforce_threshold=True)
+    cfg = IcaConfig(enforce_threshold=True)
     xs = rng.uniform(0.0, 60.0, size=(300, n))
     batch = penalized_objective_batch(lp, xs, cfg)
     for i, row in enumerate(xs):
@@ -101,10 +101,10 @@ def test_bound_covers_the_box_and_overflows_to_inf():
     corners = np.array(list(itertools.product((0.0, 8.0), repeat=3)))
     xs = np.vstack([corners, np.random.default_rng(1).uniform(0, 8, size=(200, 3))])
     for enforce in (False, True):
-        cfg = PenaltyConfig(eq_factor=3.0, enforce_threshold=enforce)
+        cfg = IcaConfig(eq_factor=3.0, enforce_threshold=enforce)
         assert np.abs(penalized_objective_batch(lp, xs, cfg)).max() <= penalized_objective_bound(lp, cfg)
     huge = make_lp([1.0, 1.0], 1e200, [1e200, 1e200])
-    assert penalized_objective_bound(huge) == math.inf
+    assert penalized_objective_bound(huge, IcaConfig()) == math.inf
 
 
 def test_penalty_dominance_via_doubling():
@@ -122,7 +122,7 @@ def test_penalty_dominance_via_doubling():
             continue
         factor = 1e-6
         for _ in range(80):
-            cfg = PenaltyConfig(eq_factor=factor)
+            cfg = IcaConfig(eq_factor=factor)
             if penalized_objective_batch(lp, y, cfg) > penalized_objective_batch(lp, x, cfg):
                 break
             factor *= 2

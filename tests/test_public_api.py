@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import fuzzfolio
+
 MODULES = ("cli", "fuzzy", "ica", "io", "model", "oracle", "penalty", "report")
 
 
@@ -28,3 +30,9 @@ def test_all_names_exist(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
 
+
+
+def test_top_level_names():
+    assert sorted(fuzzfolio.__all__) == [
+        "BudgetInfeasibleError", "ConfidenceLevels", "IcaConfig", "ValidationError", "bundled_instance",
+        "load_instance", "necessity_certificate", "reformulate", "solve_exact", "write_instance"]
