@@ -269,8 +269,12 @@ def run(lp: DeterministicLP, config: IcaConfig = IcaConfig(), seeds: Sequence[in
     is tracked across every cost evaluation, so positions visited and then
     lost to revolution still count.  The returned allocation is the
     repaired best, one repair call per block.  Before it starts any block,
-    run makes the refusals of ``refuse``.
+    run rejects seeds other than a sequence of non-negative integers, then
+    makes the refusals of ``refuse``.
     """
+    if not (isinstance(seeds, Sequence) and all(
+            isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0 for s in seeds)):
+        raise ValidationError(f"seeds must be a sequence of non-negative integers, got {seeds!r:.60}", field="seeds")
     if lp.coefficients.ndim == 1:  # one level is the L = 1 case
         lp = DeterministicLP(lp.coefficients[None], lp.total_fund, lp.upper_bounds,
                              np.array([lp.threshold]), (lp.levels,))

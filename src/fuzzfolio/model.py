@@ -20,6 +20,7 @@ L = 1 case of the same arithmetic, returned without the level axis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -75,9 +76,10 @@ class ConfidenceLevels:
     eta: float
 
     def __post_init__(self):
-        for name, field_name, v in (("lambda", "lam", self.lam), ("eta", "eta", self.eta)):
-            if not 0.0 < v < 1.0:
-                raise ValidationError(f"{name} must lie strictly in (0, 1), got {v}", field=field_name)
+        if not 0.0 < self.lam < 1.0:
+            raise ValidationError(f"lambda must lie strictly in (0, 1), got {self.lam}", field="lam")
+        if not 0.0 < self.eta < 1.0:
+            raise ValidationError(f"eta must lie strictly in (0, 1), got {self.eta}", field="eta")
         # reformulate takes the normal quantile at 1 - lambda, which must stay below 1
         if 1.0 - self.lam == 1.0:
             raise ValidationError(f"lambda {self.lam} is too close to 0: 1 - lambda rounds to 1", field="lam")
@@ -205,8 +207,8 @@ def necessity_certificate(
     The tested scalar is f = c . x - margin.  The caller is responsible
     for x being budget- and box-feasible.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral) or n_samples < 1:
+        raise ValidationError(f"n_samples must be a positive integer, got {n_samples!r}", field="n_samples")
     rng = np.random.default_rng(rng)
     lp = reformulate(instance, levels)
     crisp_value = objective(lp, x)

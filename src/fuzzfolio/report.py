@@ -11,6 +11,7 @@ import csv
 import io
 import itertools
 import json
+import operator
 import statistics
 from typing import NamedTuple
 
@@ -52,13 +53,13 @@ def _fmt(value) -> str:
 
 def _memo_allocation(spec: str, sep: str):
     """Formats a run of rows sharing one allocation tuple, as the sweep builds
-    them, once.  Each distinct tuple is formatted from its own floats, so
-    (0.0,) and (-0.0,), which compare equal, print 0 and -0."""
+    them, once, with one ``%`` operation.  Each distinct tuple is formatted
+    from its own floats, so (0.0,) and (-0.0,), which compare equal, print 0 and -0."""
     last = [None, ""]  # the previous allocation and its text
 
     def text(allocation: tuple[float, ...]) -> str:
         if allocation is not last[0]:
-            last[:] = allocation, sep.join(format(v, spec) for v in allocation)
+            last[:] = allocation, sep.join([spec] * len(allocation)) % allocation
         return last[1]
 
     return text
@@ -68,7 +69,7 @@ def render_csv(rows: list[SweepRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    allocation = _memo_allocation(".12g", ";")
+    allocation = _memo_allocation("%.12g", ";")
     for row in rows:
         # allocation is the last column
         writer.writerow([*map(_fmt, row[:-1]), allocation(row.allocation)])
@@ -81,23 +82,32 @@ def render_json(rows: list[SweepRow], meta: dict) -> str:
     return json.dumps({**meta, "rows": records}, indent=2) + "\n"
 
 
+_HEADER = "lambda=%.12g eta=%.12g"
+_EXACT = "  exact   objective %10.6g  threshold %.6g  satisfied %s  x = [%s]"
+_HEADER_EXACT = _HEADER + "\n" + _EXACT
+_LEVEL = operator.itemgetter(0, 1)  # (lam, eta)
+
+
 def render_table(rows: list[SweepRow]) -> str:
     """Per-level summary: the exact row as is, ICA seeds aggregated.  The
-    rows come in sweep order, so each level's rows are consecutive."""
-    allocation = _memo_allocation(".6g", ", ")
+    rows come in sweep order, so each level's rows are consecutive.  The
+    level's header rides on its first exact line: one format for both."""
+    allocation = _memo_allocation("%.6g", ", ")
     lines = []
-    for (lam, eta), group in itertools.groupby(rows, lambda r: (r.lam, r.eta)):
-        lines.append(f"lambda={lam:.12g} eta={eta:.12g}")
-        group = list(group)
-        exact = [r for r in group if r.solver == "exact"]
-        ica = [r for r in group if r.solver == "ica"]
-        for r in exact:
-            lines.append(
-                f"  exact   objective {r.objective:>10.6g}  threshold {r.threshold:.6g}"
-                f"  satisfied {'true' if r.threshold_ok else 'false'}  x = [{allocation(r.allocation)}]"
-            )
-            if r.published_objective is not None:
-                lines.append(f"          published {r.published_objective:>10.6g}  deviation {r.published_gap:.3%}")
+    for level, group in itertools.groupby(rows, _LEVEL):
+        # the header's (lam, eta) until the level's first exact line carries it
+        exact, head, ica = _HEADER_EXACT, level, []
+        for r in group:
+            if r.solver == "ica":
+                ica.append(r)
+            elif r.solver == "exact":
+                ok = "true" if r.threshold_ok else "false"
+                lines.append(exact % (*head, r.objective, r.threshold, ok, allocation(r.allocation)))
+                exact, head = _EXACT, ()
+                if r.published_objective is not None:
+                    lines.append(f"          published {r.published_objective:>10.6g}  deviation {r.published_gap:.3%}")
+        if head:  # no exact row: the header stands alone
+            lines.append(_HEADER % head)
         if ica:
             objs = [r.objective for r in ica]
             best = max(ica, key=lambda r: r.objective)

@@ -2,7 +2,8 @@
 
 The grid necessity measure checks the closed form of the reformulation,
 the lattice brute force checks the greedy exact solver, and the scalar
-loops and masks check the array paths that replaced them.
+loops and masks check the array paths that replaced them, and the
+per-entry formatter the renderers' one-operation allocation text.
 """
 
 import itertools
@@ -127,6 +128,12 @@ def scalar_normal_quantile(p: float, factor: RandomFactor = RandomFactor()) -> f
     """The factor's normal quantile at one p: normal_quantile must return
     these bits at every entry."""
     return factor.mean + factor.std_dev * scalar_standard_quantile(p)
+
+
+def format_allocation(allocation, spec: str, sep: str) -> str:
+    """An allocation's text one entry at a time through ``format``: the table
+    (".6g", ", ") and the CSV (".12g", ";") must write these characters."""
+    return sep.join(format(v, spec) for v in allocation)
 
 
 def scalar_repair(x, m0: float, upper) -> np.ndarray:

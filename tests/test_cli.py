@@ -22,6 +22,7 @@ from fuzzfolio.fuzzy import FuzzyRandomReturn, RandomFactor
 from fuzzfolio.io import bundled_instance, bundled_names, load_instance, loads_instance, write_instance
 from fuzzfolio.model import PortfolioInstance
 from fuzzfolio.report import CSV_COLUMNS, SweepRow, render_csv, render_table
+from referees import format_allocation
 
 
 def run_cli(args, capsys):
@@ -508,6 +509,32 @@ def test_table_keeps_the_sign_of_zero():
     table = [line.split("x = ")[1] for line in render_table(rows).splitlines() if "x = " in line]
     assert table == ["[0, 2]", "[0, 2]", "[-0, 2]", "[0, 2]"]
     assert [r["allocation"] for r in parse_csv(render_csv(rows))] == ["0;2", "0;2", "-0;2", "0;2"]
+
+
+# zeros, subnormals, and each side of where .6g and .12g switch to exponent form
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]
+for _base in (1e-5, 1e-4, 1e6, 1e12, 1e16):
+    _EDGE_FLOATS += [_base, -_base, math.nextafter(_base, 0.0), math.nextafter(_base, math.inf),
+                     _base * (1 - 5e-7), _base * (1 - 5e-13)]
+_floats = st.sampled_from(_EDGE_FLOATS) | st.floats()
+
+
+@given(st.lists(st.tuples(st.lists(_floats, max_size=6).map(tuple), _floats, _floats, st.booleans(),
+                          st.integers(1, 3)), max_size=8))
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+def test_table_and_csv_format_each_entry_as_the_referee(runs):
+    rows, table, cells = [], [], []
+    for allocation, objective, threshold, ok, repeat in runs:
+        for _ in range(repeat):  # a run of rows shares one tuple, as the sweep builds them
+            lam = (len(rows) + 1) / 64
+            rows.append(SweepRow(lam, lam, "exact", None, "optimal", objective, objective, 0.0, threshold, ok,
+                                 0.0, None, None, allocation))
+            table += [f"lambda={lam:.12g} eta={lam:.12g}",
+                      f"  exact   objective {objective:>10.6g}  threshold {threshold:.6g}"
+                      f"  satisfied {'true' if ok else 'false'}  x = [{format_allocation(allocation, '.6g', ', ')}]"]
+            cells.append(format_allocation(allocation, ".12g", ";"))
+    assert render_table(rows) == "\n".join(table) + "\n"
+    assert [r["allocation"] for r in parse_csv(render_csv(rows))] == cells
 
 
 def test_rows_are_immutable():

@@ -472,6 +472,31 @@ def test_run_refuses_before_any_block(lp01, monkeypatch):
         ica.run(huge, seeds=range(100))
 
 
+@pytest.mark.parametrize("seeds", [7, [-1], [1.5], [True], ["1"], [1, None], (3, -2), "12", np.arange(3), {1, 2}],
+                         ids=["int", "negative", "float", "bool", "str-seed", "none", "negative-later",
+                              "str", "ndarray", "set"])
+def test_run_rejects_bad_seeds_by_name_before_any_block(lp01, seeds, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a refusal or a block ran")
+
+    monkeypatch.setattr(ica, "refuse", unreachable)
+    monkeypatch.setattr(ica, "_run_block", unreachable)
+    with pytest.raises(ValidationError, match="^seeds must be a sequence of non-negative integers, got ") as info:
+        ica.run(lp01, ica.IcaConfig(max_iterations=1), seeds)
+    assert info.value.field == "seeds"
+
+
+@pytest.mark.parametrize("seeds", [range(2, 4), [np.int64(2), np.uint8(3)], (2, 3)],
+                         ids=["range", "numpy-integers", "tuple"])
+def test_run_takes_any_sequence_of_integer_seeds(lp01, seeds):
+    config = ica.IcaConfig(n_countries=12, n_imperialists=3, max_iterations=2)
+    got = ica.run(lp01, config, seeds)
+    want = ica.run(lp01, config, [2, 3])
+    assert [r.seed for r in got] == [2, 3]
+    assert [r.best_position.tobytes() for r in got] == [r.best_position.tobytes() for r in want]
+    assert ica.run(lp01, config, []) == []
+
+
 def test_run_zero_iterations_returns_initial_best(lp01):
     [report] = ica.run(lp01, config=ica.IcaConfig(max_iterations=0), seeds=[42])
     positions = ica.initialize(ica.IcaConfig(), lp01.upper_bounds, [np.random.default_rng(42)])

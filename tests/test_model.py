@@ -328,6 +328,18 @@ def test_crisp_verdict_agrees_with_certificate_on_2000_instances():
     assert decisive >= 1500
 
 
+@pytest.mark.parametrize("n_samples", [2.5, 0, -3, True, "10", None, 1e4],
+                         ids=["float", "zero", "negative", "bool", "str", "none", "float-integral"])
+def test_certificate_checks_n_samples_first(table1, n_samples, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("reformulated before checking n_samples")
+
+    monkeypatch.setattr("fuzzfolio.model.reformulate", unreachable)
+    with pytest.raises(ValidationError, match="^n_samples must be a positive integer, got ") as info:
+        necessity_certificate(table1, ConfidenceLevels(0.4, 0.4), [20.0, 0.0, 60.0, 60.0, 60.0], n_samples=n_samples)
+    assert info.value.field == "n_samples"
+
+
 def test_certificate_rejects_negative_weights_and_non_finite_peaks(table1):
     levels = ConfidenceLevels(0.4, 0.4)
     with pytest.raises(ValueError, match="^weights must be nonnegative$"):

@@ -1,7 +1,10 @@
-"""The names other code relies on: the benchmark tracer's targets and every __all__."""
+"""The names other code relies on: the benchmark tracer's targets, every
+__all__, and the README's Python examples."""
 
 import importlib
 import importlib.util
+import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,19 @@ def test_top_level_names():
     assert sorted(fuzzfolio.__all__) == [
         "BudgetInfeasibleError", "ConfidenceLevels", "IcaConfig", "ValidationError", "bundled_instance",
         "load_instance", "necessity_certificate", "reformulate", "solve_exact", "write_instance"]
+
+
+def test_readme_python_blocks_print_what_their_comments_say(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 2
+    namespace = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for block in blocks:  # each block goes on from the names of the one before
+            exec(compile(block, "README.md", "exec"), namespace)
+    # each print line's comment is what it prints, up to runs of spaces
+    expected = [line.rpartition("#")[2].split() for block in blocks
+                for line in block.splitlines() if line.startswith("print(")]
+    assert len(expected) == 4
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == expected
