@@ -7,15 +7,18 @@ Exit codes: 0 success, 2 validation failure, 3 budget-infeasible instance
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import ica
 from .errors import BudgetInfeasibleError, ValidationError
 from .io import bundled_instance, bundled_names, load_instance
 from .model import ConfidenceLevels, PortfolioInstance, reformulate
 from .oracle import solve_exact
-from .report import SweepRow, render_csv, render_json, render_table
+from .report import Sweep, render_csv, render_json, render_table
 
 __all__ = ["main", "BENCHMARK_LEVELS", "PUBLISHED_RESULTS"]
 
@@ -63,10 +66,16 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _parse_levels(text: str) -> list[float]:
+    tokens = [tok for tok in text.split(",") if tok.strip()]
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        levels = list(map(float, tokens))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad level list {text!r}")
+    if not all(map(math.isfinite, levels)):
+        # NaN sorts by its address in _levels' set, so the level an error names would vary
+        token = next(tok for tok, level in zip(tokens, levels) if not math.isfinite(level))
+        raise argparse.ArgumentTypeError(f"level {token.strip()!r} is not finite")
+    return levels
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,29 +167,13 @@ def _levels(args) -> list[ConfidenceLevels]:
         raise ValidationError(f"{flags[exc.field]}: {exc}") from None
 
 
-def _row(level, threshold, oracle, solver, seed, allocation, budget_residual, objective, published=None) -> SweepRow:
-    """One report row for the allocation tuple at level, whose return floor is
-    threshold; oracle is the exact optimum there and published, if given,
-    the published objective.  The row alone decides whether it clears the floor."""
-    ok = objective >= threshold
-    # positional, in SweepRow's field order: its keyword path costs about 2 µs a row
-    return SweepRow(level.lam, level.eta, solver, seed,
-                    "heuristic" if solver == "ica" else "optimal" if ok else "threshold_infeasible",
-                    objective, oracle,
-                    # rel_gap: exactly 0.0 for the exact row, whose objective is the finite oracle
-                    (oracle - objective) / abs(oracle) if oracle != 0.0 else 0.0,
-                    threshold, ok, budget_residual,
-                    published, None if published is None else (objective - published) / published,
-                    allocation)
-
-
-def _emit(rows, args, meta) -> None:
+def _emit(sweep, args, meta) -> None:
     if args.format == "csv":
-        text = render_csv(rows)
+        text = render_csv(sweep)
     elif args.format == "json":
-        text = render_json(rows, meta)
+        text = render_json(sweep, meta)
     else:
-        text = render_table(rows)
+        text = render_table(sweep)
     if args.out is not None:
         try:
             args.out.write_text(text)
@@ -227,39 +220,33 @@ def _checked(instance, levels, n_rows, config):
 
 
 def _sweep(instance, levels, exact_rows, seeds, config, published=None):
-    """The exact row (when exact_rows), then one ICA row per seed in
-    ascending order, at every level in the given ascending order, and
-    whether the exact optimum clears the return floor at every level.
-    Every level is checked (see _checked) before the one ICA run starts.
+    """The sweep's grid: at every level, in the given ascending order, the
+    exact row (when exact_rows), then one ICA row per seed in ascending
+    order; and whether the exact optimum clears the return floor at every
+    level.  Every level is checked (see _checked) before the one ICA run starts.
 
     published maps a coupled level to its published objective.
     """
     lp, exact = _checked(instance, levels, len(levels) * len(seeds), config)
-    rows: list[SweepRow] = []
     seeds = sorted(seeds)
     reports = ica.run(lp, config, seeds) if seeds else []
-    thresholds, optima = lp.threshold.tolist(), exact.objective.tolist()
-    budget = (exact.x.sum(axis=1) - lp.total_fund).tolist()
-    # a row whose bits (the sign of zero included) equal the previous row's shares its tuple
-    repeats = [False, *(exact.x[1:].view("i8") == exact.x[:-1].view("i8")).all(axis=1).tolist()]
-    for i, level in enumerate(levels):
-        if exact_rows:
-            allocation = allocation if repeats[i] else tuple(exact.x[i].tolist())
-            pub = None if published is None else published[level.lam]
-            rows.append(_row(level, thresholds[i], optima[i], "exact", None, allocation, budget[i], optima[i], pub))
-        for report in reports[i * len(seeds):(i + 1) * len(seeds)]:
-            x = report.best_position
-            rows.append(_row(level, thresholds[i], optima[i], "ica", report.seed, tuple(x.tolist()),
-                             float(x.sum() - lp.total_fund), report.best_objective))
-    return rows, bool((exact.objective >= lp.threshold).all())
+    ica_x = np.array([r.best_position for r in reports]).reshape(len(reports), lp.n)
+    sweep = Sweep(lam=[level.lam for level in levels], eta=[level.eta for level in levels],
+                  threshold=lp.threshold.tolist(), oracle=exact.objective.tolist(),
+                  exact_x=exact.x if exact_rows else None,
+                  exact_budget=(exact.x.sum(axis=1) - lp.total_fund).tolist(),
+                  published=None if published is None else [published[level.lam] for level in levels],
+                  seeds=seeds, ica_objective=[r.best_objective for r in reports], ica_x=ica_x,
+                  ica_budget=(ica_x.sum(axis=1) - lp.total_fund).tolist())
+    return sweep, bool((exact.objective >= lp.threshold).all())
 
 
 def _cmd_solve(args) -> int:
     config = _config(args)
     instance, source = _resolve_instance(args.instance)
     exact_rows = args.solver == "exact"
-    rows, all_satisfied = _sweep(instance, _levels(args), exact_rows, [] if exact_rows else args.seeds, config)
-    _emit(rows, args, {"instance": source, "solver": args.solver})
+    sweep, all_satisfied = _sweep(instance, _levels(args), exact_rows, [] if exact_rows else args.seeds, config)
+    _emit(sweep, args, {"instance": source, "solver": args.solver})
     if args.enforce_threshold and not all_satisfied:
         print("error: return threshold unsatisfiable at one or more levels", file=sys.stderr)
         return 4
@@ -268,9 +255,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     # the published parameter set is the default config
-    rows, _ = _sweep(bundled_instance(DEFAULT_INSTANCE), [ConfidenceLevels(v, v) for v in BENCHMARK_LEVELS],
+    sweep, _ = _sweep(bundled_instance(DEFAULT_INSTANCE), [ConfidenceLevels(v, v) for v in BENCHMARK_LEVELS],
                      True, args.seeds, ica.IcaConfig(), PUBLISHED_RESULTS)
-    _emit(rows, args, {"instance": f"bundled:{DEFAULT_INSTANCE}", "solver": "exact+ica"})
+    _emit(sweep, args, {"instance": f"bundled:{DEFAULT_INSTANCE}", "solver": "exact+ica"})
     return 0
 
 

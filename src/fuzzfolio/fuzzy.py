@@ -132,22 +132,39 @@ def normal_quantile(p: float | np.ndarray, factor: RandomFactor = RandomFactor()
     side mid < q without erfc: over that distance the CDF moves by more than
     its float error and q's, so each entry is bitwise the scalar loop's.  erfc
     decides every midpoint where that distance is not finite or p <= 1e-300.
+
+    The first k halvings take mid < q alone while no point of the grid
+    -40 + j * 80 / 2**k lies within that distance of q, as every midpoint
+    they meet is such a point; they leave lo at the grid point just below q.
+    So the loop starts at the finest grid far from every entry's q, once the
+    bracket (lo, lo + 80 / 2**k) holds each q with that margin, and else at
+    [-40, 40].
     """
     flat = np.asarray(p, dtype=float).ravel()
-    bad = np.flatnonzero(~((flat > 0.0) & (flat < 1.0)))
-    if bad.size:
+    inside = (flat > 0.0) & (flat < 1.0)
+    if not inside.all():
+        bad = np.flatnonzero(~inside)
         where = "" if np.ndim(p) == 0 else f" at index {bad[0]}"
         raise ValueError(f"probability must lie strictly in (0, 1), got {flat[bad[0]]}{where}")
     q = np.array(list(map(statistics.NormalDist().inv_cdf, flat.tolist())))
     with np.errstate(over="ignore"):
         delta = 1e-13 * (1.0 + np.abs(q) + flat * math.sqrt(math.tau) * np.exp(0.5 * q * q))
     delta[~np.isfinite(delta) | (flat <= 1e-300)] = np.inf
-    lo, width = np.full_like(flat, -40.0), 80.0
+    # no point of grid k lies between q - 2 delta and q + 2 delta while the two, counted in units
+    # of 80 / 2**52 above -40, agree in their leading k of 52 bits, so k is 52 less the bit length
+    # of their XOR; twice delta covers the rounding of this estimate, and the bracket checks it
+    ends = np.clip((q + np.multiply.outer((-2.0, 2.0), delta) + 40.0) * (2.0 ** 52 / 80.0), 0.0, 2.0 ** 52)
+    bits = np.frexp(np.bitwise_xor(*ends.astype(np.int64)).astype(float))[1].max(initial=0)
+    width = math.ldexp(80.0, -min(max(52 - int(bits), 0), 50))
+    lo = -40.0 + np.floor((q + 40.0) / width) * width
+    if not ((q - lo > delta) & (lo + width - q > delta)).all():
+        lo, width = np.full_like(flat, -40.0), 80.0
     while width > 1e-13:
         width *= 0.5
         mid = lo + width
-        below = mid < q
-        near = np.flatnonzero(np.abs(mid - q) <= delta)
+        gap = mid - q  # exactly 0 only at mid == q, and else of the sign of mid - q
+        below = gap < 0.0
+        near = (np.abs(gap) <= delta).nonzero()[0]
         if near.size:
             below[near] = 0.5 * np.array(list(map(math.erfc, (-mid[near] / _SQRT2).tolist()))) < flat[near]
         lo = np.where(below, mid, lo)

@@ -2,18 +2,26 @@
 
 The grid necessity measure checks the closed form of the reformulation,
 the lattice brute force checks the greedy exact solver, and the scalar
-loops and masks check the array paths that replaced them, and the
-per-entry formatter the renderers' one-operation allocation text.
+loops and masks check the array paths that replaced them, the per-entry
+formatter the renderers' one-operation allocation text, and the
+row-by-row renderers the column renderers of a sweep's grid.
 """
 
+import csv
+import io
 import itertools
+import json
 import math
+import operator
+import statistics
+from types import SimpleNamespace
 
 import numpy as np
 
 from fuzzfolio.fuzzy import LRFuzzyNumber, RandomFactor
 from fuzzfolio.model import DeterministicLP
 from fuzzfolio.oracle import ExactSolution
+from fuzzfolio.report import CSV_COLUMNS, SweepRow
 
 _NODE_BUDGET = 100_000_000
 
@@ -168,3 +176,116 @@ def mask_exchange(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray)
     best = colony_costs.argmin(axis=2)
     swap = colony_costs.min(axis=2) < np.take_along_axis(costs, imperialist, axis=1)
     imperialist[swap] = best[swap]
+
+
+def sweep_row(level, threshold, oracle, solver, seed, allocation, budget_residual, objective, published=None) -> SweepRow:
+    """One report row for the allocation tuple at level, whose return floor is
+    threshold; oracle is the exact optimum there and published, if given,
+    the published objective.  The row alone decides whether it clears the floor."""
+    ok = objective >= threshold
+    # positional, in SweepRow's field order: its keyword path costs about 2 µs a row
+    return SweepRow(level.lam, level.eta, solver, seed,
+                    "heuristic" if solver == "ica" else "optimal" if ok else "threshold_infeasible",
+                    objective, oracle,
+                    # rel_gap: exactly 0.0 for the exact row, whose objective is the finite oracle
+                    (oracle - objective) / abs(oracle) if oracle != 0.0 else 0.0,
+                    threshold, ok, budget_residual,
+                    published, None if published is None else (objective - published) / published,
+                    allocation)
+
+
+def sweep_rows(sweep) -> list[SweepRow]:
+    """A report.Sweep grid's rows, one sweep_row each: at every level the
+    exact row, if any, then one ICA row per seed.  The CSV, JSON and table
+    renderers must write from the grid what the row renderers below write
+    from these rows."""
+    rows = []
+    n_seeds = len(sweep.seeds)
+    for i, (lam, eta) in enumerate(zip(sweep.lam, sweep.eta)):
+        level = SimpleNamespace(lam=lam, eta=eta)
+        if sweep.exact_x is not None:
+            pub = None if sweep.published is None else sweep.published[i]
+            rows.append(sweep_row(level, sweep.threshold[i], sweep.oracle[i], "exact", None,
+                                  tuple(sweep.exact_x[i].tolist()), sweep.exact_budget[i], sweep.oracle[i], pub))
+        for j in range(i * n_seeds, (i + 1) * n_seeds):
+            rows.append(sweep_row(level, sweep.threshold[i], sweep.oracle[i], "ica", sweep.seeds[j - i * n_seeds],
+                                  tuple(sweep.ica_x[j].tolist()), sweep.ica_budget[j], sweep.ica_objective[j]))
+    return rows
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+def _memo_allocation(spec: str, sep: str):
+    """Formats a run of rows sharing one allocation tuple, as the sweep builds
+    them, once, with one ``%`` operation.  Each distinct tuple is formatted
+    from its own floats, so (0.0,) and (-0.0,), which compare equal, print 0 and -0."""
+    last = [None, ""]  # the previous allocation and its text
+
+    def text(allocation: tuple[float, ...]) -> str:
+        if allocation is not last[0]:
+            last[:] = allocation, sep.join([spec] * len(allocation)) % allocation
+        return last[1]
+
+    return text
+
+
+def render_csv_rows(rows: list[SweepRow]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    allocation = _memo_allocation("%.12g", ";")
+    for row in rows:
+        # allocation is the last column
+        writer.writerow([*map(_fmt, row[:-1]), allocation(row.allocation)])
+    return buf.getvalue()
+
+
+def render_json_rows(rows: list[SweepRow], meta: dict) -> str:
+    # json writes the allocation tuple as an array
+    records = [dict(zip(CSV_COLUMNS, row)) for row in rows]
+    return json.dumps({**meta, "rows": records}, indent=2) + "\n"
+
+
+_HEADER = "lambda=%.12g eta=%.12g"
+_EXACT = "  exact   objective %10.6g  threshold %.6g  satisfied %s  x = [%s]"
+_HEADER_EXACT = _HEADER + "\n" + _EXACT
+_LEVEL = operator.itemgetter(0, 1)  # (lam, eta)
+
+
+def render_table_rows(rows: list[SweepRow]) -> str:
+    """Per-level summary: the exact row as is, ICA seeds aggregated.  The
+    rows come in sweep order, so each level's rows are consecutive.  The
+    level's header rides on its first exact line: one format for both."""
+    allocation = _memo_allocation("%.6g", ", ")
+    lines = []
+    for level, group in itertools.groupby(rows, _LEVEL):
+        # the header's (lam, eta) until the level's first exact line carries it
+        exact, head, ica = _HEADER_EXACT, level, []
+        for r in group:
+            if r.solver == "ica":
+                ica.append(r)
+            elif r.solver == "exact":
+                ok = "true" if r.threshold_ok else "false"
+                lines.append(exact % (*head, r.objective, r.threshold, ok, allocation(r.allocation)))
+                exact, head = _EXACT, ()
+                if r.published_objective is not None:
+                    lines.append(f"          published {r.published_objective:>10.6g}  deviation {r.published_gap:.3%}")
+        if head:  # no exact row: the header stands alone
+            lines.append(_HEADER % head)
+        if ica:
+            objs = [r.objective for r in ica]
+            best = max(ica, key=lambda r: r.objective)
+            lines.append(
+                f"  ica     seeds {len(ica):>3}  best {max(objs):.6g}  median {statistics.median(objs):.6g}"
+                f"  worst {min(objs):.6g}  gap(best) {best.rel_gap:.3%}"
+            )
+            lines.append(f"          best x = [{allocation(best.allocation)}] (seed {best.seed})")
+    return "\n".join(lines) + "\n"

@@ -4,25 +4,29 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import time
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import fuzzfolio
 from fuzzfolio import cli, ica
 from fuzzfolio.cli import MAX_SEEDS, _parse_seeds, main
 from fuzzfolio.errors import BudgetInfeasibleError, ValidationError
 from fuzzfolio.fuzzy import FuzzyRandomReturn, RandomFactor
 from fuzzfolio.io import bundled_instance, bundled_names, load_instance, loads_instance, write_instance
 from fuzzfolio.model import PortfolioInstance
-from fuzzfolio.report import CSV_COLUMNS, SweepRow, render_csv, render_table
-from referees import format_allocation
+from fuzzfolio.report import CSV_COLUMNS, Sweep, SweepRow, render_csv, render_json, render_table
+from referees import format_allocation, render_csv_rows, render_json_rows, render_table_rows, sweep_rows
 
 
 def run_cli(args, capsys):
@@ -488,27 +492,34 @@ def test_default_levels_and_table_format(capsys):
     assert "exact" in out
 
 
+def exact_sweep(levels, allocations, objectives, thresholds, n):
+    """The grid of an exact sweep over n assets: one exact row per coupled level, no ICA rows."""
+    x = np.array(allocations, dtype=float).reshape(len(levels), n)
+    return Sweep(levels, levels, thresholds, objectives, x, [0.0] * len(levels), None, [], [], np.empty((0, n)), [])
+
+
 def test_table_keeps_the_sign_of_zero():
     def row(level, allocation):
-        return SweepRow(lam=level, eta=level, solver="exact", seed=None, status="optimal",
-                        objective=1.0, oracle_objective=1.0, rel_gap=0.0, threshold=0.0,
-                        threshold_ok=True, budget_residual=0.0, published_objective=None,
-                        published_gap=None, allocation=allocation)
+        return level, allocation
 
-    assert "x = [0, 2, -0, 0]" in render_table([row(0.5, (0.0, 2.0, -0.0, 0.0))])
+    def grid(rows):
+        levels, allocations = zip(*rows)
+        return exact_sweep(levels, allocations, [1.0] * len(rows), [0.0] * len(rows), len(allocations[0]))
+
+    assert "x = [0, 2, -0, 0]" in render_table(grid([row(0.5, (0.0, 2.0, -0.0, 0.0))]))
     # (0.0, 2.0) == (-0.0, 2.0): allocations that compare equal still print their own zero
     for first, second in (((0.0, 2.0), (-0.0, 2.0)), ((-0.0, 2.0), (0.0, 2.0))):
         rows = [row(0.2, first), row(0.4, second)]
         zeros = ["-0" if math.copysign(1.0, a[0]) < 0 else "0" for a in (first, second)]
-        table = [line.split("x = ")[1] for line in render_table(rows).splitlines() if "x = " in line]
+        table = [line.split("x = ")[1] for line in render_table(grid(rows)).splitlines() if "x = " in line]
         assert table == [f"[{z}, 2]" for z in zeros]
-        assert [r["allocation"] for r in parse_csv(render_csv(rows))] == [f"{z};2" for z in zeros]
-    # a run of rows shares one tuple, as the sweep builds them; the next tuple differs only in its zero
+        assert [r["allocation"] for r in parse_csv(render_csv(grid(rows)))] == [f"{z};2" for z in zeros]
+    # a run of rows with equal bits shares one text; the next row differs only in its zero
     shared = (0.0, 2.0)
     rows = [row(0.2, shared), row(0.4, shared), row(0.6, (-0.0, 2.0)), row(0.8, shared)]
-    table = [line.split("x = ")[1] for line in render_table(rows).splitlines() if "x = " in line]
+    table = [line.split("x = ")[1] for line in render_table(grid(rows)).splitlines() if "x = " in line]
     assert table == ["[0, 2]", "[0, 2]", "[-0, 2]", "[0, 2]"]
-    assert [r["allocation"] for r in parse_csv(render_csv(rows))] == ["0;2", "0;2", "-0;2", "0;2"]
+    assert [r["allocation"] for r in parse_csv(render_csv(grid(rows)))] == ["0;2", "0;2", "-0;2", "0;2"]
 
 
 # zeros, subnormals, and each side of where .6g and .12g switch to exponent form
@@ -519,22 +530,63 @@ for _base in (1e-5, 1e-4, 1e6, 1e12, 1e16):
 _floats = st.sampled_from(_EDGE_FLOATS) | st.floats()
 
 
-@given(st.lists(st.tuples(st.lists(_floats, max_size=6).map(tuple), _floats, _floats, st.booleans(),
-                          st.integers(1, 3)), max_size=8))
+# one allocation length per sweep, as a grid holds one (L, n) array
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.lists(_floats, min_size=n, max_size=n).map(tuple), _floats, _floats, st.integers(1, 3)),
+    max_size=8))))
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-def test_table_and_csv_format_each_entry_as_the_referee(runs):
+def test_table_and_csv_format_each_entry_as_the_referee(n_runs):
+    n, runs = n_runs
     rows, table, cells = [], [], []
-    for allocation, objective, threshold, ok, repeat in runs:
-        for _ in range(repeat):  # a run of rows shares one tuple, as the sweep builds them
+    for allocation, objective, threshold, repeat in runs:
+        ok = objective >= threshold  # the grid decides it, as for every exact row
+        for _ in range(repeat):  # a run of rows with equal bits, as exact sweeps repeat them
             lam = (len(rows) + 1) / 64
-            rows.append(SweepRow(lam, lam, "exact", None, "optimal", objective, objective, 0.0, threshold, ok,
-                                 0.0, None, None, allocation))
+            rows.append((lam, allocation, objective, threshold))
             table += [f"lambda={lam:.12g} eta={lam:.12g}",
                       f"  exact   objective {objective:>10.6g}  threshold {threshold:.6g}"
                       f"  satisfied {'true' if ok else 'false'}  x = [{format_allocation(allocation, '.6g', ', ')}]"]
             cells.append(format_allocation(allocation, ".12g", ";"))
-    assert render_table(rows) == "\n".join(table) + "\n"
-    assert [r["allocation"] for r in parse_csv(render_csv(rows))] == cells
+    sweep = exact_sweep(*(map(list, zip(*rows)) if rows else ([], [], [], [])), n)
+    assert render_table(sweep) == "\n".join(table) + "\n"
+    assert [r["allocation"] for r in parse_csv(render_csv(sweep))] == cells
+
+
+@st.composite
+def sweeps(draw):
+    """Grids of 1-5 levels and 0-3 seeds, with exact rows and published
+    objectives on or off, whose allocations repeat rows of a small pool of
+    edge floats: -0.0, subnormals and runs of bit-equal rows."""
+    n_levels, n_seeds, n = draw(st.integers(1, 5)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    exact = draw(st.booleans()) if n_seeds else True  # every sweep has rows
+    pool = draw(st.lists(st.lists(st.sampled_from([0.0, -0.0]) | _floats, min_size=n, max_size=n),
+                         min_size=1, max_size=3))
+    # the first row again with the sign of each zero flipped: equal, but not bit-equal
+    pool.append([-v if v == 0.0 else v for v in pool[0]])
+
+    def column(size, values=_floats):
+        return draw(st.lists(values, min_size=size, max_size=size))
+
+    def allocations(size):
+        return np.array([pool[i] for i in column(size, st.integers(0, len(pool) - 1))], dtype=float).reshape(size, n)
+
+    levels = sorted(draw(st.sets(st.floats(0.001, 0.999), min_size=n_levels, max_size=n_levels)))
+    published = draw(st.booleans())
+    return Sweep(levels, column(n_levels, st.floats(0.001, 0.999)), column(n_levels), column(n_levels),
+                 allocations(n_levels) if exact else None, column(n_levels),
+                 column(n_levels, _floats.filter(bool)) if published else None,
+                 sorted(column(n_seeds, st.integers(0, 2**32))), column(n_levels * n_seeds),
+                 allocations(n_levels * n_seeds), column(n_levels * n_seeds))
+
+
+@given(sweeps())
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+def test_every_format_writes_the_grid_as_the_row_referee(sweep):
+    rows = sweep_rows(sweep)
+    meta = {"instance": "bundled:paper_table1", "solver": "exact+ica"}
+    assert render_table(sweep) == render_table_rows(rows)
+    assert render_csv(sweep) == render_csv_rows(rows)
+    assert render_json(sweep, meta) == render_json_rows(rows, meta)
 
 
 def test_rows_are_immutable():
@@ -674,6 +726,21 @@ def assert_one_line_error(code, out, err, named):
     assert err.startswith(f"error: {named}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+def test_a_non_finite_level_is_named_by_its_token(capsys):
+    # a NaN level sorted by its memory address among the others, so the level
+    # the error named changed from run to run
+    argv = ["solve", "--levels", "2,nan,0.5,-1"]
+    line = "error: --levels: level 'nan' is not finite\n"
+    for _ in range(12):
+        assert run_cli(argv, capsys) == (2, "", line)
+    src = Path(fuzzfolio.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    for _ in range(2):
+        done = subprocess.run([sys.executable, "-m", "fuzzfolio.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", line)
 
 
 def test_seed_list_is_bounded(capsys):

@@ -219,6 +219,25 @@ def test_quantile_array_is_bitwise_the_scalar_referee():
         assert (normal_quantile(ps, factor).view("i8") == want.view("i8")).all()
 
 
+def test_quantile_of_few_entries_is_bitwise_the_scalar_referee():
+    # alone or a few at a time, an entry's loop starts at the finest grid far
+    # from its q, which the 100,000 entries above, some near a coarse grid point, never do
+    rng = np.random.default_rng(15)
+    ps = np.concatenate([
+        rng.random(400),
+        1.0 - 10.0 ** -rng.uniform(1, 16, 150),
+        10.0 ** -rng.uniform(1, 323, 150),
+        rng.uniform(0.49, 0.51, 100),
+        [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.25, 0.75, 1e-300, 2.0 ** -53, 1.0 - 2.0 ** -53],
+    ])
+    want = np.array([scalar_standard_quantile(p) for p in ps.tolist()])
+    assert (np.array([normal_quantile(p) for p in ps.tolist()]).view("i8") == want.view("i8")).all()
+    sizes = rng.integers(2, 8, ps.size)
+    for start, size in zip(range(0, ps.size, 8), sizes):
+        chunk = ps[start:start + size]
+        assert (normal_quantile(chunk).view("i8") == want[start:start + size].view("i8")).all()
+
+
 def test_quantile_shapes():
     assert type(normal_quantile(0.3)) is float
     assert normal_quantile(np.array(0.3)) == normal_quantile(0.3)
@@ -226,6 +245,7 @@ def test_quantile_shapes():
     out = normal_quantile(grid)
     assert out.shape == (2, 3)
     assert out.ravel().tolist() == [normal_quantile(p) for p in grid.ravel().tolist()]
+    assert normal_quantile(np.empty((0, 3))).shape == (0, 3)
 
 
 @given(st.floats(1e-6, 1 - 1e-6))
