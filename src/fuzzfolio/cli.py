@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation failure, 3 budget-infeasible instance
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -33,7 +34,8 @@ DEFAULT_INSTANCE = "paper_table1"
 # longest seed list --seeds accepts; checked before the list is built
 MAX_SEEDS = 10_000
 
-# IcaConfig fields set by a solve flag
+# the solve flag of each IcaConfig field but enforce_threshold; build_parser takes each
+# flag's type and default from the field, so a new field needs only its line here
 _FLAGS = {
     "n_countries": "--countries",
     "n_imperialists": "--imperialists",
@@ -106,15 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--solver", choices=("exact", "ica"), default="exact")
     solve.add_argument("--seeds", type=_parse_seeds, default=[0], metavar="RANGE",
                        help="ICA seeds, e.g. 7 or 1..20 or 1,5,9 (default: 0)")
-    solve.add_argument("--iters", type=int, default=ica_defaults.max_iterations,
-                       help="ICA iterations (default: %(default)s)")
-    solve.add_argument("--countries", type=int, default=ica_defaults.n_countries)
-    solve.add_argument("--imperialists", type=int, default=ica_defaults.n_imperialists)
-    solve.add_argument("--revolution", type=float, default=ica_defaults.revolution_rate)
-    solve.add_argument("--epsilon", type=float, default=ica_defaults.epsilon)
-    solve.add_argument("--eq-factor", type=float, default=ica_defaults.eq_factor,
-                       help="budget penalty factor for ICA (default: %(default)s)")
-    solve.add_argument("--enforce-threshold", action="store_true",
+    for field, flag in _FLAGS.items():
+        default = getattr(ica_defaults, field)
+        solve.add_argument(flag, dest=field, type=type(default), default=default,
+                           help=f"IcaConfig.{field} (default: %(default)s)")
+    solve.add_argument("--enforce-threshold", dest="enforce_threshold", action="store_true",
                        help="penalize the return floor inside ICA and fail (exit 4) if it is unsatisfiable")
     _output_flags(solve)
 
@@ -144,8 +142,7 @@ def _resolve_instance(name_or_path: str) -> tuple[PortfolioInstance, str]:
 
 
 def _levels(args) -> list[ConfidenceLevels]:
-    decoupled = args.lam is not None or args.eta is not None
-    if decoupled:
+    if args.lam is not None or args.eta is not None:  # one decoupled pair
         if args.levels:
             raise ValidationError("--lambda/--eta cannot be combined with --levels")
         if args.lam is None or args.eta is None:
@@ -185,15 +182,7 @@ def _emit(sweep, args, meta) -> None:
 
 def _config(args) -> ica.IcaConfig:
     try:
-        return ica.IcaConfig(
-            n_countries=args.countries,
-            n_imperialists=args.imperialists,
-            revolution_rate=args.revolution,
-            max_iterations=args.iters,
-            epsilon=args.epsilon,
-            eq_factor=args.eq_factor,
-            enforce_threshold=args.enforce_threshold,
-        )
+        return ica.IcaConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ica.IcaConfig)})
     except ValidationError as exc:
         raise ValidationError(f"{_FLAGS.get(exc.field, exc.field)}: {exc}") from None
 
@@ -264,9 +253,7 @@ def _cmd_reproduce(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        return _cmd_reproduce(args)
+        return _cmd_solve(args) if args.command == "solve" else _cmd_reproduce(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, BudgetInfeasibleError) else 2

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number test of its checks."""
+
+import numbers
 
 
 class ValidationError(ValueError):
@@ -14,3 +16,8 @@ class ValidationError(ValueError):
 
 class BudgetInfeasibleError(ValidationError):
     """The upper bounds cannot absorb the total fund (sum(U) < M0)."""
+
+
+def is_number(value, kind=numbers.Real) -> bool:
+    """Whether value is of the ``numbers`` ABC kind, numpy scalars included; a bool is no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)

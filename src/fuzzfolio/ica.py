@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_number
 from .model import DeterministicLP, objective
 from .penalty import penalized_objective_batch, penalized_objective_bound, repair
 
@@ -46,6 +46,10 @@ ROW_BLOCK = 128
 
 # largest draw buffer of one row block, in bytes; refuse rejects a larger one
 MAX_DRAW_BYTES = 2 * 2**30
+
+# what an IcaConfig field holds, by the type of its default: numpy scalars pass, and a bool is no number
+_KINDS = {int: ("an integer", lambda v: is_number(v, numbers.Integral)), float: ("a real number", is_number),
+          bool: ("a bool", lambda v: isinstance(v, (bool, np.bool_)))}
 
 
 @dataclass(frozen=True)
@@ -64,10 +68,13 @@ class IcaConfig:
     enforce_threshold: bool = False
 
     def __post_init__(self):
+        # every field's type, as its default declares it, before a rule compares the field
+        for f in fields(self):
+            (what, holds), value = _KINDS[type(f.default)], getattr(self, f.name)
+            if not holds(value):
+                raise ValidationError(f"{f.name} must be {what}, got {value!r}", field=f.name)
         rules = (
             ("eq_factor", math.isfinite(self.eq_factor) and self.eq_factor > 0, "must be finite and positive"),
-            *((name, isinstance(getattr(self, name), numbers.Integral) and not isinstance(getattr(self, name), bool),
-               "must be an integer") for name in ("n_countries", "n_imperialists", "max_iterations")),
             ("n_imperialists", self.n_imperialists >= 1, "must be at least 1"),
             ("n_countries", self.n_countries > self.n_imperialists,
              f"must exceed n_imperialists ({self.n_imperialists})"),
@@ -156,12 +163,17 @@ def _colonies(owner: np.ndarray, imperialist: np.ndarray) -> np.ndarray:
     return _rulers(owner, imperialist) != np.arange(owner.shape[1])
 
 
+def _draw_size(n_countries: int, n: int) -> int:
+    """How many numbers ``draw`` takes from a row's generator per iteration."""
+    return 1 + n_countries * (2 * n + 1)
+
+
 def draw(rngs: Sequence[np.random.Generator], active: np.ndarray, n_countries: int, n: int):
     """Draw one iteration's numbers, one ``random(1 + N(2n + 1))`` per active row: the
     roulette numbers (S,), then per country the assimilation steps (S, N, n), revolution
     trials (S, N) and fresh positions in the unit box (S, N, n), unused for imperialists.
     An inactive row draws nothing and gets zeros."""
-    u = np.zeros((len(rngs), 1 + n_countries * (2 * n + 1)))
+    u = np.zeros((len(rngs), _draw_size(n_countries, n)))
     for s in np.flatnonzero(active):
         rngs[s].random(out=u[s])
     grid = u[:, 1:].reshape(len(rngs), n_countries, 2 * n + 1)
@@ -250,10 +262,11 @@ def refuse(lp: DeterministicLP, config: IcaConfig, n_rows: int) -> None:
     """Raise the ValidationError ``run`` would raise for n_rows (level, seed)
     rows at lp, one level or L, in this order: a row block whose draw buffer
     would exceed MAX_DRAW_BYTES, and a level's box in which a cost could overflow."""
-    size = 8 * min(n_rows, ROW_BLOCK) * (1 + config.n_countries * (2 * lp.n + 1))
+    size = 8 * min(n_rows, ROW_BLOCK) * _draw_size(config.n_countries, lp.n)
     if size > MAX_DRAW_BYTES:
         raise ValidationError(f"n_countries: {config.n_countries} countries of {lp.n} assets need a "
-                              f"{size / 2**30:.1f} GiB draw buffer, above the {MAX_DRAW_BYTES / 2**30:.0f} GiB limit")
+                              f"{size / 2**30:.1f} GiB draw buffer, above the {MAX_DRAW_BYTES / 2**30:.0f} GiB limit",
+                              field="n_countries")
     # power shares and empire powers sum up to n_countries costs or cost
     # differences, each at most twice the largest cost in magnitude
     if not math.isfinite(4.0 * config.n_countries * penalized_objective_bound(lp, config)):
@@ -272,8 +285,7 @@ def run(lp: DeterministicLP, config: IcaConfig = IcaConfig(), seeds: Sequence[in
     run rejects seeds other than a sequence of non-negative integers, then
     makes the refusals of ``refuse``.
     """
-    if not (isinstance(seeds, Sequence) and all(
-            isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0 for s in seeds)):
+    if not (isinstance(seeds, Sequence) and all(is_number(s, numbers.Integral) and s >= 0 for s in seeds)):
         raise ValidationError(f"seeds must be a sequence of non-negative integers, got {seeds!r:.60}", field="seeds")
     if lp.coefficients.ndim == 1:  # one level is the L = 1 case
         lp = DeterministicLP(lp.coefficients[None], lp.total_fund, lp.upper_bounds,

@@ -32,7 +32,7 @@ def load_instance(path: str | Path) -> PortfolioInstance:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
+        raise ValidationError(f"{path}: {exc.strerror or exc}", field="path") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     return loads_instance(text, source=str(path))
@@ -68,13 +68,7 @@ def loads_instance(text: str, source: str = "<string>") -> PortfolioInstance:
     total_fund = _number(raw, "total_fund", source)
 
     try:
-        return PortfolioInstance(
-            assets=tuple(parsed),
-            target=target,
-            total_fund=total_fund,
-            upper_bounds=upper,
-            factor=factor,
-        )
+        return PortfolioInstance(assets=parsed, target=target, total_fund=total_fund, upper_bounds=upper, factor=factor)
     except ValidationError as exc:
         exc.args = (f"{source}: {exc}",)
         raise
@@ -108,7 +102,10 @@ def _finite(v, where: str, key: str | int) -> float:
 
 def write_instance(instance: PortfolioInstance, path: str | Path) -> None:
     """Serialize an instance; floats round-trip exactly through load_instance."""
-    Path(path).write_text(json.dumps(dataclasses.asdict(instance), indent=2) + "\n")
+    try:
+        Path(path).write_text(json.dumps(dataclasses.asdict(instance), indent=2) + "\n")
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror or exc}", field="path") from exc
 
 
 def bundled_names() -> list[str]:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetInfeasibleError, ValidationError
+from .errors import BudgetInfeasibleError, ValidationError, is_number
 from .fuzzy import FuzzyRandomReturn, RandomFactor, normal_quantile
 
 __all__ = [
@@ -54,16 +54,18 @@ class PortfolioInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "assets", tuple(self.assets))
-        u = tuple(float(b) for b in self.upper_bounds)
-        object.__setattr__(self, "upper_bounds", u)
+        u = tuple(self.upper_bounds)
         if len(self.assets) < 1:
             raise ValidationError("at least one asset is required")
         if len(u) != len(self.assets):
-            raise ValidationError(f"expected {len(self.assets)} upper bounds, got {len(u)}")
-        if not all(math.isfinite(b) and b > 0 for b in u):
-            raise ValidationError("upper bounds must be finite and positive")
-        if not (math.isfinite(self.total_fund) and self.total_fund > 0):
-            raise ValidationError(f"total fund must be positive, got {self.total_fund}")
+            raise ValidationError(f"expected {len(self.assets)} upper bounds, got {len(u)}", field="upper_bounds")
+        if not all(is_number(b) and math.isfinite(b) and b > 0 for b in u):
+            raise ValidationError("upper bounds must be finite and positive", field="upper_bounds")
+        if not (is_number(self.total_fund) and math.isfinite(self.total_fund) and self.total_fund > 0):
+            raise ValidationError(f"total fund must be positive, got {self.total_fund!r}", field="total_fund")
+        u = tuple(map(float, u))
+        object.__setattr__(self, "upper_bounds", u)
+        object.__setattr__(self, "total_fund", float(self.total_fund))
         if sum(u) < self.total_fund:
             raise BudgetInfeasibleError(f"upper bounds sum to {sum(u)}, below the total fund {self.total_fund}")
 
@@ -76,10 +78,11 @@ class ConfidenceLevels:
     eta: float
 
     def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise ValidationError(f"lambda must lie strictly in (0, 1), got {self.lam}", field="lam")
-        if not 0.0 < self.eta < 1.0:
-            raise ValidationError(f"eta must lie strictly in (0, 1), got {self.eta}", field="eta")
+        # a float passes without is_number's ABC check, which costs ten times as much: a sweep builds thousands
+        if not ((isinstance(self.lam, float) or is_number(self.lam)) and 0.0 < self.lam < 1.0):
+            raise ValidationError(f"lambda must lie strictly in (0, 1), got {self.lam!r}", field="lam")
+        if not ((isinstance(self.eta, float) or is_number(self.eta)) and 0.0 < self.eta < 1.0):
+            raise ValidationError(f"eta must lie strictly in (0, 1), got {self.eta!r}", field="eta")
         # reformulate takes the normal quantile at 1 - lambda, which must stay below 1
         if 1.0 - self.lam == 1.0:
             raise ValidationError(f"lambda {self.lam} is too close to 0: 1 - lambda rounds to 1", field="lam")
@@ -146,7 +149,8 @@ def objective(lp: DeterministicLP, x: Sequence[float]) -> float:
     threshold check.  A value past the float range is inf, without a warning."""
     x = np.asarray(x, dtype=float)
     if lp.coefficients.ndim != 1 or x.shape != lp.coefficients.shape:
-        raise ValueError(f"expected a one-level LP and an (n,) allocation, got {lp.coefficients.shape} and {x.shape}")
+        raise ValidationError(f"expected a one-level LP and an (n,) allocation, got {lp.coefficients.shape} "
+                              f"and {x.shape}", field="x")
     with np.errstate(over="ignore", invalid="ignore"):
         return float(lp.coefficients @ x)
 
@@ -207,17 +211,17 @@ def necessity_certificate(
     The tested scalar is f = c . x - margin.  The caller is responsible
     for x being budget- and box-feasible.
     """
-    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral) or n_samples < 1:
+    if not (is_number(n_samples, numbers.Integral) and n_samples >= 1):
         raise ValidationError(f"n_samples must be a positive integer, got {n_samples!r}", field="n_samples")
     rng = np.random.default_rng(rng)
     lp = reformulate(instance, levels)
     crisp_value = objective(lp, x)
     if not math.isfinite(crisp_value):
-        raise ValueError(f"the crisp value c . x must be finite, got {crisp_value}")
+        raise ValidationError(f"the crisp value c . x must be finite, got {crisp_value}", field="x")
     f = crisp_value - margin
     weights = [float(w) for w in x]
     if any(w < 0 for w in weights):
-        raise ValueError("weights must be nonnegative")
+        raise ValidationError("weights must be nonnegative", field="x")
     t = rng.normal(instance.factor.mean, instance.factor.std_dev, size=n_samples)
     a0, beta = 0.0, 0.0
     # float overflow gives inf silently, as in the scalar formulas
@@ -226,19 +230,12 @@ def necessity_certificate(
             a0 = a0 + (asset.r0 + t * asset.r2) * w
             beta += asset.beta * w
         if not np.isfinite(a0).all():
-            raise ValueError(f"field 'a0' must be finite, got {a0[~np.isfinite(a0)][0]}")
+            raise ValidationError(f"field 'a0' must be finite, got {a0[~np.isfinite(a0)][0]}")
         # the shoulder is taken only where a0 - beta < f <= a0, so never at beta == 0
         shoulder = 1.0 - (1.0 - (a0 - f) / (beta if beta > 0 else 1.0))
         degree = np.where(f <= a0 - beta, 1.0, np.where(f > a0, 0.0, shoulder))
     hits = int(np.count_nonzero(degree >= levels.eta))
     p = hits / n_samples
     se = math.sqrt(p * (1.0 - p) / n_samples)
-    return CertificateReport(
-        threshold=f,
-        probability=p,
-        std_error=se,
-        meets_level=p >= levels.lam,
-        crisp_value=crisp_value,
-        crisp_holds=crisp_value >= f,
-        n_samples=n_samples,
-    )
+    return CertificateReport(threshold=f, probability=p, std_error=se, meets_level=p >= levels.lam,
+                             crisp_value=crisp_value, crisp_holds=crisp_value >= f, n_samples=n_samples)

@@ -48,7 +48,7 @@ def penalized_objective_bound(lp: DeterministicLP, config: IcaConfig) -> float:
         if config.enforce_threshold:
             shortfall = np.abs(lp.threshold) + value
             bound = bound + INEQ_FACTOR * shortfall * shortfall
-    return float(np.max(bound))
+    return float(np.max(bound, initial=0.0))  # 0 at no level
 
 
 def repair(x, m0: float, upper) -> np.ndarray:

@@ -67,6 +67,19 @@ def test_round_trip(tmp_path):
     assert load_instance(out) == inst
 
 
+@pytest.mark.parametrize("where, reason", [("", "Is a directory"), ("missing/copy.json", "No such file or directory")],
+                         ids=["directory", "missing-parent"])
+def test_write_names_an_unwritable_path(tmp_path, where, reason):
+    path = tmp_path / where
+    with pytest.raises(ValidationError) as err:
+        write_instance(bundled_instance("paper_table1"), path)
+    assert (err.value.field, str(err.value)) == ("path", f"{path}: {reason}")
+    # the loader names the same path the same way
+    with pytest.raises(ValidationError) as err:
+        load_instance(path)
+    assert (err.value.field, str(err.value)) == ("path", f"{path}: {reason}")
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -614,6 +627,23 @@ def test_ica_tuning_flags(capsys):
     assert code == 0
     row = parse_csv(out)[0]
     assert float(row["objective"]) <= float(row["oracle_objective"]) + 1e-9
+
+
+def test_every_config_field_has_one_flag_with_the_config_default(capsys):
+    fields = [f.name for f in dataclasses.fields(ica.IcaConfig)]
+    # a field added without a flag fails here
+    assert list(cli._FLAGS) == [f for f in fields if f != "enforce_threshold"]
+    assert len(set(cli._FLAGS.values())) == len(cli._FLAGS)
+    args = cli.build_parser().parse_args(["solve"])
+    assert {f: getattr(args, f) for f in fields} == dataclasses.asdict(ica.IcaConfig())
+    assert cli._config(args) == ica.IcaConfig()
+    code, out, err = run_cli(["solve", "--help"], capsys)
+    assert (code, err) == (0, "")
+    assert all(f"{flag} " in out for flag in [*cli._FLAGS.values(), "--enforce-threshold"])
+    # the README's knob list is the flags, in _FLAGS order, then --enforce-threshold
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    knobs = re.search(r"^ICA knobs.*?\.\s", readme, re.S | re.M).group()
+    assert re.findall(r"`(--[a-z-]+)`", knobs) == [*cli._FLAGS.values(), "--enforce-threshold"]
 
 
 def test_rows_come_by_level_then_seed(capsys):

@@ -71,6 +71,18 @@ def test_config_validation():
     ({"n_imperialists": 2.0}, "n_imperialists"),
     ({"max_iterations": True}, "max_iterations"),
     ({"n_countries": np.float64(20.0)}, "n_countries"),
+    # every field's type is checked before a rule compares it, even when a rule names it first
+    ({"n_countries": "5"}, "n_countries"),
+    ({"n_imperialists": None}, "n_imperialists"),
+    ({"max_iterations": None}, "max_iterations"),
+    ({"epsilon": "a"}, "epsilon"),
+    ({"revolution_rate": True}, "revolution_rate"),
+    ({"eq_factor": None}, "eq_factor"),
+    ({"eq_factor": np.bool_(True)}, "eq_factor"),
+    ({"enforce_threshold": "no"}, "enforce_threshold"),
+    ({"enforce_threshold": 1}, "enforce_threshold"),
+    ({"enforce_threshold": None}, "enforce_threshold"),
+    ({"eq_factor": 0.0, "n_countries": 2.5}, "n_countries"),
 ])
 def test_config_errors_name_the_field(kwargs, field):
     with pytest.raises(ValidationError) as err:
@@ -82,6 +94,28 @@ def test_config_errors_name_the_field(kwargs, field):
 def test_config_accepts_numpy_integer_counts():
     cfg = ica.IcaConfig(n_countries=np.int64(20), n_imperialists=np.int32(2), max_iterations=np.int64(3))
     assert cfg.n_countries == 20
+
+
+def test_config_accepts_numpy_scalars_and_integers_for_reals():
+    cfg = ica.IcaConfig(revolution_rate=np.float32(0.5), epsilon=np.float64(0.01), eq_factor=2,
+                        enforce_threshold=np.True_)
+    assert (cfg.revolution_rate, cfg.epsilon, cfg.eq_factor, cfg.enforce_threshold) == (0.5, 0.01, 2, True)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_countries": "5"}, "n_countries must be an integer, got '5'"),
+    ({"epsilon": "a"}, "epsilon must be a real number, got 'a'"),
+    ({"enforce_threshold": "no"}, "enforce_threshold must be a bool, got 'no'"),
+    # the range rules keep their messages
+    ({"n_imperialists": 0}, "n_imperialists must be at least 1, got 0"),
+    ({"n_countries": 5, "n_imperialists": 10}, "n_countries must exceed n_imperialists (10), got 5"),
+    ({"revolution_rate": 1.5}, "revolution_rate must lie in [0, 1], got 1.5"),
+    ({"eq_factor": 0.0}, "eq_factor must be finite and positive, got 0.0"),
+])
+def test_config_type_and_range_messages(kwargs, message):
+    with pytest.raises(ValidationError) as err:
+        ica.IcaConfig(**kwargs)
+    assert str(err.value) == message
 
 
 def test_paper_parameter_defaults():
@@ -455,6 +489,19 @@ def test_run_refuses_a_huge_draw_buffer_before_allocating(lp01):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_draw_and_refuse_share_the_draw_layout(lp01, monkeypatch):
+    # draw takes exactly _draw_size numbers from an active row's generator
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    ica.draw([rng], np.array([True]), 7, 3)
+    twin.random(ica._draw_size(7, 3))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    # and refuse sizes the buffer from it, naming n_countries
+    monkeypatch.setattr(ica, "_draw_size", lambda n_countries, n: 2**28 + 1)
+    with pytest.raises(ValidationError, match=r"^n_countries: 100 countries of 5 assets need a 2\.0 GiB ") as err:
+        ica.refuse(lp01, ica.IcaConfig(), 1)
+    assert err.value.field == "n_countries"
 
 
 def test_run_refuses_before_any_block(lp01, monkeypatch):

@@ -80,6 +80,34 @@ def test_levels_validation():
     assert np.all(np.isfinite(reformulate(bundled_instance("paper_table1"), tiny).coefficients))
 
 
+@pytest.mark.parametrize("lam, eta, field", [
+    ("0.5", 0.5, "lam"), (None, 0.5, "lam"), (True, 0.5, "lam"),
+    (0.5, "0.5", "eta"), (0.5, None, "eta"), (0.5, False, "eta"),
+])
+def test_levels_of_the_wrong_type_name_the_field(lam, eta, field):
+    with pytest.raises(ValidationError) as err:
+        ConfidenceLevels(lam, eta)
+    assert err.value.field == field
+    assert str(err.value).startswith(f"{'lambda' if field == 'lam' else 'eta'} must lie strictly in (0, 1), got ")
+
+
+@pytest.mark.parametrize("fund, bounds, field", [
+    ("1", (60.0, 60.0), "total_fund"), (None, (60.0, 60.0), "total_fund"), (True, (60.0, 60.0), "total_fund"),
+    (100.0, ("60", 60.0), "upper_bounds"), (100.0, (None, 60.0), "upper_bounds"),
+    (100.0, (True, 60.0), "upper_bounds"), (100.0, (60.0,), "upper_bounds"),
+])
+def test_instance_fields_of_the_wrong_type_name_the_field(fund, bounds, field):
+    with pytest.raises(ValidationError) as err:
+        PortfolioInstance((_asset(), _asset()), _asset(), fund, bounds, RandomFactor())
+    assert err.value.field == field
+
+
+def test_instance_stores_numpy_and_integer_numbers_as_floats():
+    inst = PortfolioInstance((_asset(), _asset()), _asset(), np.int64(100), np.array([60, 60]), RandomFactor())
+    assert (inst.total_fund, inst.upper_bounds) == (100.0, (60.0, 60.0))
+    assert all(type(v) is float for v in (inst.total_fund, *inst.upper_bounds))
+
+
 # --- reformulation ------------------------------------------------------------
 
 @pytest.mark.parametrize("level", [0.1, 0.5, 0.9])

@@ -1,15 +1,23 @@
 """The names other code relies on: the benchmark tracer's targets, every
-__all__, and the README's Python examples."""
+__all__, the README's Python examples, and the library's argument contract."""
 
+import dataclasses
 import importlib
 import importlib.util
+import math
 import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fuzzfolio
+from fuzzfolio import ica
+from fuzzfolio.errors import ValidationError
+from fuzzfolio.model import PortfolioInstance
 
 MODULES = ("cli", "fuzzy", "ica", "io", "model", "oracle", "penalty", "report")
 
@@ -55,3 +63,110 @@ def test_readme_python_blocks_print_what_their_comments_say(capsys):
                 for line in block.splitlines() if line.startswith("print(")]
     assert len(expected) == 4
     assert [line.split() for line in capsys.readouterr().out.splitlines()] == expected
+
+
+# --- the library's argument contract (README, "Argument errors") -----------------
+
+LEVEL = st.floats(0.001, 0.999) | st.sampled_from([1e-16, 0.9999999999999999, np.float64(0.5), np.float32(0.25)])
+# the good values of each checked argument, numpy scalars among them: small searches, few samples
+GOOD = {
+    "n_countries": st.sampled_from([4, 7, 12, np.int64(9)]),
+    "n_imperialists": st.sampled_from([1, 3, np.int32(2)]),
+    "revolution_rate": st.sampled_from([0, 0.0, 0.2, 1.0, np.float64(0.5)]),
+    "max_iterations": st.sampled_from([0, 1, 3, np.int64(2)]),
+    "epsilon": st.sampled_from([1e-300, 0.05, 0.09999999999999999, np.float32(0.01)]),
+    "eq_factor": st.sampled_from([0.01, 0.5, 100.0, 2, np.float64(3.0)]),
+    "enforce_threshold": st.sampled_from([False, True, np.False_, np.True_]),
+    "lam": LEVEL,
+    "eta": LEVEL,
+    "total_fund": st.sampled_from([1.0, 100.0, 37, np.float64(5.5), np.int64(60)]),
+    # factors of the fund, so that the bounds absorb it
+    "upper_bounds": st.lists(st.sampled_from([0.2, 0.3, 1.0, 2.0]), min_size=5, max_size=5),
+    "seeds": st.lists(st.sampled_from([0, 1, 7, np.int64(3)]), max_size=3) | st.sampled_from([range(2), (5,)]),
+    "n_samples": st.sampled_from([1, 10, 100, np.int64(50)]),
+    "x": st.just(lambda x: x),
+    "path": st.just("inst.json"),
+}
+# a bad value for each: of the wrong type, or out of range
+BAD = {
+    "n_countries": st.sampled_from([0, 1, -4, 2.5, "5", None, True, np.float64(8.0)]),
+    "n_imperialists": st.sampled_from([0, -1, 1.5, "2", None, False]),
+    "revolution_rate": st.sampled_from([-0.1, 1.5, math.nan, "0.2", None, True, np.True_]),
+    "max_iterations": st.sampled_from([-1, 2.5, "3", None, True]),
+    "epsilon": st.sampled_from([0.0, 0.1, math.nan, math.inf, "a", None, False]),
+    "eq_factor": st.sampled_from([0.0, -1.0, math.inf, math.nan, "1", None, True]),
+    "enforce_threshold": st.sampled_from(["no", 0, 1, 1.0, None, np.int64(1)]),
+    "lam": st.sampled_from([0.0, 1.0, -0.5, 1e-17, math.nan, math.inf, "0.5", None, True]),
+    "eta": st.sampled_from([0.0, 1.0, 2.0, math.nan, -math.inf, "0.5", None, False]),
+    "total_fund": st.sampled_from([0.0, -1.0, math.nan, math.inf, "1", None, True]),
+    "upper_bounds": st.sampled_from([[1.0] * 4, [1.0] * 6, [1.0, -1.0, 1.0, 1.0, 1.0], [math.nan] * 5,
+                                     ["1"] * 5, [None] * 5, [True] * 5]),
+    "seeds": st.sampled_from([[-1], [1.5], ["1"], [True], [np.float64(2.0)], 7, None, "12"]),
+    "n_samples": st.sampled_from([0, -3, 2.5, 1e4, "10", None, True]),
+    "x": st.sampled_from([np.negative, lambda x: x[:-1], lambda x: x * math.nan, lambda x: np.append(x, 1.0)]),
+    "path": st.sampled_from([".", "missing/inst.json"]),
+}
+CONFIG = [f.name for f in dataclasses.fields(ica.IcaConfig)]
+PAPER = fuzzfolio.bundled_instance("paper_table1")
+
+
+# a good and a bad value of every argument; up to three levels, the first of lam and eta;
+# and the container of the bounds
+ARGUMENTS = st.fixed_dictionaries({
+    "good": st.fixed_dictionaries(GOOD), "bad": st.fixed_dictionaries(BAD),
+    "more_levels": st.lists(st.tuples(LEVEL, LEVEL), max_size=2),
+    # no level, one ConfidenceLevels, or a list of them
+    "shape": st.sampled_from(["none", "one", "list"]), "single": st.booleans(),
+    "container": st.sampled_from([list, tuple, np.array]),
+})
+
+
+def _call(bad, takes, fn):
+    """fn's result, or None once it has raised the ValidationError that names
+    the bad argument, which it must when it takes that argument."""
+    if bad not in takes:
+        return fn()
+    with pytest.raises(ValidationError) as err:
+        fn()
+    assert err.value.field == bad
+    return None
+
+
+def _run_entry_points(bad, args, tmp_path):
+    """Every entry point in turn, with the bad argument's bad value and every
+    other argument's good one; each call that does not take it returns."""
+    value = {**args["good"], **({bad: args["bad"][bad]} if bad else {})}
+    shape = "one" if args["shape"] == "none" and bad in ("lam", "eta") else args["shape"]
+    pairs = [(value["lam"], value["eta"]), *args["more_levels"]][:{"none": 0, "one": 1, "list": 3}[shape]]
+    # as factors of the good fund, the good bounds absorb it
+    bounds = value["upper_bounds"] if bad == "upper_bounds" else args["container"](
+        [args["good"]["total_fund"] * b for b in value["upper_bounds"]])
+    config = _call(bad, CONFIG, lambda: ica.IcaConfig(**{name: value[name] for name in CONFIG}))
+    levels = _call(bad, ("lam", "eta"), lambda: [fuzzfolio.ConfidenceLevels(*pair) for pair in pairs])
+    instance = _call(bad, ("total_fund", "upper_bounds"), lambda: PortfolioInstance(
+        PAPER.assets, PAPER.target, value["total_fund"], bounds, PAPER.factor))
+    if None in (config, levels, instance):
+        return
+    single = shape == "one" and args["single"]
+    levels = levels[0] if single else levels
+    lp = fuzzfolio.reformulate(instance, levels)
+    assert fuzzfolio.solve_exact(lp).x.shape == lp.coefficients.shape
+    reports = _call(bad, ("seeds",), lambda: ica.run(lp, config, value["seeds"]))
+    assert reports is None or len(reports) == len(pairs) * len(value["seeds"])
+    one = levels if single else levels[0] if levels else fuzzfolio.ConfidenceLevels(0.4, 0.4)
+    x = value["x"](fuzzfolio.solve_exact(fuzzfolio.reformulate(instance, one)).x)
+    _call(bad, ("n_samples", "x"), lambda: fuzzfolio.necessity_certificate(instance, one, x, value["n_samples"]))
+    path = tmp_path / value["path"]
+    _call(bad, ("path",), lambda: fuzzfolio.write_instance(instance, path))
+    assert _call(bad, ("path",), lambda: fuzzfolio.load_instance(path)) in (None, instance)
+
+
+@given(args=ARGUMENTS)
+@settings(max_examples=50, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_entry_point_returns_or_names_the_bad_argument(args, tmp_path):
+    # all good arguments, then each argument bad in turn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (None, *BAD):
+            _run_entry_points(bad, args, tmp_path)
