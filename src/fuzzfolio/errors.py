@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the number test of its checks."""
+"""Exception types shared across the package, and the number tests of its checks."""
 
 import numbers
+import sys
 
 
 class ValidationError(ValueError):
@@ -21,3 +22,8 @@ class BudgetInfeasibleError(ValidationError):
 def is_number(value, kind=numbers.Real) -> bool:
     """Whether value is of the ``numbers`` ABC kind, numpy scalars included; a bool is no number."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """Whether a number is finite as a float: NaN, the infinities and an int past the float range are not."""
+    return abs(value) <= sys.float_info.max

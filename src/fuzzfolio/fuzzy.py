@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ValidationError, is_finite, is_number
+
 __all__ = [
     "LRFuzzyNumber",
     "FuzzyRandomReturn",
@@ -36,11 +38,14 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def _require_finite(record, fields: tuple[str, ...]) -> None:
-    # NaN slips through every ordering check below (NaN < 0 is false)
+    # NaN slips through every ordering check below (NaN < 0 is false); a float passes without
+    # is_number's ABC check, which costs more than the rest of a record: a load builds one per asset
     for name in fields:
         value = getattr(record, name)
-        if not math.isfinite(value):
-            raise ValueError(f"field {name!r} must be finite, got {value}")
+        if not (isinstance(value, float) or is_number(value)):
+            raise ValidationError(f"field {name!r} must be a number, got {value!r}", field=name)
+        if not is_finite(value):
+            raise ValidationError(f"field {name!r} must be finite, got {value}", field=name)
 
 
 @dataclass(frozen=True, slots=True)

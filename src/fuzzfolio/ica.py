@@ -15,9 +15,10 @@ country imperialist (S, K) and alive flag (S, K), and the running rows
 active (S,).  The phases only move countries or relabel empires; ``run``
 alone evaluates costs, each at its row's level, in one batch of all rows
 each time: every country after initialization, then the countries each
-move changed.  A row never depends on the rows it runs with: it has its
-own generator (one draw per iteration, see ``draw``), and every reduction
-and cost runs over its row alone.  A row left with one empire stops.
+move changed.  A row never depends on the rows it runs with: the rows of
+one seed in a block share its generator, drawn once per iteration for
+all of them (see ``draw``), and every reduction and cost runs over its
+row alone.  A row left with one empire stops.
 Costs are minimized (cost = -penalized objective): lower is stronger.
 """
 
@@ -30,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, is_number
+from .errors import ValidationError, is_finite, is_number
 from .model import DeterministicLP, objective
 from .penalty import penalized_objective_batch, penalized_objective_bound, repair
 
@@ -74,7 +75,7 @@ class IcaConfig:
             if not holds(value):
                 raise ValidationError(f"{f.name} must be {what}, got {value!r}", field=f.name)
         rules = (
-            ("eq_factor", math.isfinite(self.eq_factor) and self.eq_factor > 0, "must be finite and positive"),
+            ("eq_factor", is_finite(self.eq_factor) and self.eq_factor > 0, "must be finite and positive"),
             ("n_imperialists", self.n_imperialists >= 1, "must be at least 1"),
             ("n_countries", self.n_countries > self.n_imperialists,
              f"must exceed n_imperialists ({self.n_imperialists})"),
@@ -106,24 +107,33 @@ class RunReport:
     seed: int
 
 
+def _streams(rngs: Sequence[np.random.Generator]):
+    """The distinct generators among the rows' rngs, and each row's index into them (S,)."""
+    index = {rng: i for i, rng in enumerate(dict.fromkeys(rngs))}
+    return list(index), np.array([index[rng] for rng in rngs], dtype=np.intp)
+
+
 def initialize(config: IcaConfig, bounds: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Draw each row's positions uniformly inside the box: positions (S, N, n)."""
-    return np.stack([rng.uniform(0.0, bounds, size=(config.n_countries, bounds.size)) for rng in rngs])
+    """Draw each row's positions uniformly inside the box, once per generator: positions (S, N, n)."""
+    generators, stream = _streams(rngs)
+    return np.stack([rng.uniform(0.0, bounds, size=(config.n_countries, bounds.size)) for rng in generators])[stream]
 
 
 def form_empires(costs: np.ndarray, config: IcaConfig, rngs: Sequence[np.random.Generator]):
-    """Split each row's population into empires with power-proportional colony
-    counts: owner (S, N), and imperialist (S, K) whose k-th is the k-th best country."""
+    """Split each row's population into empires with power-proportional colony counts, one colony
+    permutation per generator: owner (S, N), and imperialist (S, K) whose k-th is the k-th best country."""
     k = config.n_imperialists
     owner = np.empty(costs.shape, dtype=np.intp)
     imperialist = np.empty((len(rngs), k), dtype=np.intp)
-    for s, rng in enumerate(rngs):
+    generators, stream = _streams(rngs)
+    permutations = [rng.permutation(costs.shape[1] - k) for rng in generators]
+    for s in range(len(rngs)):
         ranked = np.argsort(costs[s], kind="stable")
         imperialist[s] = ranked[:k]
         owner[s, ranked[:k]] = np.arange(k)
         colonists = ranked[k:]
         counts = _largest_remainder(_power_shares(costs[s, ranked[:k]]), colonists.size)
-        owner[s, colonists[rng.permutation(colonists.size)]] = np.repeat(np.arange(k), counts)
+        owner[s, colonists[permutations[stream[s]]]] = np.repeat(np.arange(k), counts)
     return owner, imperialist
 
 
@@ -164,18 +174,22 @@ def _colonies(owner: np.ndarray, imperialist: np.ndarray) -> np.ndarray:
 
 
 def _draw_size(n_countries: int, n: int) -> int:
-    """How many numbers ``draw`` takes from a row's generator per iteration."""
+    """How many numbers ``draw`` takes from a generator per iteration."""
     return 1 + n_countries * (2 * n + 1)
 
 
 def draw(rngs: Sequence[np.random.Generator], active: np.ndarray, n_countries: int, n: int):
-    """Draw one iteration's numbers, one ``random(1 + N(2n + 1))`` per active row: the
-    roulette numbers (S,), then per country the assimilation steps (S, N, n), revolution
-    trials (S, N) and fresh positions in the unit box (S, N, n), unused for imperialists.
-    An inactive row draws nothing and gets zeros."""
+    """Draw one iteration's numbers, one ``random(1 + N(2n + 1))`` per generator with an active
+    row, which its active rows share: the roulette numbers (S,), then per country the assimilation
+    steps (S, N, n), revolution trials (S, N) and fresh positions in the unit box (S, N, n), unused
+    for imperialists.  An inactive row gets zeros; a generator with none active draws nothing."""
     u = np.zeros((len(rngs), _draw_size(n_countries, n)))
-    for s in np.flatnonzero(active):
-        rngs[s].random(out=u[s])
+    first = {}  # each generator's first active row: it draws, and the later ones copy it
+    for s in np.flatnonzero(active).tolist():
+        if first.setdefault(rngs[s], s) == s:
+            rngs[s].random(out=u[s])
+        else:
+            u[s] = u[first[rngs[s]]]
     grid = u[:, 1:].reshape(len(rngs), n_countries, 2 * n + 1)
     return u[:, 0], grid[..., :n], grid[..., n], grid[..., n + 1:]
 
@@ -187,13 +201,13 @@ def assimilate(positions: np.ndarray, rulers: np.ndarray, moving: np.ndarray, st
     np.subtract(moved, positions, out=moved)
     np.multiply(moved, ASSIMILATION_BETA * steps, out=moved)
     np.add(moved, positions, out=moved)
-    np.clip(moved, 0.0, bounds, out=positions, where=moving[..., None])
+    np.clip(moved, 0.0, bounds, out=positions, where=np.repeat(moving[..., None], n, axis=2))
 
 
 def revolve(positions: np.ndarray, chosen: np.ndarray, fresh: np.ndarray, bounds) -> None:
     """Replace each country flagged in ``chosen`` (S, N) by its fresh position in the
     unit box scaled to the bounds, in place."""
-    np.multiply(bounds, fresh, out=positions, where=chosen[..., None])
+    positions[chosen] = bounds * fresh[chosen]
 
 
 def exchange(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray) -> None:
@@ -299,10 +313,11 @@ def run(lp: DeterministicLP, config: IcaConfig = IcaConfig(), seeds: Sequence[in
 def _run_block(lp: DeterministicLP, config: IcaConfig, seeds, block) -> list[RunReport]:
     level, seed_index = np.divmod(block, len(seeds))  # run row r: level r // S at seed seeds[r % S]
     block_seeds = [seeds[i] for i in seed_index.tolist()]
-    rngs = [np.random.default_rng(seed) for seed in block_seeds]
+    rngs = list(map({seed: np.random.default_rng(seed) for seed in block_seeds}.get, block_seeds))  # one per seed
     coefficients, thresholds = lp.coefficients[level], lp.threshold[level]
     bounds = lp.upper_bounds
     s, m, n = len(block), config.n_countries, lp.n
+    box = np.tile(bounds, (m, 1))  # (N, n), so the clip and the box check run over whole rows of countries
     rows = np.arange(s)
     best_cost = np.full(s, np.inf)
     best_position = np.zeros((s, n))
@@ -334,7 +349,7 @@ def _run_block(lp: DeterministicLP, config: IcaConfig, seeds, block) -> list[Run
         roulette, steps, trials, fresh = draw(rngs, active, m, n)
         rulers = _rulers(owner, imperialist)
         moving = (rulers != np.arange(m)) & active[:, None]
-        assimilate(positions, rulers, moving, steps, bounds)
+        assimilate(positions, rulers, moving, steps, box)
         tracked(moving)
         revolting = moving & (trials < config.revolution_rate)
         revolve(positions, revolting, fresh, bounds)
@@ -345,7 +360,7 @@ def _run_block(lp: DeterministicLP, config: IcaConfig, seeds, block) -> list[Run
         n_empires = alive.sum(axis=1)
         history.append(np.stack([best_cost, n_empires], axis=1))
         lengths[active] = iteration
-        _check_invariants(positions, costs, owner, imperialist, alive, bounds)
+        _check_invariants(positions, costs, owner, imperialist, alive, box)
         active &= n_empires > 1
         if not active.any():
             break

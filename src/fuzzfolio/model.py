@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetInfeasibleError, ValidationError, is_number
+from .errors import BudgetInfeasibleError, ValidationError, is_finite, is_number
 from .fuzzy import FuzzyRandomReturn, RandomFactor, normal_quantile
 
 __all__ = [
@@ -59,9 +59,9 @@ class PortfolioInstance:
             raise ValidationError("at least one asset is required")
         if len(u) != len(self.assets):
             raise ValidationError(f"expected {len(self.assets)} upper bounds, got {len(u)}", field="upper_bounds")
-        if not all(is_number(b) and math.isfinite(b) and b > 0 for b in u):
+        if not all(is_number(b) and is_finite(b) and b > 0 for b in u):
             raise ValidationError("upper bounds must be finite and positive", field="upper_bounds")
-        if not (is_number(self.total_fund) and math.isfinite(self.total_fund) and self.total_fund > 0):
+        if not (is_number(self.total_fund) and is_finite(self.total_fund) and self.total_fund > 0):
             raise ValidationError(f"total fund must be positive, got {self.total_fund!r}", field="total_fund")
         u = tuple(map(float, u))
         object.__setattr__(self, "upper_bounds", u)

@@ -4,10 +4,12 @@ The grid necessity measure checks the closed form of the reformulation,
 the lattice brute force checks the greedy exact solver, and the scalar
 loops and masks check the array paths that replaced them, the per-entry
 formatter the renderers' one-operation allocation text, and the
-row-by-row renderers the column renderers of a sweep's grid.
+row-by-row renderers the column renderers of a sweep's grid.  The
+metamorphic relations check ICA and the greedy fill without pinned bytes.
 """
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -164,6 +166,23 @@ def scalar_repair(x, m0: float, upper) -> np.ndarray:
             x = x * (m0 / float(x.sum()))
         x = np.clip(x, 0.0, upper)
     return x
+
+
+def scaled(lp: DeterministicLP, relation: str, k: int) -> tuple[DeterministicLP, float]:
+    """lp under a metamorphic relation, and the factor the relation puts on eq_factor.
+
+    Both scale by the power of two 2**k, which rounds nothing, so with
+    enforce_threshold off (INEQ_FACTOR does not scale) every result moves
+    exactly: under "money" (fund and bounds by 2**k, eq_factor by 2**-k)
+    allocations, costs and objectives scale by 2**k; under "returns"
+    (coefficients and threshold by 2**k, eq_factor by 2**k) allocations
+    stay bitwise and costs and objectives scale by 2**k.  Empire counts
+    stay under both.  repair's tolerance scales only for a fund of 1 or more.
+    """
+    two = 2.0**k
+    if relation == "money":
+        return dataclasses.replace(lp, total_fund=lp.total_fund * two, upper_bounds=lp.upper_bounds * two), 1 / two
+    return dataclasses.replace(lp, coefficients=lp.coefficients * two, threshold=lp.threshold * two), two
 
 
 def mask_exchange(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray) -> None:

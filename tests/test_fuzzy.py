@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzzfolio.errors import ValidationError
 from fuzzfolio.fuzzy import (
     FuzzyRandomReturn,
     LRFuzzyNumber,
@@ -55,6 +56,16 @@ def test_non_finite_fields_rejected(cls, field, value):
     with pytest.raises(ValueError) as err:
         cls(**{**VALID_FIELDS[cls], field: value})
     assert str(err.value) == f"field {field!r} must be finite, got {value}"
+
+
+@pytest.mark.parametrize("value, rule", [(True, "be a number"), ("1", "be a number"), (None, "be a number"),
+                                         (10**400, "be finite")], ids=["bool", "str", "none", "past-float-range"])
+@pytest.mark.parametrize("cls, field", [(cls, f) for cls, fields in VALID_FIELDS.items() for f in fields])
+def test_fields_of_no_finite_number_name_the_field(cls, field, value, rule):
+    with pytest.raises(ValidationError) as err:
+        cls(**{**VALID_FIELDS[cls], field: value})
+    assert err.value.field == field
+    assert str(err.value).startswith(f"field {field!r} must {rule}, got ")
 
 
 # --- membership --------------------------------------------------------------

@@ -17,7 +17,8 @@ from fuzzfolio.io import bundled_instance
 from fuzzfolio.model import ConfidenceLevels, reformulate, residuals
 from fuzzfolio.oracle import solve_exact
 from fuzzfolio.penalty import penalized_objective_batch
-from referees import mask_exchange
+from instgen import random_instance
+from referees import mask_exchange, scaled
 
 U5 = np.full(5, 60.0)
 
@@ -83,6 +84,8 @@ def test_config_validation():
     ({"enforce_threshold": 1}, "enforce_threshold"),
     ({"enforce_threshold": None}, "enforce_threshold"),
     ({"eq_factor": 0.0, "n_countries": 2.5}, "n_countries"),
+    # an int past the float range is no finite factor
+    ({"eq_factor": 10**400}, "eq_factor"),
 ])
 def test_config_errors_name_the_field(kwargs, field):
     with pytest.raises(ValidationError) as err:
@@ -141,6 +144,14 @@ def test_initialize_deterministic_and_bounded():
     assert np.all(pos_a >= 0) and np.all(pos_a <= U5)
     # each seed's rows come from its own generator
     assert pos_a[1].tobytes() == np.random.default_rng(6).uniform(0.0, U5, size=(20, 5)).tobytes()
+    # rows holding one generator share its one draw, each row in its own copy
+    rng = np.random.default_rng(5)
+    shared = ica.initialize(cfg, U5, [rng, rng])
+    shared[0] += 1.0
+    assert shared[1].tobytes() == pos_a[0].tobytes()
+    twin = np.random.default_rng(5)
+    twin.uniform(0.0, U5, size=(20, 5))
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_initialize_degenerate_box():
@@ -229,6 +240,17 @@ def test_draw_follows_the_per_seed_stream():
                 assert roulette[i] == 0.0 and not (steps[i].any() or trials[i].any() or fresh[i].any())
             # nothing more was drawn, and nothing at all for the inactive seed
             assert rng.random() == ref.random()
+    # rows holding one generator share its one draw: an active row gets the seed's
+    # numbers, a stopped row zeros, and the stream moves by exactly one draw
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    for active in ([True, False], [False, True], [True, True]):
+        roulette, steps, trials, fresh = ica.draw([rng, rng], np.array(active), n_countries, n)
+        u = ref.random(1 + n_countries * (2 * n + 1))
+        for i, on in enumerate(active):
+            got = np.concatenate([roulette[i:i + 1], np.dstack([steps, trials[..., None], fresh])[i].ravel()])
+            assert got.tobytes() == (u if on else np.zeros_like(u)).tobytes()
+    ica.draw([rng, rng], np.array([False, False]), n_countries, n)
+    assert rng.random() == ref.random()
 
 
 # --- assimilation / revolution ----------------------------------------------------
@@ -654,8 +676,11 @@ COLLAPSING = ica.IcaConfig(n_countries=12, n_imperialists=4, max_iterations=500)
     ((0.3, 0.6, 0.9), ica.IcaConfig(enforce_threshold=True), range(1, 11)),
     # rows of different levels stop at different iterations
     ((0.1, 0.5, 0.9), COLLAPSING, range(1, 11)),
+    # 135 rows: the rows of seeds 39-45, which stop at different iterations, fall in two blocks
+    ((0.1, 0.5, 0.9), COLLAPSING, range(1, 46)),
 ], ids=["paper", "order-and-duplicates", "two-blocks", "enforce-threshold", "collapse",
-        "paper-levels", "levels-two-blocks", "levels-enforce-threshold", "levels-collapse"])
+        "paper-levels", "levels-two-blocks", "levels-enforce-threshold", "levels-collapse",
+        "levels-collapse-two-blocks"])
 def test_each_seed_runs_as_if_alone(levels, config, seeds):
     instance = bundled_instance("paper_table1")
     if isinstance(levels, float):
@@ -677,6 +702,10 @@ def test_each_seed_runs_as_if_alone(levels, config, seeds):
         lengths = {len(r.history) for r in batch}
         assert len(lengths) > 1 and max(lengths) < 500
         assert all(r.history[-1, 1] == 1 for r in batch)
+    if config is COLLAPSING and len(alone_lps) > 1:
+        # some seed's rows, which share its stream, stop at different iterations
+        by_seed = np.array([len(r.history) for r in batch]).reshape(len(alone_lps), -1)
+        assert (by_seed.min(axis=0) < by_seed.max(axis=0)).any()
 
 
 def test_a_level_batched_run_evaluates_one_batch_per_phase_in_all(monkeypatch):
@@ -688,3 +717,52 @@ def test_a_level_batched_run_evaluates_one_batch_per_phase_in_all(monkeypatch):
     assert len(reports) == 80 and {len(r.history) for r in reports} == {25}
     assert len(batches) == 1 + 2 * 25
     assert batches[0] == (80 * 100, 5)
+
+
+def test_a_paper_sweep_draws_each_seeds_numbers_once(monkeypatch):
+    lp = reformulate(bundled_instance("paper_table1"), [ConfidenceLevels(v, v) for v in (0.1, 0.4, 0.7, 0.9)])
+    drawn, initialized = [], []
+
+    class Counting(np.random.Generator):
+        def random(self, size=None, dtype=np.float64, out=None):
+            result = super().random(size, dtype, out)
+            drawn.append(result.size)
+            return result
+
+    initialize = ica.initialize
+
+    def counted_initialize(config, bounds, rngs):
+        initialized.append((len(rngs), len({id(rng) for rng in rngs})))
+        return initialize(config, bounds, rngs)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Counting(np.random.PCG64(seed)))
+    monkeypatch.setattr(ica, "initialize", counted_initialize)
+    reports = ica.run(lp, seeds=range(1, 21))
+    # the 4 rows of a seed share its generator: 20 of them, each drawing 1 + 100 * 11
+    # numbers per iteration, where one generator per row would draw 2,202,000
+    assert initialized == [(80, 20)] and {len(r.history) for r in reports} == {25}
+    assert len(drawn) == 20 * 25 and sum(drawn) == 550_500
+
+
+# --- metamorphic referee ---------------------------------------------------------------
+
+METAMORPHIC = ica.IcaConfig(n_countries=40, n_imperialists=5, max_iterations=15)
+
+
+@pytest.mark.parametrize("relation", ["money", "returns"])
+def test_scaling_by_a_power_of_two_scales_every_report_exactly(relation):
+    # see referees.scaled: every search step rounds the same under the scaling
+    rng = np.random.default_rng(24)
+    instances = [bundled_instance("paper_table1")] + [random_instance(rng, rng.integers(2, 12)) for _ in range(3)]
+    for instance in instances:
+        lp = reformulate(instance, [ConfidenceLevels(v, v) for v in (0.1, 0.4, 0.7, 0.9)])
+        base = ica.run(lp, METAMORPHIC, (1, 2, 3))
+        for k in (-3, 5, 20):
+            two = 2.0**k
+            moved, factor = scaled(lp, relation, k)
+            config = dataclasses.replace(METAMORPHIC, eq_factor=METAMORPHIC.eq_factor * factor)
+            x_scale = two if relation == "money" else 1.0
+            for want, got in zip(base, ica.run(moved, config, (1, 2, 3)), strict=True):
+                assert got.best_position.tobytes() == (want.best_position * x_scale).tobytes()
+                assert (got.best_cost, got.best_objective) == (want.best_cost * two, want.best_objective * two)
+                assert got.history.tobytes() == (want.history * [two, 1.0]).tobytes()

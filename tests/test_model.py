@@ -102,6 +102,16 @@ def test_instance_fields_of_the_wrong_type_name_the_field(fund, bounds, field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize("fund, bounds, field", [
+    (10**400, (60.0, 60.0), "total_fund"), (100.0, (10**400, 60.0), "upper_bounds"),
+    (100.0, (60.0, -10**400), "upper_bounds"),
+], ids=["fund", "bound", "negative-bound"])
+def test_instance_ints_past_the_float_range_name_the_field(fund, bounds, field):
+    with pytest.raises(ValidationError) as err:
+        PortfolioInstance((_asset(), _asset()), _asset(), fund, bounds, RandomFactor())
+    assert err.value.field == field
+
+
 def test_instance_stores_numpy_and_integer_numbers_as_floats():
     inst = PortfolioInstance((_asset(), _asset()), _asset(), np.int64(100), np.array([60, 60]), RandomFactor())
     assert (inst.total_fund, inst.upper_bounds) == (100.0, (60.0, 60.0))

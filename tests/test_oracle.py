@@ -5,7 +5,8 @@ from fuzzfolio.io import bundled_instance
 from fuzzfolio.model import ConfidenceLevels, DeterministicLP, objective, reformulate
 from fuzzfolio.oracle import solve_exact
 from fuzzfolio.penalty import repair
-from referees import brute_force
+from instgen import random_instance
+from referees import brute_force, scaled
 
 LEVELS = ConfidenceLevels(0.5, 0.5)
 
@@ -152,3 +153,18 @@ def test_permutation_equivariance():
         shuffled = solve_exact(make_lp(c[perm], m0, u[perm]))
         assert shuffled.x == pytest.approx(base.x[perm], abs=1e-12)
         assert shuffled.objective == pytest.approx(base.objective, rel=1e-12)
+
+
+@pytest.mark.parametrize("relation", ["money", "returns"])
+def test_scaling_by_a_power_of_two_scales_the_optimum_exactly(relation):
+    # see referees.scaled: the greedy fill rounds the same under the scaling
+    rng = np.random.default_rng(25)
+    for _ in range(300):
+        instance = random_instance(rng, rng.integers(1, 40))
+        lp = reformulate(instance, [ConfidenceLevels(v, v) for v in rng.uniform(0.05, 0.95, 8)])
+        want = solve_exact(lp)
+        for k in (-3, 5, 20):
+            two = 2.0**k
+            got = solve_exact(scaled(lp, relation, k)[0])
+            assert got.x.tobytes() == (want.x * (two if relation == "money" else 1.0)).tobytes()
+            assert got.objective.tobytes() == (want.objective * two).tobytes()
