@@ -27,3 +27,14 @@ def is_number(value, kind=numbers.Real) -> bool:
 def is_finite(value) -> bool:
     """Whether a number is finite as a float: NaN, the infinities and an int past the float range are not."""
     return abs(value) <= sys.float_info.max
+
+
+def require_finite(value, field: str, index: int | None = None) -> None:
+    """Raise a ValidationError naming field unless value is a number finite as a float (NaN slips
+    through every ordering check); the message calls it ``field 'r0'``, or ``upper_bounds[3]``."""
+    # a float passes without is_number's ABC check, which costs more than the rest of a record
+    number = isinstance(value, float) or is_number(value)
+    if not (number and is_finite(value)):
+        what = f"field {field!r}" if index is None else f"{field}[{index}]"
+        rule = f"be finite, got {value}" if number else f"be a number, got {value!r}"
+        raise ValidationError(f"{what} must {rule}", field=field)

@@ -5,7 +5,8 @@ shoulders: the grade of x rises as 1 - (a0 - x) / beta on the left and falls
 as 1 - (x - a1) / gamma on the right.  Linear shoulders are the form for
 which the model's reformulation is exact.  A fuzzy random return shifts
 the peak interval by t * r2 for a normal draw t, keeping the spreads
-fixed, so every observation is again an LR fuzzy number.
+fixed, so every observation is again an LR fuzzy number.  Each record names
+a field that is no finite number (errors.require_finite); a loader adds the place.
 
 The degree to which an LR number necessarily reaches a scalar threshold
 has a closed form, which the model reformulation uses.  Its referee, a
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, is_finite, is_number
+from .errors import require_finite
 
 __all__ = [
     "LRFuzzyNumber",
@@ -37,17 +38,6 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-def _require_finite(record, fields: tuple[str, ...]) -> None:
-    # NaN slips through every ordering check below (NaN < 0 is false); a float passes without
-    # is_number's ABC check, which costs more than the rest of a record: a load builds one per asset
-    for name in fields:
-        value = getattr(record, name)
-        if not (isinstance(value, float) or is_number(value)):
-            raise ValidationError(f"field {name!r} must be a number, got {value!r}", field=name)
-        if not is_finite(value):
-            raise ValidationError(f"field {name!r} must be finite, got {value}", field=name)
-
-
 @dataclass(frozen=True, slots=True)
 class LRFuzzyNumber:
     """Fuzzy quantity with peak [a0, a1] and left/right spreads beta, gamma."""
@@ -58,7 +48,8 @@ class LRFuzzyNumber:
     gamma: float
 
     def __post_init__(self):
-        _require_finite(self, ("a0", "a1", "beta", "gamma"))
+        for name in ("a0", "a1", "beta", "gamma"):
+            require_finite(getattr(self, name), name)
         if not self.a0 <= self.a1:
             raise ValueError(f"peak interval requires a0 <= a1, got ({self.a0}, {self.a1})")
         if self.beta < 0 or self.gamma < 0:
@@ -79,7 +70,8 @@ class FuzzyRandomReturn:
     gamma: float
 
     def __post_init__(self):
-        _require_finite(self, ("r0", "r1", "r2", "beta", "gamma"))
+        for name in ("r0", "r1", "r2", "beta", "gamma"):
+            require_finite(getattr(self, name), name)
         if not self.r0 <= self.r1:
             raise ValueError(f"base peaks require r0 <= r1, got ({self.r0}, {self.r1})")
         if self.r2 < 0:
@@ -96,7 +88,8 @@ class RandomFactor:
     std_dev: float = 1.0
 
     def __post_init__(self):
-        _require_finite(self, ("mean", "std_dev"))
+        for name in ("mean", "std_dev"):
+            require_finite(getattr(self, name), name)
         if not self.std_dev > 0:
             raise ValueError(f"std_dev must be positive, got {self.std_dev}")
 

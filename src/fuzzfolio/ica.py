@@ -273,10 +273,12 @@ def compete(costs, owner, imperialist, alive, roulette: np.ndarray, config: IcaC
 
 
 def refuse(lp: DeterministicLP, config: IcaConfig, n_rows: int) -> None:
-    """Raise the ValidationError ``run`` would raise for n_rows (level, seed)
-    rows at lp, one level or L, in this order: a row block whose draw buffer
-    would exceed MAX_DRAW_BYTES, and a level's box in which a cost could overflow."""
+    """Raise the ValidationError ``run`` would raise for n_rows (level, seed) rows at lp, one level
+    or L, in this order: a draw buffer's size or 4 n_countries past the float range, a row block
+    whose draw buffer would exceed MAX_DRAW_BYTES, and a level's box in which a cost could overflow."""
     size = 8 * min(n_rows, ROW_BLOCK) * _draw_size(config.n_countries, lp.n)
+    if not is_finite(max(size, 4 * config.n_countries)):  # the checks below take both as floats
+        raise ValidationError("n_countries: the count is too large for float arithmetic", field="n_countries")
     if size > MAX_DRAW_BYTES:
         raise ValidationError(f"n_countries: {config.n_countries} countries of {lp.n} assets need a "
                               f"{size / 2**30:.1f} GiB draw buffer, above the {MAX_DRAW_BYTES / 2**30:.0f} GiB limit",

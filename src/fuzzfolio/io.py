@@ -1,6 +1,7 @@
 """Instance files: a self-describing JSON schema plus bundled fixtures.
 
-Schema, all fields required:
+The records and the instance check their own numbers; the loader checks the JSON
+shape (objects, keys, arrays) and adds the place in the file.  Schema, all fields required:
 
     {
       "assets":       [{"r0": .., "r1": .., "r2": .., "beta": .., "gamma": ..}, ...],
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from importlib import resources
 from pathlib import Path
 
@@ -60,15 +60,10 @@ def loads_instance(text: str, source: str = "<string>") -> PortfolioInstance:
     target = _record(FuzzyRandomReturn, raw["target"], f"{source}: target")
     factor = _record(RandomFactor, raw["factor"], f"{source}: factor")
 
-    bounds = raw["upper_bounds"]
-    if not isinstance(bounds, list):
+    if not isinstance(raw["upper_bounds"], list):
         raise ValidationError(f"{source}: 'upper_bounds' must be an array of numbers")
-    where = f"{source}: upper_bounds"
-    upper = tuple(_finite(b, where, i) for i, b in enumerate(bounds))
-    total_fund = _number(raw, "total_fund", source)
-
     try:
-        return PortfolioInstance(assets=parsed, target=target, total_fund=total_fund, upper_bounds=upper, factor=factor)
+        return PortfolioInstance(parsed, target, raw["total_fund"], raw["upper_bounds"], factor)
     except ValidationError as exc:
         exc.args = (f"{source}: {exc}",)
         raise
@@ -78,26 +73,13 @@ def _record(cls, raw, where: str):
     """An instance of the dataclass cls from a JSON object of its fields."""
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: must be an object")
-    values = {f.name: _number(raw, f.name, where) for f in dataclasses.fields(cls)}
+    for f in dataclasses.fields(cls):
+        if f.name not in raw:
+            raise ValidationError(f"{where}: missing field {f.name!r}")
     try:
-        return cls(**values)
+        return cls(**{f.name: raw[f.name] for f in dataclasses.fields(cls)})
     except ValueError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
-
-
-def _number(raw: dict, key: str, where: str) -> float:
-    if key not in raw:
-        raise ValidationError(f"{where}: missing field {key!r}")
-    return _finite(raw[key], where, key)
-
-
-def _finite(v, where: str, key: str | int) -> float:
-    # key is an object's field name or an array's index
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        what = f"{where}[{key}]" if isinstance(key, int) else f"{where}: field {key!r}"
-        rule = "be finite" if isinstance(v, float) else "be a number"
-        raise ValidationError(f"{what} must {rule}, got {v!r}")
-    return float(v)
 
 
 def write_instance(instance: PortfolioInstance, path: str | Path) -> None:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetInfeasibleError, ValidationError, is_finite, is_number
+from .errors import BudgetInfeasibleError, ValidationError, is_number, require_finite
 from .fuzzy import FuzzyRandomReturn, RandomFactor, normal_quantile
 
 __all__ = [
@@ -55,13 +55,16 @@ class PortfolioInstance:
     def __post_init__(self):
         object.__setattr__(self, "assets", tuple(self.assets))
         u = tuple(self.upper_bounds)
+        for i, b in enumerate(u):
+            require_finite(b, "upper_bounds", i)
+        require_finite(self.total_fund, "total_fund")
         if len(self.assets) < 1:
             raise ValidationError("at least one asset is required")
         if len(u) != len(self.assets):
             raise ValidationError(f"expected {len(self.assets)} upper bounds, got {len(u)}", field="upper_bounds")
-        if not all(is_number(b) and is_finite(b) and b > 0 for b in u):
+        if not all(b > 0 for b in u):
             raise ValidationError("upper bounds must be finite and positive", field="upper_bounds")
-        if not (is_number(self.total_fund) and is_finite(self.total_fund) and self.total_fund > 0):
+        if not self.total_fund > 0:
             raise ValidationError(f"total fund must be positive, got {self.total_fund!r}", field="total_fund")
         u = tuple(map(float, u))
         object.__setattr__(self, "upper_bounds", u)

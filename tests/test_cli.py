@@ -177,11 +177,12 @@ NUMBER_FIELDS = (
 )
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "1", None, True, [1.0]])
 @pytest.mark.parametrize("path, named", NUMBER_FIELDS)
 def test_load_rejects_non_finite_numbers(tmp_path, path, named, value):
+    paper = bundled_instance("paper_table1")
     src = tmp_path / "src.json"
-    write_instance(bundled_instance("paper_table1"), src)
+    write_instance(paper, src)
     data = json.loads(src.read_text())
     node = data
     for key in path[:-1]:
@@ -191,7 +192,18 @@ def test_load_rejects_non_finite_numbers(tmp_path, path, named, value):
     bad.write_text(json.dumps(data))  # NaN / Infinity / -Infinity tokens
     with pytest.raises(ValidationError) as err:
         load_instance(bad)
-    assert str(err.value) == f"{bad}: {named} must be finite, got {value!r}"
+    rule = "be finite" if isinstance(value, float) else "be a number"
+    assert str(err.value) == f"{bad}: {named} must {rule}, got {value!r}"
+    # the record or instance built directly raises the same message, less the file and the
+    # record's place, and names the field: the loader adds the place and nothing else
+    with pytest.raises(ValidationError) as direct:
+        if path[0] in ("assets", "target", "factor"):
+            (RandomFactor if path[0] == "factor" else FuzzyRandomReturn)(**node)
+        else:
+            PortfolioInstance(paper.assets, paper.target, data["total_fund"], data["upper_bounds"], paper.factor)
+    place = named.rpartition(": ")[0]
+    assert str(err.value) == f"{bad}: {place + ': ' if place else ''}{direct.value}"
+    assert direct.value.field == (path[-1] if isinstance(path[-1], str) else path[0])
 
 
 PAPER_JSON = resources.files("fuzzfolio.data").joinpath("paper_table1.json").read_text()
@@ -695,6 +707,8 @@ def test_a_level_checked_alone_sizes_the_draw_buffer_for_the_whole_sweep(tmp_pat
     (["--countries", "1000000000"], "n_countries"),
     # the eq_factor rule is checked before every other config rule
     (["--eq-factor", "0", "--countries", "1"], "--eq-factor"),
+    # a count past the float range is refused before any float arithmetic on it
+    (["--countries", "1" + "0" * 400], "n_countries"),
 ])
 def test_invalid_ica_flag_exits_2_with_one_line(flags, named, capsys):
     assert_one_line_error(*run_cli(["solve", "--solver", "ica", *flags], capsys), named)
@@ -866,7 +880,7 @@ SOLVE_FLAGS = {
     "--solver": mostly(["exact", "ica"], ["simplex", ""]),
     "--seeds": SEEDS,
     "--iters": mostly(["0", "1", "3"], ["-1", "x", "2.5"]),
-    "--countries": mostly(["2", "5", "12", "30"], ["0", "-4", "x"]),
+    "--countries": mostly(["2", "5", "12", "30"], ["0", "-4", "x", "1" + "0" * 400]),
     "--imperialists": mostly(["1", "3", "11"], ["0", "-1", "x"]),
     "--revolution": mostly(["0", "0.2", "1"], ["-0.1", "2", "nan", "x"]),
     "--epsilon": mostly(["0.05", "1e-300", "0.09999999999999999"], ["0", "0.1", "nan", "inf", "x"]),
@@ -941,6 +955,9 @@ OVER_FUND = json.dumps({**borderline_instance(), "total_fund": float(np.nextafte
 @given(argv=command_lines(), instance=instance_texts())
 @example(argv=["solve", "--instance", "{tmp}/inst.json"], instance=OVER_FUND)
 @example(argv=["solve", "--instance", "{tmp}/inst.json", "--enforce-threshold"], instance=PAPER_JSON)
+# and a count past the float range reaching the ICA search, which the draws above seldom combine
+@example(argv=["solve", "--instance", "paper_table1", "--solver", "ica", "--countries", "1" + "0" * 400],
+         instance=PAPER_JSON)
 @settings(max_examples=250, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 def test_every_command_line_keeps_the_exit_code_contract(argv, instance, tmp_path, capsys):

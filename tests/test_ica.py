@@ -526,6 +526,17 @@ def test_draw_and_refuse_share_the_draw_layout(lp01, monkeypatch):
     assert err.value.field == "n_countries"
 
 
+@pytest.mark.parametrize("n_countries, seeds", [(10**400, []), (10**400, [1]), (4 * 10**307, [1])],
+                         ids=["past-float-range-no-seeds", "past-float-range", "buffer-past-float-range"])
+def test_run_names_a_count_too_large_for_floats(lp01, n_countries, seeds):
+    # the count, or the draw buffer's size in bytes, is past the float range: neither the
+    # buffer's GiB nor the penalized objective's bound can be computed, and no OverflowError escapes
+    with pytest.raises(ValidationError) as err:
+        ica.run(lp01, ica.IcaConfig(n_countries=n_countries), seeds)
+    assert err.value.field == "n_countries"
+    assert str(err.value) == "n_countries: the count is too large for float arithmetic"
+
+
 def test_run_refuses_before_any_block(lp01, monkeypatch):
     def unreachable(*args):
         raise AssertionError("a block started")

@@ -112,6 +112,23 @@ def test_instance_ints_past_the_float_range_name_the_field(fund, bounds, field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize("fund, bounds, field, message", [
+    (100.0, (60.0, float("nan")), "upper_bounds", "upper_bounds[1] must be finite, got nan"),
+    (100.0, ("60", 60.0), "upper_bounds", "upper_bounds[0] must be a number, got '60'"),
+    # the numbers are checked before the count
+    (100.0, (float("nan"),), "upper_bounds", "upper_bounds[0] must be finite, got nan"),
+    (10**400, (60.0, 60.0), "total_fund", f"field 'total_fund' must be finite, got {10**400}"),
+    (True, (60.0, 60.0), "total_fund", "field 'total_fund' must be a number, got True"),
+    # a number that is not positive keeps its own message
+    (100.0, (60.0, 0.0), "upper_bounds", "upper bounds must be finite and positive"),
+    (-5, (60.0, 60.0), "total_fund", "total fund must be positive, got -5"),
+], ids=["nan-bound", "str-bound", "nan-bound-wrong-count", "huge-fund", "bool-fund", "zero-bound", "negative-fund"])
+def test_instance_names_a_bad_number_by_field_and_index(fund, bounds, field, message):
+    with pytest.raises(ValidationError) as err:
+        PortfolioInstance((_asset(), _asset()), _asset(), fund, bounds, RandomFactor())
+    assert (err.value.field, str(err.value)) == (field, message)
+
+
 def test_instance_stores_numpy_and_integer_numbers_as_floats():
     inst = PortfolioInstance((_asset(), _asset()), _asset(), np.int64(100), np.array([60, 60]), RandomFactor())
     assert (inst.total_fund, inst.upper_bounds) == (100.0, (60.0, 60.0))

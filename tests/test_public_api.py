@@ -87,9 +87,11 @@ GOOD = {
     "x": st.just(lambda x: x),
     "path": st.just("inst.json"),
 }
+# an integer count past the float range: IcaConfig takes it, and ica.run refuses it
+HUGE_COUNT = 10**400
 # a bad value for each: of the wrong type, or out of range
 BAD = {
-    "n_countries": st.sampled_from([0, 1, -4, 2.5, "5", None, True, np.float64(8.0)]),
+    "n_countries": st.sampled_from([0, 1, -4, 2.5, "5", None, True, np.float64(8.0), HUGE_COUNT]),
     "n_imperialists": st.sampled_from([0, -1, 1.5, "2", None, False]),
     "revolution_rate": st.sampled_from([-0.1, 1.5, math.nan, "0.2", None, True, np.True_]),
     "max_iterations": st.sampled_from([-1, 2.5, "3", None, True]),
@@ -141,7 +143,8 @@ def _run_entry_points(bad, args, tmp_path):
     # as factors of the good fund, the good bounds absorb it
     bounds = value["upper_bounds"] if bad == "upper_bounds" else args["container"](
         [args["good"]["total_fund"] * b for b in value["upper_bounds"]])
-    config = _call(bad, CONFIG, lambda: ica.IcaConfig(**{name: value[name] for name in CONFIG}))
+    config = _call(bad, () if value["n_countries"] is HUGE_COUNT else CONFIG,
+                   lambda: ica.IcaConfig(**{name: value[name] for name in CONFIG}))
     levels = _call(bad, ("lam", "eta"), lambda: [fuzzfolio.ConfidenceLevels(*pair) for pair in pairs])
     instance = _call(bad, ("total_fund", "upper_bounds"), lambda: PortfolioInstance(
         PAPER.assets, PAPER.target, value["total_fund"], bounds, PAPER.factor))
@@ -151,7 +154,7 @@ def _run_entry_points(bad, args, tmp_path):
     levels = levels[0] if single else levels
     lp = fuzzfolio.reformulate(instance, levels)
     assert fuzzfolio.solve_exact(lp).x.shape == lp.coefficients.shape
-    reports = _call(bad, ("seeds",), lambda: ica.run(lp, config, value["seeds"]))
+    reports = _call(bad, ("seeds", "n_countries"), lambda: ica.run(lp, config, value["seeds"]))
     assert reports is None or len(reports) == len(pairs) * len(value["seeds"])
     one = levels if single else levels[0] if levels else fuzzfolio.ConfidenceLevels(0.4, 0.4)
     x = value["x"](fuzzfolio.solve_exact(fuzzfolio.reformulate(instance, one)).x)
