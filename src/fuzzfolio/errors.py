@@ -36,5 +36,14 @@ def require_finite(value, field: str, index: int | None = None) -> None:
     number = isinstance(value, float) or is_number(value)
     if not (number and is_finite(value)):
         what = f"field {field!r}" if index is None else f"{field}[{index}]"
-        rule = f"be finite, got {value}" if number else f"be a number, got {value!r}"
+        rule = f"be finite, got {shown(value)}" if number else f"be a number, got {shown(value, repr)}"
         raise ValidationError(f"{what} must {rule}", field=field)
+
+
+def shown(value, write=str) -> str:
+    """write(value) for a message, but an int too long to write as text by its sign and bit length."""
+    try:
+        return write(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits(), in value or in an int it holds
+        return (f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits" if isinstance(value, int)
+                else f"a {type(value).__name__} holding an int too long to write")

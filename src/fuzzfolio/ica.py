@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, is_finite, is_number
+from .errors import ValidationError, is_finite, is_number, shown
 from .model import DeterministicLP, objective
 from .penalty import penalized_objective_batch, penalized_objective_bound, repair
 
@@ -73,19 +73,19 @@ class IcaConfig:
         for f in fields(self):
             (what, holds), value = _KINDS[type(f.default)], getattr(self, f.name)
             if not holds(value):
-                raise ValidationError(f"{f.name} must be {what}, got {value!r}", field=f.name)
+                raise ValidationError(f"{f.name} must be {what}, got {shown(value, repr)}", field=f.name)
         rules = (
             ("eq_factor", is_finite(self.eq_factor) and self.eq_factor > 0, "must be finite and positive"),
             ("n_imperialists", self.n_imperialists >= 1, "must be at least 1"),
             ("n_countries", self.n_countries > self.n_imperialists,
-             f"must exceed n_imperialists ({self.n_imperialists})"),
+             f"must exceed n_imperialists ({shown(self.n_imperialists)})"),
             ("revolution_rate", 0.0 <= self.revolution_rate <= 1.0, "must lie in [0, 1]"),
             ("epsilon", 0.0 < self.epsilon < 0.1, "must lie in (0, 0.1)"),
             ("max_iterations", self.max_iterations >= 0, "must be nonnegative"),
         )
         for name, ok, rule in rules:
             if not ok:
-                raise ValidationError(f"{name} {rule}, got {getattr(self, name)}", field=name)
+                raise ValidationError(f"{name} {rule}, got {shown(getattr(self, name))}", field=name)
 
 
 @dataclass(frozen=True)
@@ -302,7 +302,8 @@ def run(lp: DeterministicLP, config: IcaConfig = IcaConfig(), seeds: Sequence[in
     makes the refusals of ``refuse``.
     """
     if not (isinstance(seeds, Sequence) and all(is_number(s, numbers.Integral) and s >= 0 for s in seeds)):
-        raise ValidationError(f"seeds must be a sequence of non-negative integers, got {seeds!r:.60}", field="seeds")
+        raise ValidationError(f"seeds must be a sequence of non-negative integers, got {shown(seeds, repr):.60}",
+                              field="seeds")
     if lp.coefficients.ndim == 1:  # one level is the L = 1 case
         lp = DeterministicLP(lp.coefficients[None], lp.total_fund, lp.upper_bounds,
                              np.array([lp.threshold]), (lp.levels,))

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetInfeasibleError, ValidationError, is_number, require_finite
+from .errors import BudgetInfeasibleError, ValidationError, is_number, require_finite, shown
 from .fuzzy import FuzzyRandomReturn, RandomFactor, normal_quantile
 
 __all__ = [
@@ -83,9 +83,9 @@ class ConfidenceLevels:
     def __post_init__(self):
         # a float passes without is_number's ABC check, which costs ten times as much: a sweep builds thousands
         if not ((isinstance(self.lam, float) or is_number(self.lam)) and 0.0 < self.lam < 1.0):
-            raise ValidationError(f"lambda must lie strictly in (0, 1), got {self.lam!r}", field="lam")
+            raise ValidationError(f"lambda must lie strictly in (0, 1), got {shown(self.lam, repr)}", field="lam")
         if not ((isinstance(self.eta, float) or is_number(self.eta)) and 0.0 < self.eta < 1.0):
-            raise ValidationError(f"eta must lie strictly in (0, 1), got {self.eta!r}", field="eta")
+            raise ValidationError(f"eta must lie strictly in (0, 1), got {shown(self.eta, repr)}", field="eta")
         # reformulate takes the normal quantile at 1 - lambda, which must stay below 1
         if 1.0 - self.lam == 1.0:
             raise ValidationError(f"lambda {self.lam} is too close to 0: 1 - lambda rounds to 1", field="lam")
@@ -215,7 +215,7 @@ def necessity_certificate(
     for x being budget- and box-feasible.
     """
     if not (is_number(n_samples, numbers.Integral) and n_samples >= 1):
-        raise ValidationError(f"n_samples must be a positive integer, got {n_samples!r}", field="n_samples")
+        raise ValidationError(f"n_samples must be a positive integer, got {shown(n_samples, repr)}", field="n_samples")
     rng = np.random.default_rng(rng)
     lp = reformulate(instance, levels)
     crisp_value = objective(lp, x)

@@ -1,10 +1,10 @@
 """Sweep grids and their CSV / JSON / table renderings.
 
 A sweep over L levels is one grid of columns: per level an optional exact
-row, then one ICA row per seed.  The CSV and JSON write one row per
-(level, solver, seed) in that order; the human table writes each level's
-exact row as is and aggregates its ICA seeds.  Output is a pure function
-of the grid, so identical command lines yield identical bytes.
+row, then one ICA row per seed.  Every format writes straight from the
+columns: the CSV and JSON one row per (level, solver, seed), in that order;
+the table each level's exact row, and its ICA seeds aggregated.  Output is
+a pure function of the grid, so identical command lines yield identical bytes.
 """
 
 from __future__ import annotations
@@ -17,26 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["Sweep", "SweepRow", "CSV_COLUMNS", "render_csv", "render_json", "render_table"]
-
-
-class SweepRow(NamedTuple):
-    """One report row; its fields, in order, are the CSV columns and the JSON keys."""
-
-    lam: float
-    eta: float
-    solver: str
-    seed: int | None
-    status: str
-    objective: float
-    oracle_objective: float
-    rel_gap: float
-    threshold: float
-    threshold_ok: bool
-    budget_residual: float
-    published_objective: float | None
-    published_gap: float | None
-    allocation: tuple[float, ...]
+__all__ = ["Sweep", "CSV_COLUMNS", "render_csv", "render_json", "render_table"]
 
 
 class Sweep(NamedTuple):
@@ -57,18 +38,17 @@ class Sweep(NamedTuple):
     ica_budget: Sequence[float]
 
 
-# the fields' names, but lam's column is "lambda", a Python keyword
-CSV_COLUMNS = ("lambda", *SweepRow._fields[1:])
+# the CSV columns and the JSON keys of a row, in order
+CSV_COLUMNS = ("lambda", "eta", "solver", "seed", "status", "objective", "oracle_objective", "rel_gap", "threshold",
+               "threshold_ok", "budget_residual", "published_objective", "published_gap", "allocation")
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
+    if isinstance(value, float):  # most cells; None and a bool are no float
+        return format(value, ".12g")
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _gap(oracle: float, objective: float) -> float:
@@ -76,29 +56,22 @@ def _gap(oracle: float, objective: float) -> float:
     return (oracle - objective) / abs(oracle) if oracle != 0.0 else 0.0
 
 
-def _row(lam, eta, threshold, oracle, solver, seed, allocation, budget_residual, objective, published=None):
-    """One report row for the allocation cell at level (lam, eta), whose return
-    floor is threshold; oracle is the exact optimum there and published, if
-    given, the published objective.  The row alone decides whether it clears the floor."""
-    ok = objective >= threshold
-    # positional, in SweepRow's field order: its keyword path costs about 2 µs a row
-    return SweepRow(lam, eta, solver, seed,
-                    "heuristic" if solver == "ica" else "optimal" if ok else "threshold_infeasible",
-                    objective, oracle, _gap(oracle, objective), threshold, ok, budget_residual,
-                    published, None if published is None else (objective - published) / published,
-                    allocation)
-
-
 def _rows(sweep: Sweep, exact_cells, ica_cells):
-    """The grid's rows in row order, with each exact and ICA row's allocation
-    cell taken in turn from exact_cells and ica_cells: the format's own form."""
+    """The grid's rows in row order, as tuples in CSV_COLUMNS order, with each exact and ICA row's
+    allocation cell taken in turn from exact_cells and ica_cells: the format's own form.  Each
+    row alone decides whether its objective clears its level's return floor."""
     n_seeds = len(sweep.seeds)
-    for i, level in enumerate(zip(sweep.lam, sweep.eta, sweep.threshold, sweep.oracle)):
+    for i, (lam, eta, threshold, oracle) in enumerate(zip(sweep.lam, sweep.eta, sweep.threshold, sweep.oracle)):
         if sweep.exact_x is not None:
-            published = None if sweep.published is None else sweep.published[i]
-            yield _row(*level, "exact", None, exact_cells[i], sweep.exact_budget[i], level[3], published)
+            pub = None if sweep.published is None else sweep.published[i]
+            ok = oracle >= threshold
+            yield (lam, eta, "exact", None, "optimal" if ok else "threshold_infeasible", oracle, oracle,
+                   _gap(oracle, oracle), threshold, ok, sweep.exact_budget[i], pub,
+                   None if pub is None else (oracle - pub) / pub, exact_cells[i])
         for j, seed in enumerate(sweep.seeds, i * n_seeds):
-            yield _row(*level, "ica", seed, ica_cells[j], sweep.ica_budget[j], sweep.ica_objective[j])
+            objective = sweep.ica_objective[j]
+            yield (lam, eta, "ica", seed, "heuristic", objective, oracle, _gap(oracle, objective), threshold,
+                   objective >= threshold, sweep.ica_budget[j], None, None, ica_cells[j])
 
 
 def _allocation_texts(x: np.ndarray, spec: str, sep: str) -> list[str]:
@@ -119,7 +92,7 @@ def render_csv(sweep: Sweep) -> str:
     exact = None if sweep.exact_x is None else _allocation_texts(sweep.exact_x, "%.12g", ";")
     for row in _rows(sweep, exact, _allocation_texts(sweep.ica_x, "%.12g", ";")):
         # allocation, the last column, is text already
-        writer.writerow([*map(_fmt, row[:-1]), row.allocation])
+        writer.writerow([*map(_fmt, row[:-1]), row[-1]])
     return buf.getvalue()
 
 

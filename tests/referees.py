@@ -1,7 +1,8 @@
 """Referees: slow, plainly correct versions of what the package computes.
 
 The grid necessity measure checks the closed form of the reformulation,
-the lattice brute force checks the greedy exact solver, and the scalar
+the lattice brute force and the LP duality certificate check the greedy
+exact solver (the certificate also bounds every ICA row), and the scalar
 loops and masks check the array paths that replaced them, the per-entry
 formatter the renderers' one-operation allocation text, and the
 row-by-row renderers the column renderers of a sweep's grid.  The
@@ -17,13 +18,13 @@ import math
 import operator
 import statistics
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from fuzzfolio.fuzzy import LRFuzzyNumber, RandomFactor
 from fuzzfolio.model import DeterministicLP
 from fuzzfolio.oracle import ExactSolution
-from fuzzfolio.report import CSV_COLUMNS, SweepRow
 
 _NODE_BUDGET = 100_000_000
 
@@ -121,6 +122,31 @@ def _as_units(value: float, step: float, what: str) -> int:
     return units
 
 
+def dual_bound(lp: DeterministicLP, mu) -> np.ndarray:
+    """U(mu) = mu M + sum_j u_j max(0, c_j - mu) at each level of lp, at one price mu per level
+    (or one for all): by weak duality no allocation of the budget slice of the box earns more."""
+    c = np.atleast_2d(lp.coefficients)
+    mu = np.broadcast_to(np.asarray(mu, dtype=float), len(c))
+    return mu * lp.total_fund + np.maximum(0.0, c - mu[:, None]) @ lp.upper_bounds
+
+
+def dual_check(lp: DeterministicLP, x) -> np.ndarray:
+    """Whether each level's allocation x is optimal, by LP duality: O(L n), no enumeration, no sort.
+
+    At the price mu, the largest coefficient among the assets below their cap (the smallest when
+    every asset is full), x is optimal iff it is feasible, every asset with c_j > mu is full and
+    every one with c_j < mu empty, and c . x equals U(mu) up to rounding.  Ties are invisible to
+    it: any split among equal coefficients is optimal."""
+    c, x, u, m0 = np.atleast_2d(lp.coefficients), np.atleast_2d(x), lp.upper_bounds, lp.total_fund
+    below = x < u
+    mu = np.where(below.any(axis=1), np.where(below, c, -np.inf).max(axis=1), c.min(axis=1))
+    feasible = (x >= 0.0).all(axis=1) & (x <= u).all(axis=1) & (abs(x.sum(axis=1) - m0) <= 1e-12 * max(1.0, m0))
+    slack = ((x == u) | (c <= mu[:, None])).all(axis=1) & ((x == 0.0) | (c >= mu[:, None])).all(axis=1)
+    # rounding, against the size of the terms of U(mu)
+    tol = 1e-12 * (np.abs(c) @ u + np.abs(mu) * abs(m0))
+    return feasible & slack & (abs(dual_bound(lp, mu) - np.einsum("ij,ij->i", c, x)) <= tol)
+
+
 def scalar_standard_quantile(p: float) -> float:
     """The standard normal quantile at one p, one erfc call per halving:
     bisection from [-40, 40] against the erfc-based CDF down to a width of 1e-13."""
@@ -195,6 +221,29 @@ def mask_exchange(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray)
     best = colony_costs.argmin(axis=2)
     swap = colony_costs.min(axis=2) < np.take_along_axis(costs, imperialist, axis=1)
     imperialist[swap] = best[swap]
+
+
+class SweepRow(NamedTuple):
+    """One report row; its fields, in order, are the CSV columns and the JSON keys."""
+
+    lam: float
+    eta: float
+    solver: str
+    seed: int | None
+    status: str
+    objective: float
+    oracle_objective: float
+    rel_gap: float
+    threshold: float
+    threshold_ok: bool
+    budget_residual: float
+    published_objective: float | None
+    published_gap: float | None
+    allocation: tuple[float, ...]
+
+
+# the fields' names, but lam's column is "lambda", a Python keyword
+CSV_COLUMNS = ("lambda", *SweepRow._fields[1:])
 
 
 def sweep_row(level, threshold, oracle, solver, seed, allocation, budget_residual, objective, published=None) -> SweepRow:

@@ -25,7 +25,7 @@ from fuzzfolio.errors import BudgetInfeasibleError, ValidationError
 from fuzzfolio.fuzzy import FuzzyRandomReturn, RandomFactor
 from fuzzfolio.io import bundled_instance, bundled_names, load_instance, loads_instance, write_instance
 from fuzzfolio.model import PortfolioInstance
-from fuzzfolio.report import CSV_COLUMNS, Sweep, SweepRow, render_csv, render_json, render_table
+from fuzzfolio.report import CSV_COLUMNS, Sweep, render_csv, render_json, render_table
 from referees import format_allocation, render_csv_rows, render_json_rows, render_table_rows, sweep_rows
 
 
@@ -614,14 +614,6 @@ def test_every_format_writes_the_grid_as_the_row_referee(sweep):
     assert render_json(sweep, meta) == render_json_rows(rows, meta)
 
 
-def test_rows_are_immutable():
-    row = SweepRow(lam=0.5, eta=0.5, solver="exact", seed=None, status="optimal", objective=1.0,
-                   oracle_objective=1.0, rel_gap=0.0, threshold=0.0, threshold_ok=True,
-                   budget_residual=0.0, published_objective=None, published_gap=None, allocation=(1.0,))
-    with pytest.raises(AttributeError):
-        row.objective = 2.0
-
-
 def test_json_format(capsys):
     code, out, _ = run_cli(["solve", "--levels", "0.4", "--format", "json"], capsys)
     assert code == 0
@@ -656,6 +648,14 @@ def test_every_config_field_has_one_flag_with_the_config_default(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     knobs = re.search(r"^ICA knobs.*?\.\s", readme, re.S | re.M).group()
     assert re.findall(r"`(--[a-z-]+)`", knobs) == [*cli._FLAGS.values(), "--enforce-threshold"]
+
+
+def test_readme_csv_schema_lists_the_columns():
+    # the first cell of each row of the README's CSV schema table names its columns, in order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.search(r"^### CSV schema$.*?^(\|.*?)^$", readme, re.S | re.M).group(1)
+    cells = [line.split("|")[1] for line in table.splitlines()]
+    assert tuple(re.findall(r"`(\w+)`", "".join(cells))) == CSV_COLUMNS
 
 
 def test_rows_come_by_level_then_seed(capsys):

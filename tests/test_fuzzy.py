@@ -59,7 +59,8 @@ def test_non_finite_fields_rejected(cls, field, value):
 
 
 @pytest.mark.parametrize("value, rule", [(True, "be a number"), ("1", "be a number"), (None, "be a number"),
-                                         (10**400, "be finite")], ids=["bool", "str", "none", "past-float-range"])
+                                         (10**400, "be finite"), (10**5000, "be finite")],
+                         ids=["bool", "str", "none", "past-float-range", "past-text-limit"])
 @pytest.mark.parametrize("cls, field", [(cls, f) for cls, fields in VALID_FIELDS.items() for f in fields])
 def test_fields_of_no_finite_number_name_the_field(cls, field, value, rule):
     with pytest.raises(ValidationError) as err:

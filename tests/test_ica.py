@@ -18,7 +18,7 @@ from fuzzfolio.model import ConfidenceLevels, reformulate, residuals
 from fuzzfolio.oracle import solve_exact
 from fuzzfolio.penalty import penalized_objective_batch
 from instgen import random_instance
-from referees import mask_exchange, scaled
+from referees import dual_bound, mask_exchange, scaled
 
 U5 = np.full(5, 60.0)
 
@@ -114,6 +114,11 @@ def test_config_accepts_numpy_scalars_and_integers_for_reals():
     ({"n_countries": 5, "n_imperialists": 10}, "n_countries must exceed n_imperialists (10), got 5"),
     ({"revolution_rate": 1.5}, "revolution_rate must lie in [0, 1], got 1.5"),
     ({"eq_factor": 0.0}, "eq_factor must be finite and positive, got 0.0"),
+    # an int of more digits than Python writes as text is shown by its sign and bit length
+    ({"eq_factor": 10**5000}, "eq_factor must be finite and positive, got an int of 16610 bits"),
+    ({"max_iterations": -10**5000}, "max_iterations must be nonnegative, got a negative int of 16610 bits"),
+    ({"n_imperialists": 10**5000}, "n_countries must exceed n_imperialists (an int of 16610 bits), got 100"),
+    ({"enforce_threshold": 10**5000}, "enforce_threshold must be a bool, got an int of 16610 bits"),
 ])
 def test_config_type_and_range_messages(kwargs, message):
     with pytest.raises(ValidationError) as err:
@@ -387,6 +392,13 @@ def test_compete_collapse():
     # the lost colony and then the demoted imperialist join the winner
     assert owner.tolist() == [[0, 0, 0, 0]]
     assert alive.tolist() == [[True, False]]
+    # two candidates of equal power weigh 1 and 1: at roulette 0.5 the first running total
+    # equals roulette x total exactly, and only the second one exceeds it
+    cfg = ica.IcaConfig(n_countries=10, n_imperialists=3)
+    _, costs, owner, imperialist, alive = state([1.0, 2.0, 1.0, 2.0, 9.0, 12.0], [0, 1], [2, 3], [4, 5])
+    ica.compete(costs, owner, imperialist, alive, np.array([0.5]), cfg)
+    assert owner.tolist() == [[0, 0, 1, 1, 1, 1]]
+    assert alive.tolist() == [[True, True, False]]
 
 
 def test_compete_single_empire_noop():
@@ -552,9 +564,10 @@ def test_run_refuses_before_any_block(lp01, monkeypatch):
         ica.run(huge, seeds=range(100))
 
 
-@pytest.mark.parametrize("seeds", [7, [-1], [1.5], [True], ["1"], [1, None], (3, -2), "12", np.arange(3), {1, 2}],
+@pytest.mark.parametrize("seeds", [7, [-1], [1.5], [True], ["1"], [1, None], (3, -2), "12", np.arange(3), {1, 2},
+                                   [-10**5000]],
                          ids=["int", "negative", "float", "bool", "str-seed", "none", "negative-later",
-                              "str", "ndarray", "set"])
+                              "str", "ndarray", "set", "past-text-limit"])
 def test_run_rejects_bad_seeds_by_name_before_any_block(lp01, seeds, monkeypatch):
     def unreachable(*args):
         raise AssertionError("a refusal or a block ran")
@@ -703,7 +716,11 @@ def test_each_seed_runs_as_if_alone(levels, config, seeds):
     batch = ica.run(lp, config, seeds)
     # level by level, each level's reports in the order of seeds
     assert [r.seed for r in batch] == list(seeds) * len(alone_lps)
+    # no row beats the LP's dual bound U(mu), least at a coefficient, up to repair's 1e-12 of the budget
+    c = np.atleast_2d(lp.coefficients)
+    bound = np.min([dual_bound(lp, c[:, k]) for k in range(lp.n)], axis=0) + 1e-12 * (np.abs(c) @ lp.upper_bounds)
     for i, got in enumerate(batch):
+        assert got.best_objective <= bound[i // len(seeds)]
         [alone] = ica.run(alone_lps[i // len(seeds)], config, [got.seed])
         assert got.best_position.tobytes() == alone.best_position.tobytes()
         assert got.best_cost == alone.best_cost

@@ -122,7 +122,13 @@ def test_instance_ints_past_the_float_range_name_the_field(fund, bounds, field):
     # a number that is not positive keeps its own message
     (100.0, (60.0, 0.0), "upper_bounds", "upper bounds must be finite and positive"),
     (-5, (60.0, 60.0), "total_fund", "total fund must be positive, got -5"),
-], ids=["nan-bound", "str-bound", "nan-bound-wrong-count", "huge-fund", "bool-fund", "zero-bound", "negative-fund"])
+    # ints of more digits than Python writes as text, and a bound holding one
+    (-10**5000, (60.0, 60.0), "total_fund", "field 'total_fund' must be finite, got a negative int of 16610 bits"),
+    (100.0, (60.0, 10**5000), "upper_bounds", "upper_bounds[1] must be finite, got an int of 16610 bits"),
+    (100.0, ([10**5000], 60.0), "upper_bounds",
+     "upper_bounds[0] must be a number, got a list holding an int too long to write"),
+], ids=["nan-bound", "str-bound", "nan-bound-wrong-count", "huge-fund", "bool-fund", "zero-bound", "negative-fund",
+        "text-limit-fund", "text-limit-bound", "text-limit-in-bound"])
 def test_instance_names_a_bad_number_by_field_and_index(fund, bounds, field, message):
     with pytest.raises(ValidationError) as err:
         PortfolioInstance((_asset(), _asset()), _asset(), fund, bounds, RandomFactor())
@@ -296,6 +302,13 @@ def test_certificate_dominance_cases(table1):
     assert sure.probability == 1.0 and sure.meets_level
     hopeless = necessity_certificate(table1, levels, x, n_samples=2000, rng=1, margin=-1e6)
     assert hopeless.probability == 0.0 and not hopeless.meets_level
+    # with no random part (r2 = 0) and dyadic peaks and spreads, every draw's degree is exactly
+    # eta = 0.5 on the left shoulder at f = c . x, and a degree equal to eta meets it
+    flat = dataclasses.replace(table1, assets=tuple(
+        dataclasses.replace(a, r0=r0, r1=r0 + 0.25, r2=0.0, beta=beta)
+        for a, r0, beta in zip(table1.assets, [1.25, 1.125, 1.375, 1.5, 1.0], [0.25, 0.125, 0.5, 0.25, 0.375])))
+    shoulder = necessity_certificate(flat, ConfidenceLevels(0.5, 0.5), x, n_samples=2000, rng=1)
+    assert shoulder.probability == 1.0 and shoulder.meets_level and shoulder.crisp_holds
 
 
 def test_certificate_seeded_reproducibility(table1):

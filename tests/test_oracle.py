@@ -1,12 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fuzzfolio.io import bundled_instance
+from fuzzfolio.io import bundled_instance, load_instance
 from fuzzfolio.model import ConfidenceLevels, DeterministicLP, objective, reformulate
 from fuzzfolio.oracle import solve_exact
 from fuzzfolio.penalty import repair
 from instgen import random_instance
-from referees import brute_force, scaled
+from referees import brute_force, dual_check, scaled
 
 LEVELS = ConfidenceLevels(0.5, 0.5)
 
@@ -73,6 +75,7 @@ def test_greedy_fill_matches_the_per_asset_loop():
         objectives = np.array([float(c_i @ x_i) for c_i, x_i in zip(c, want)])
         assert stacked.x.tobytes() == want.tobytes()
         assert stacked.objective.tobytes() == objectives.tobytes()
+        assert dual_check(DeterministicLP(c, m0, u, np.full(k, -1e9), (LEVELS,) * k), stacked.x).all()
         for i, row in enumerate(c):
             sol = solve_exact(make_lp(row, m0, u))
             assert sol.x.tobytes() == want[i].tobytes()
@@ -123,6 +126,24 @@ def test_brute_force_agrees_on_random_instances():
         assert brute.objective == pytest.approx(greedy.objective, abs=1e-9)
 
 
+def test_the_frontier_holds_the_duality_certificate():
+    # the 100-asset instance at the 1000 coupled levels its golden digests pin
+    instance = load_instance(Path(__file__).parent / "data" / "frontier_100.json")
+    lp = reformulate(instance, [ConfidenceLevels(v, v) for v in ((2 * i + 1) / 2000 for i in range(1000))])
+    sol = solve_exact(lp)
+    assert dual_check(lp, sol.x).all()
+    # and no allocation a hair off the optimum: the fund scaled, the best asset just below its cap,
+    # or mass moved from the best asset to the worst
+    levels = np.arange(len(sol.x))
+    best, worst = lp.coefficients.argmax(axis=1), lp.coefficients.argmin(axis=1)
+    short, moved = sol.x.copy(), sol.x.copy()
+    short[levels, best] -= 1e-9
+    moved[levels, best] -= 1e-6
+    moved[levels, worst] += 1e-6
+    for x in (sol.x * (1 + 1e-9), short, moved):
+        assert not dual_check(lp, x).any()
+
+
 def test_greedy_beats_random_feasible_points(table1):
     rng = np.random.default_rng(23)
     for level in (0.1, 0.9):
@@ -163,6 +184,7 @@ def test_scaling_by_a_power_of_two_scales_the_optimum_exactly(relation):
         instance = random_instance(rng, rng.integers(1, 40))
         lp = reformulate(instance, [ConfidenceLevels(v, v) for v in rng.uniform(0.05, 0.95, 8)])
         want = solve_exact(lp)
+        assert dual_check(lp, want.x).all()
         for k in (-3, 5, 20):
             two = 2.0**k
             got = solve_exact(scaled(lp, relation, k)[0])

@@ -138,6 +138,9 @@ def test_repair_examples():
     assert np.allclose(repair(np.zeros(5), 200.0, u), 40.0)
     feasible = np.array([60.0, 0.0, 20.0, 60.0, 60.0])
     assert repair(feasible, 200.0, u).tolist() == feasible.tolist()
+    # a surplus of 5e-11 of the budget, inside the box, is above the 1e-12 tolerance: it is settled
+    over = np.array([59.0, 0.0, 21.0 + 1e-8, 60.0, 60.0])
+    assert abs(repair(over, 200.0, u).sum() - 200.0) <= 1e-12 * 200.0
 
 
 @given(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fuzzfolio
@@ -89,6 +89,8 @@ GOOD = {
 }
 # an integer count past the float range: IcaConfig takes it, and ica.run refuses it
 HUGE_COUNT = 10**400
+# an int of more digits than Python writes as text: a message must show it some other way
+LONG = 10**5000
 # a bad value for each: of the wrong type, or out of range
 BAD = {
     "n_countries": st.sampled_from([0, 1, -4, 2.5, "5", None, True, np.float64(8.0), HUGE_COUNT]),
@@ -96,13 +98,13 @@ BAD = {
     "revolution_rate": st.sampled_from([-0.1, 1.5, math.nan, "0.2", None, True, np.True_]),
     "max_iterations": st.sampled_from([-1, 2.5, "3", None, True]),
     "epsilon": st.sampled_from([0.0, 0.1, math.nan, math.inf, "a", None, False]),
-    "eq_factor": st.sampled_from([0.0, -1.0, math.inf, math.nan, "1", None, True]),
+    "eq_factor": st.sampled_from([0.0, -1.0, math.inf, math.nan, "1", None, True, LONG]),
     "enforce_threshold": st.sampled_from(["no", 0, 1, 1.0, None, np.int64(1)]),
     "lam": st.sampled_from([0.0, 1.0, -0.5, 1e-17, math.nan, math.inf, "0.5", None, True]),
     "eta": st.sampled_from([0.0, 1.0, 2.0, math.nan, -math.inf, "0.5", None, False]),
-    "total_fund": st.sampled_from([0.0, -1.0, math.nan, math.inf, "1", None, True]),
+    "total_fund": st.sampled_from([0.0, -1.0, math.nan, math.inf, "1", None, True, LONG]),
     "upper_bounds": st.sampled_from([[1.0] * 4, [1.0] * 6, [1.0, -1.0, 1.0, 1.0, 1.0], [math.nan] * 5,
-                                     ["1"] * 5, [None] * 5, [True] * 5]),
+                                     ["1"] * 5, [None] * 5, [True] * 5, [LONG] * 5]),
     "seeds": st.sampled_from([[-1], [1.5], ["1"], [True], [np.float64(2.0)], 7, None, "12"]),
     "n_samples": st.sampled_from([0, -3, 2.5, 1e4, "10", None, True]),
     "x": st.sampled_from([np.negative, lambda x: x[:-1], lambda x: x * math.nan, lambda x: np.append(x, 1.0)]),
@@ -164,6 +166,16 @@ def _run_entry_points(bad, args, tmp_path):
     assert _call(bad, ("path",), lambda: fuzzfolio.load_instance(path)) in (None, instance)
 
 
+# every argument that takes an int bad as an int too long to write as text, whatever the draws reach
+@example(args={
+    "good": {"n_countries": 12, "n_imperialists": 3, "revolution_rate": 0.2, "max_iterations": 1, "epsilon": 0.05,
+             "eq_factor": 0.5, "enforce_threshold": False, "lam": 0.4, "eta": 0.4, "total_fund": 100.0,
+             "upper_bounds": [0.3] * 5, "seeds": [1], "n_samples": 10, "x": lambda x: x, "path": "inst.json"},
+    "bad": {"n_countries": 0, "n_imperialists": -LONG, "revolution_rate": LONG, "max_iterations": -LONG,
+            "epsilon": -LONG, "eq_factor": LONG, "enforce_threshold": LONG, "lam": LONG, "eta": -LONG,
+            "total_fund": -LONG, "upper_bounds": [LONG] * 5, "seeds": [-LONG], "n_samples": -LONG, "x": np.negative,
+            "path": "."},
+    "more_levels": [], "shape": "one", "single": True, "container": list})
 @given(args=ARGUMENTS)
 @settings(max_examples=50, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
