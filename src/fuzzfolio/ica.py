@@ -12,7 +12,9 @@ A row is one (level, seed) pair of a run, and all rows evolve together:
 for S rows of N countries over n assets, positions (S, N, n) and costs
 (S, N), each country's empire label owner (S, N), each empire's ruling
 country imperialist (S, K) and alive flag (S, K), and the running rows
-active (S,).  The phases only move countries or relabel empires; ``run``
+active (S,).  owner and imperialist are block-wide: row s's labels are
+s K ... s K + K - 1 and its countries s N ... s N + N - 1, so each names
+its row.  The phases only move countries or relabel empires; ``run``
 alone evaluates costs, each at its row's level, in one batch of all rows
 each time: every country after initialization, then the countries each
 move changed.  A row never depends on the rows it runs with: the rows of
@@ -121,7 +123,7 @@ def initialize(config: IcaConfig, bounds: np.ndarray, rngs: Sequence[np.random.G
 
 def form_empires(costs: np.ndarray, config: IcaConfig, rngs: Sequence[np.random.Generator]):
     """Split each row's population into empires with power-proportional colony counts, one colony
-    permutation per generator: owner (S, N), and imperialist (S, K) whose k-th is the k-th best country."""
+    permutation per generator: block-wide owner (S, N) and imperialist (S, K), seat k the row's k-th best."""
     k = config.n_imperialists
     owner = np.empty(costs.shape, dtype=np.intp)
     imperialist = np.empty((len(rngs), k), dtype=np.intp)
@@ -134,7 +136,8 @@ def form_empires(costs: np.ndarray, config: IcaConfig, rngs: Sequence[np.random.
         colonists = ranked[k:]
         counts = _largest_remainder(_power_shares(costs[s, ranked[:k]]), colonists.size)
         owner[s, colonists[permutations[stream[s]]]] = np.repeat(np.arange(k), counts)
-    return owner, imperialist
+    rows = np.arange(len(rngs))[:, None]
+    return owner + k * rows, imperialist + costs.shape[1] * rows
 
 
 def _power_shares(costs: np.ndarray) -> np.ndarray:
@@ -158,19 +161,14 @@ def _largest_remainder(shares: np.ndarray, total: int) -> list[int]:
     return counts.tolist()
 
 
-def _flat(index: np.ndarray, width: int) -> np.ndarray:
-    """Row-wise indices (S, M) into rows of the given width, as indices into the flattened array."""
-    return index + width * np.arange(len(index))[:, None]
-
-
 def _rulers(owner: np.ndarray, imperialist: np.ndarray) -> np.ndarray:
-    """The imperialist ruling each country (S, N); an imperialist rules itself."""
-    return np.take(imperialist, _flat(owner, imperialist.shape[1]))
+    """The block-wide index of the imperialist ruling each country (S, N); an imperialist rules itself."""
+    return np.take(imperialist, owner)
 
 
 def _colonies(owner: np.ndarray, imperialist: np.ndarray) -> np.ndarray:
     """Which countries are colonies (S, N)."""
-    return _rulers(owner, imperialist) != np.arange(owner.shape[1])
+    return _rulers(owner, imperialist) != np.arange(owner.size).reshape(owner.shape)
 
 
 def _draw_size(n_countries: int, n: int) -> int:
@@ -197,7 +195,7 @@ def draw(rngs: Sequence[np.random.Generator], active: np.ndarray, n_countries: i
 def assimilate(positions: np.ndarray, rulers: np.ndarray, moving: np.ndarray, steps, bounds) -> None:
     """Move each country flagged in ``moving`` (S, N) toward its ruler by the given steps, in place."""
     s, m, n = positions.shape
-    moved = np.take(positions.reshape(s * m, n), _flat(rulers, m), axis=0)  # the targets, moved in place
+    moved = np.take(positions.reshape(s * m, n), rulers, axis=0)  # the targets, moved in place
     np.subtract(moved, positions, out=moved)
     np.multiply(moved, ASSIMILATION_BETA * steps, out=moved)
     np.add(moved, positions, out=moved)
@@ -213,18 +211,18 @@ def revolve(positions: np.ndarray, chosen: np.ndarray, fresh: np.ndarray, bounds
 def exchange(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray) -> None:
     """Seat each empire's best colony as its imperialist if that colony is
     strictly better, in place; the lowest index wins a tie among colonies."""
-    (s, k), m = imperialist.shape, costs.shape[1]
-    # each colony carries its row's empire label, every imperialist the spare label
+    s, k = imperialist.shape
+    # each colony carries its empire's label, every imperialist the spare label
     # s * k; on flat operands ufunc.at takes numpy's fast path
-    labels = np.where(_colonies(owner, imperialist), _flat(owner, k), s * k).ravel()
+    labels = np.where(_colonies(owner, imperialist), owner, s * k).ravel()
     flat_costs = costs.ravel()
     lowest = np.full(s * k + 1, np.inf)
     np.minimum.at(lowest, labels, flat_costs)
     tied = np.flatnonzero(flat_costs == lowest[labels])
-    first = np.full(s * k + 1, s * m)
+    first = np.full(s * k + 1, costs.size)
     np.minimum.at(first, labels[tied], tied)
-    lowest, first = lowest[:-1].reshape(s, k), first[:-1].reshape(s, k) % m
-    swap = lowest < np.take(costs, _flat(imperialist, m))
+    lowest, first = lowest[:-1].reshape(s, k), first[:-1].reshape(s, k)
+    swap = lowest < np.take(costs, imperialist)
     imperialist[swap] = first[swap]
 
 
@@ -232,12 +230,12 @@ def _powers(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray, confi
     """Total cost of each empire (S, K); higher means weaker."""
     s, k = imperialist.shape
     colony = _colonies(owner, imperialist)
-    labels = (owner + k * np.arange(s)[:, None]).ravel()
+    labels = owner.ravel()
     # bincount adds each label's weights in index order, so every empire's
     # colony sum runs left to right over that row's countries alone
     sums = np.bincount(labels, np.where(colony, costs, 0.0).ravel(), s * k).reshape(s, k)
     counts = np.bincount(labels, colony.ravel(), s * k).reshape(s, k)
-    ruler = np.take(costs, _flat(imperialist, costs.shape[1]))
+    ruler = np.take(costs, imperialist)
     return np.where(counts > 0, ruler + config.epsilon * (sums / np.maximum(counts, 1)), ruler)
 
 
@@ -263,12 +261,13 @@ def compete(costs, owner, imperialist, alive, roulette: np.ndarray, config: IcaC
     running = np.where(running[:, -1:] == 0.0, np.cumsum(candidate, axis=1), running)
     winner = (candidate & (running > roulette[rows, None] * running[:, -1:])).argmax(axis=1)
 
-    lost = (owner[rows] == weakest[:, None]) & _colonies(owner, imperialist)[rows]
+    offset = alive.shape[1] * rows  # row r's empire labels start at K r; weakest and winner are columns
+    lost = (owner[rows] == (offset + weakest)[:, None]) & _colonies(owner, imperialist)[rows]
     worst = np.where(lost, costs[rows], -np.inf).argmax(axis=1)
     moves = lost.any(axis=1)
-    owner[rows[moves], worst[moves]] = winner[moves]
+    owner[rows[moves], worst[moves]] = (offset + winner)[moves]
     fall = lost.sum(axis=1) <= 1
-    owner[rows[fall], imperialist[rows[fall], weakest[fall]]] = winner[fall]
+    np.put(owner, imperialist[rows[fall], weakest[fall]], (offset + winner)[fall])
     alive[rows[fall], weakest[fall]] = False
 
 
@@ -322,6 +321,7 @@ def _run_block(lp: DeterministicLP, config: IcaConfig, seeds, block) -> list[Run
     s, m, n = len(block), config.n_countries, lp.n
     box = np.tile(bounds, (m, 1))  # (N, n), so the clip and the box check run over whole rows of countries
     rows = np.arange(s)
+    countries = np.arange(s * m).reshape(s, m)  # each country's block-wide index
     best_cost = np.full(s, np.inf)
     best_position = np.zeros((s, n))
     positions = initialize(config, bounds, rngs)
@@ -351,7 +351,7 @@ def _run_block(lp: DeterministicLP, config: IcaConfig, seeds, block) -> list[Run
     for iteration in range(1, config.max_iterations + 1):
         roulette, steps, trials, fresh = draw(rngs, active, m, n)
         rulers = _rulers(owner, imperialist)
-        moving = (rulers != np.arange(m)) & active[:, None]
+        moving = (rulers != countries) & active[:, None]
         assimilate(positions, rulers, moving, steps, box)
         tracked(moving)
         revolting = moving & (trials < config.revolution_rate)
@@ -375,14 +375,13 @@ def _run_block(lp: DeterministicLP, config: IcaConfig, seeds, block) -> list[Run
 
 
 def _check_invariants(positions, costs, owner, imperialist, alive, bounds) -> None:
-    # explicit raises rather than asserts, so the checks also run under python -O
-    # the range check comes first: a stray label would gather from another row
-    k, m = alive.shape[1], owner.shape[1]
-    if not (((owner >= 0) & (owner < k)).all() and np.take(alive, _flat(owner, k)).all()):
+    # explicit raises rather than asserts, so the checks also run under python -O; the row check
+    # comes first, as a label past the block would not gather, and a seat of another row is a wrong seat
+    if not ((owner // alive.shape[1] == np.arange(len(owner))[:, None]).all() and np.take(alive, owner).all()):
         raise RuntimeError("ICA invariant violated: a country belongs to no live empire of its row")
-    if not (np.take(owner, _flat(imperialist, m)) == np.arange(k))[alive].all():
+    if not (np.take(owner, imperialist) == np.arange(alive.size).reshape(alive.shape))[alive].all():
         raise RuntimeError("ICA invariant violated: an imperialist does not belong to its own empire")
     if not ((positions >= 0.0).all() and (positions <= bounds).all()):
         raise RuntimeError("ICA invariant violated: a country lies outside the box")
-    if not (np.take(costs, _flat(_rulers(owner, imperialist), m)) <= costs).all():
+    if not (np.take(costs, _rulers(owner, imperialist)) <= costs).all():
         raise RuntimeError("ICA invariant violated: an imperialist is weaker than one of its colonies")

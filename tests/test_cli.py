@@ -877,7 +877,7 @@ SOLVE_FLAGS = {
     "--levels": st.lists(LEVEL, min_size=1, max_size=3).map(",".join),
     "--lambda": LEVEL,
     "--eta": LEVEL,
-    "--solver": mostly(["exact", "ica"], ["simplex", ""]),
+    "--solver": mostly(["ica", "ica", "exact"], ["simplex", ""]),
     "--seeds": SEEDS,
     "--iters": mostly(["0", "1", "3"], ["-1", "x", "2.5"]),
     "--countries": mostly(["2", "5", "12", "30"], ["0", "-4", "x", "1" + "0" * 400]),
@@ -934,10 +934,15 @@ def instance_texts(draw):
 def command_lines(draw):
     command = draw(st.sampled_from(["solve", "solve", "solve", "reproduce-paper"]))
     table = SOLVE_FLAGS if command == "solve" else REPRODUCE_FLAGS
-    # solve always reads an instance; reproduce-paper's default 20 seeds are pinned by the golden files
-    first = "--instance" if command == "solve" else "--seeds"
-    argv = [command, first, draw(table[first])]
-    for flag in draw(st.lists(st.sampled_from(sorted(set(table) - {first})), unique=True, max_size=4)):
+    # solve always reads an instance, names its solver (the search one time in two) and sets one knob
+    # of the search, so that the values IcaConfig accepts reach the search; reproduce-paper's default
+    # 20 seeds are pinned by the golden files
+    knob = draw(st.sampled_from(sorted(cli._FLAGS.values())))
+    first = ("--instance", "--solver", knob) if command == "solve" else ("--seeds",)
+    argv = [command]
+    for flag in first:
+        argv += [flag, draw(table[flag])]
+    for flag in draw(st.lists(st.sampled_from(sorted(set(table) - set(first))), unique=True, max_size=4)):
         value = draw(table[flag])
         if value is None:
             argv.append(flag)

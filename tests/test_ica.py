@@ -196,6 +196,10 @@ def test_apportionment_sums_exactly():
         counts = ica._largest_remainder(shares, total)
         assert sum(counts) == total
         assert all(c >= 0 for c in counts)
+    # a tie in the remainders goes to the first share, also past the 16 entries that numpy's
+    # quicksort insertion-sorts: weights 1, 2, 1, ..., 1 leave one colony for eight remainders of 0.44
+    weights = np.array([1.0, 2.0] * 8 + [1.0])
+    assert ica._largest_remainder(weights / weights.sum(), 18) == [1, 2] + [1] * 15
 
 
 def test_form_empires_partition():
@@ -210,6 +214,21 @@ def test_form_empires_partition():
     counts = np.bincount(owner[0, colonies], minlength=10)
     assert counts.tolist() == ica._largest_remainder(ica._power_shares(costs[0, imperialist[0]]), 90)
     assert costs[0, imperialist[0]].max() <= costs[0, colonies].min()
+
+
+def test_form_empires_gives_each_row_its_own_labels_and_seats():
+    # rows 0 and 2 share seed 3's generator, as the rows of one seed in a block do
+    cfg = ica.IcaConfig(n_countries=20, n_imperialists=4)
+    seeds = [3, 4, 3]
+    costs = sum_cost(ica.initialize(cfg, U5, [np.random.default_rng(s) for s in (1, 2, 5)]))
+    generators = {seed: np.random.default_rng(seed) for seed in seeds}
+    owner, imperialist = ica.form_empires(costs, cfg, [generators[seed] for seed in seeds])
+    rows = np.arange(3)[:, None]
+    assert (owner // 4 == rows).all() and (imperialist // 20 == rows).all()
+    for row, seed in enumerate(seeds):
+        alone = ica.form_empires(costs[row:row + 1], cfg, [np.random.default_rng(seed)])
+        assert (owner[row] - 4 * row).tolist() == alone[0][0].tolist()
+        assert (imperialist[row] - 20 * row).tolist() == alone[1][0].tolist()
 
 
 def test_form_empires_single_imperialist():
@@ -363,9 +382,11 @@ def test_exchange_is_the_mask_referee(seed):
     k = int(rng.integers(1, min(m, 8) + 1))
     costs, owner, imperialist = _random_empires(rng, int(rng.integers(1, 6)), m, k)
     want = imperialist.copy()
-    mask_exchange(costs, owner, want)
-    ica.exchange(costs, owner, imperialist)
-    assert imperialist.tolist() == want.tolist()
+    mask_exchange(costs, owner, want)  # the referee takes row-local labels and seats
+    rows = np.arange(len(costs))[:, None]
+    seats = imperialist + m * rows
+    ica.exchange(costs, owner + k * rows, seats)
+    assert (seats - m * rows).tolist() == want.tolist()
 
 
 def test_empire_power():
@@ -378,8 +399,8 @@ def test_empire_power():
     rng = np.random.default_rng(4)
     costs = rng.normal(0.0, 1e3, size=(3, 40))
     costs[:, 0] = costs.min(axis=1) - 1.0
-    owner = np.zeros((3, 40), dtype=np.intp)
-    imperialist = np.zeros((3, 1), dtype=np.intp)
+    owner = np.repeat(np.arange(3)[:, None], 40, axis=1)  # row r's one empire has label r
+    imperialist = np.array([[0], [40], [80]])  # and the first country of its row as its seat
     for row, got in zip(costs, ica._powers(costs, owner, imperialist, cfg)[:, 0]):
         total = functools.reduce(operator.add, row[1:].tolist(), 0.0)
         assert got == row[0] + cfg.epsilon * (total / 39)
@@ -412,11 +433,13 @@ def _roulette_wins(costs, trials, seed):
     # every trial is one seed of a single batched compete call
     cfg = ica.IcaConfig(n_countries=10, n_imperialists=4)
     _, costs, owner, imperialist, alive = state(costs, [0, 1], [2, 3], [4, 5], [6, 7, 8])
-    owner = np.repeat(owner, trials, axis=0)
+    rows = np.arange(trials)[:, None]
+    owner = np.repeat(owner, trials, axis=0) + 4 * rows  # each row's own labels and seats
     alive = np.repeat(alive, trials, axis=0)
     roulette = np.random.default_rng(seed).random(trials)
-    ica.compete(np.repeat(costs, trials, axis=0), owner, np.repeat(imperialist, trials, axis=0),
+    ica.compete(np.repeat(costs, trials, axis=0), owner, np.repeat(imperialist, trials, axis=0) + 9 * rows,
                 alive, roulette, cfg)
+    owner -= 4 * rows
     assert (owner[:, :8] == [0, 0, 1, 1, 2, 2, 3, 3]).all()  # the weakest colony left
     assert alive.all()
     return np.bincount(owner[:, 8], minlength=3)
@@ -447,11 +470,11 @@ def test_compete_weakest_loses_its_first_highest_cost_colony():
 # --- invariant check ------------------------------------------------------------
 
 def _valid_state():
-    # two seeds with the same valid state
+    # two seeds with the same valid state, each with its own labels and seats
     positions = np.full((2, 4, 2), 1.0)
     costs = np.array([[0.0, 1.0, 2.0, 3.0]] * 2)
-    owner = np.array([[0, 1, 0, 1]] * 2)
-    imperialist = np.array([[0, 1]] * 2)
+    owner = np.array([[0, 1, 0, 1], [2, 3, 2, 3]])
+    imperialist = np.array([[0, 1], [4, 5]])
     return positions, costs, owner, imperialist, np.ones((2, 2), dtype=bool), np.full(2, 5.0)
 
 
@@ -463,12 +486,17 @@ def test_check_invariants_catches_each_violation():
     dead[1, 1] = False
     with pytest.raises(RuntimeError, match="no live empire"):
         ica._check_invariants(positions, costs, owner, imperialist, dead, bounds)
-    stray = owner.copy()
-    stray[1, 3] = 2
-    with pytest.raises(RuntimeError, match="no live empire"):
-        ica._check_invariants(positions, costs, stray, imperialist, alive, bounds)
+    for label in (4, 1):  # past the block's labels, and a label of the first seed
+        stray = owner.copy()
+        stray[1, 3] = label
+        with pytest.raises(RuntimeError, match="no live empire"):
+            ica._check_invariants(positions, costs, stray, imperialist, alive, bounds)
     seat = imperialist.copy()
-    seat[1, 1] = 2  # a country of empire 0
+    seat[1, 1] = 6  # a country of empire 0
+    with pytest.raises(RuntimeError, match="its own empire"):
+        ica._check_invariants(positions, costs, owner, seat, alive, bounds)
+    seat = imperialist.copy()
+    seat[0, 1] = 5  # the first seed's empire 1 seated on the second seed's country 1
     with pytest.raises(RuntimeError, match="its own empire"):
         ica._check_invariants(positions, costs, owner, seat, alive, bounds)
     outside = positions.copy()
@@ -492,9 +520,12 @@ def test_invariant_check_survives_python_O():
         imperialist = np.array([[0, 1]])
         alive = np.ones((1, 2), dtype=bool)
         costs = np.array([[0.0, 1.0, 2.0, 3.0]])
-        for positions, costs in [
-            (np.array([[[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 6.0]]]), costs),
-            (np.full((1, 4, 2), 1.0), np.array([[0.0, 4.0, 2.0, 3.0]])),
+        inside = np.full((1, 4, 2), 1.0)
+        for positions, costs, owner, imperialist in [
+            (inside, costs, np.array([[0, 1, 0, 2]]), imperialist),
+            (inside, costs, owner, np.array([[0, 2]])),
+            (np.array([[[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 6.0]]]), costs, owner, imperialist),
+            (inside, np.array([[0.0, 4.0, 2.0, 3.0]]), owner, imperialist),
         ]:
             try:
                 ica._check_invariants(positions, costs, owner, imperialist, alive, bounds)
@@ -507,8 +538,10 @@ def test_invariant_check_survives_python_O():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == "debug False"
-    assert "outside the box" in lines[1]
-    assert "weaker than one of its colonies" in lines[2]
+    assert "no live empire of its row" in lines[1]
+    assert "does not belong to its own empire" in lines[2]
+    assert "outside the box" in lines[3]
+    assert "weaker than one of its colonies" in lines[4]
 
 
 # --- full runs -----------------------------------------------------------------
@@ -633,7 +666,7 @@ def test_run_evaluates_one_batch_per_phase(lp01, monkeypatch):
     assert batches[0].shape == (300, 5)
     empires = np.concatenate([np.full((3, 1), 10.0), history[:, :-1, 1]], axis=1)
     for t, (trials, (after_moves, rulers, moving), (after_revolts, revolting)) in enumerate(zip(draws, moves, revolts)):
-        assert (moving == (rulers != np.arange(100))).all()  # every seed is active
+        assert (moving == (rulers != np.arange(300).reshape(3, 100))).all()  # every seed is active
         assert (moving.sum(axis=1) == 100 - empires[:, t]).all()
         assert batches[1 + 2 * t].tobytes() == after_moves[moving].tobytes()
         assert (revolting == moving & (trials < 0.2)).all()
