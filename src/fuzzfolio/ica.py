@@ -8,20 +8,20 @@ colony that overtakes its imperialist swaps roles (exchange), and the
 weakest empire loses its weakest colony to a roulette-selected rival
 (competition), collapsing once it has none left.
 
-A row is one (level, seed) pair of a run, and all rows evolve together:
-for S rows of N countries over n assets, positions (S, N, n) and costs
-(S, N), each country's empire label owner (S, N), each empire's ruling
-country imperialist (S, K) and alive flag (S, K), and the running rows
-active (S,).  owner and imperialist are block-wide: row s's labels are
-s K ... s K + K - 1 and its countries s N ... s N + N - 1, so each names
-its row.  The phases only move countries or relabel empires; ``run``
-alone evaluates costs, each at its row's level, in one batch of all rows
-each time: every country after initialization, then the countries each
-move changed.  A row never depends on the rows it runs with: the rows of
-one seed in a block share its generator, drawn once per iteration for
-all of them (see ``draw``), and every reduction and cost runs over its
-row alone.  A row left with one empire stops.
-Costs are minimized (cost = -penalized objective): lower is stronger.
+A row is one (level, seed) pair of a run, and all rows evolve together: for
+S rows of N countries over n assets, positions (S, N, n) and costs (S, N),
+each country's empire label owner (S, N), each empire's ruling country
+imperialist (S, K) and alive flag (S, K), the running rows active (S,), and
+each row's stream (S,), its index into the block's generators, one per
+distinct seed.  owner and imperialist are block-wide: row s's labels are
+s K ... s K + K - 1 and its countries s N ... s N + N - 1, so each names its
+row.  The phases only move countries or relabel empires; ``run`` alone
+evaluates costs, each at its row's level, in one batch of all rows each
+time: every country after initialization, then the countries each move
+changed.  A row never depends on the rows it runs with: a random phase draws
+once per generator for the rows of its stream (see ``draw``), and every
+reduction and cost runs over its row alone.  A row left with one empire
+stops.  Costs are minimized (cost = -penalized objective): lower is stronger.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ ASSIMILATION_BETA = 2.0
 # most (level, seed) rows evolved together; it bounds memory and cannot change a result
 ROW_BLOCK = 128
 
-# largest draw buffer of one row block, in bytes; refuse rejects a larger one
+# refuse rejects a row block whose S-row draw buffer exceeds this many bytes; draw holds G + 1 <= S + 1 rows beside it
 MAX_DRAW_BYTES = 2 * 2**30
 
 # what an IcaConfig field holds, by the type of its default: numpy scalars pass, and a bool is no number
@@ -109,34 +109,25 @@ class RunReport:
     seed: int
 
 
-def _streams(rngs: Sequence[np.random.Generator]):
-    """The distinct generators among the rows' rngs, and each row's index into them (S,)."""
-    index = {rng: i for i, rng in enumerate(dict.fromkeys(rngs))}
-    return list(index), np.array([index[rng] for rng in rngs], dtype=np.intp)
-
-
-def initialize(config: IcaConfig, bounds: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Draw each row's positions uniformly inside the box, once per generator: positions (S, N, n)."""
-    generators, stream = _streams(rngs)
+def initialize(config: IcaConfig, bounds: np.ndarray, generators: Sequence[np.random.Generator], stream: np.ndarray):
+    """Draw positions uniformly inside the box once per generator, each row its stream's: positions (S, N, n)."""
     return np.stack([rng.uniform(0.0, bounds, size=(config.n_countries, bounds.size)) for rng in generators])[stream]
 
 
-def form_empires(costs: np.ndarray, config: IcaConfig, rngs: Sequence[np.random.Generator]):
-    """Split each row's population into empires with power-proportional colony counts, one colony
-    permutation per generator: block-wide owner (S, N) and imperialist (S, K), seat k the row's k-th best."""
+def form_empires(costs: np.ndarray, config: IcaConfig, generators: Sequence[np.random.Generator], stream: np.ndarray):
+    """Split each row's population into empires with power-proportional colony counts, one colony permutation
+    per generator for the rows of its stream: block-wide owner (S, N) and imperialist (S, K), seat k the k-th best."""
     k = config.n_imperialists
-    owner = np.empty(costs.shape, dtype=np.intp)
-    imperialist = np.empty((len(rngs), k), dtype=np.intp)
-    generators, stream = _streams(rngs)
+    owner, imperialist = np.empty(costs.shape, dtype=np.intp), np.empty((len(stream), k), dtype=np.intp)
     permutations = [rng.permutation(costs.shape[1] - k) for rng in generators]
-    for s in range(len(rngs)):
+    for s, g in enumerate(stream):
         ranked = np.argsort(costs[s], kind="stable")
         imperialist[s] = ranked[:k]
         owner[s, ranked[:k]] = np.arange(k)
         colonists = ranked[k:]
         counts = _largest_remainder(_power_shares(costs[s, ranked[:k]]), colonists.size)
-        owner[s, colonists[permutations[stream[s]]]] = np.repeat(np.arange(k), counts)
-    rows = np.arange(len(rngs))[:, None]
+        owner[s, colonists[permutations[g]]] = np.repeat(np.arange(k), counts)
+    rows = np.arange(len(stream))[:, None]
     return owner + k * rows, imperialist + costs.shape[1] * rows
 
 
@@ -176,19 +167,17 @@ def _draw_size(n_countries: int, n: int) -> int:
     return 1 + n_countries * (2 * n + 1)
 
 
-def draw(rngs: Sequence[np.random.Generator], active: np.ndarray, n_countries: int, n: int):
+def draw(generators: Sequence[np.random.Generator], stream: np.ndarray, active: np.ndarray, n_countries: int, n: int):
     """Draw one iteration's numbers, one ``random(1 + N(2n + 1))`` per generator with an active
-    row, which its active rows share: the roulette numbers (S,), then per country the assimilation
-    steps (S, N, n), revolution trials (S, N) and fresh positions in the unit box (S, N, n), unused
-    for imperialists.  An inactive row gets zeros; a generator with none active draws nothing."""
-    u = np.zeros((len(rngs), _draw_size(n_countries, n)))
-    first = {}  # each generator's first active row: it draws, and the later ones copy it
-    for s in np.flatnonzero(active).tolist():
-        if first.setdefault(rngs[s], s) == s:
-            rngs[s].random(out=u[s])
-        else:
-            u[s] = u[first[rngs[s]]]
-    grid = u[:, 1:].reshape(len(rngs), n_countries, 2 * n + 1)
+    row, which the active rows of its stream share: the roulette numbers (S,), then per country the
+    assimilation steps (S, N, n), revolution trials (S, N) and fresh positions in the unit box
+    (S, N, n), unused for imperialists.  An inactive row gets zeros; a generator with none active
+    draws nothing."""
+    u = np.zeros((len(generators) + 1, _draw_size(n_countries, n)))  # a row per generator, then the zero row
+    for g in set(stream[active].tolist()):  # the generators are independent: any order draws the same
+        generators[g].random(out=u[g])
+    u = u.take(np.where(active, stream, len(generators)), axis=0)
+    grid = u[:, 1:].reshape(len(stream), n_countries, 2 * n + 1)
     return u[:, 0], grid[..., :n], grid[..., n], grid[..., n + 1:]
 
 
@@ -315,16 +304,16 @@ def run(lp: DeterministicLP, config: IcaConfig = IcaConfig(), seeds: Sequence[in
 def _run_block(lp: DeterministicLP, config: IcaConfig, seeds, block) -> list[RunReport]:
     level, seed_index = np.divmod(block, len(seeds))  # run row r: level r // S at seed seeds[r % S]
     block_seeds = [seeds[i] for i in seed_index.tolist()]
-    rngs = list(map({seed: np.random.default_rng(seed) for seed in block_seeds}.get, block_seeds))  # one per seed
-    coefficients, thresholds = lp.coefficients[level], lp.threshold[level]
-    bounds = lp.upper_bounds
+    stream_of = {}  # each distinct seed's generator index, in order of first appearance
+    stream = np.array([stream_of.setdefault(seed, len(stream_of)) for seed in block_seeds], dtype=np.intp)
+    generators = [np.random.default_rng(seed) for seed in stream_of]
+    coefficients, thresholds, bounds = lp.coefficients[level], lp.threshold[level], lp.upper_bounds
     s, m, n = len(block), config.n_countries, lp.n
     box = np.tile(bounds, (m, 1))  # (N, n), so the clip and the box check run over whole rows of countries
     rows = np.arange(s)
     countries = np.arange(s * m).reshape(s, m)  # each country's block-wide index
-    best_cost = np.full(s, np.inf)
-    best_position = np.zeros((s, n))
-    positions = initialize(config, bounds, rngs)
+    best_cost, best_position = np.full(s, np.inf), np.zeros((s, n))
+    positions = initialize(config, bounds, generators, stream)
     costs = np.empty((s, m))
 
     def tracked(moved: np.ndarray) -> None:
@@ -343,13 +332,13 @@ def _run_block(lp: DeterministicLP, config: IcaConfig, seeds, block) -> list[Run
         best_position[better] = positions[rows[better], i[better]]
 
     tracked(np.ones((s, m), dtype=bool))
-    owner, imperialist = form_empires(costs, config, rngs)
+    owner, imperialist = form_empires(costs, config, generators, stream)
     alive = np.ones(imperialist.shape, dtype=bool)
     active = np.ones(s, dtype=bool)
     # every row's best cost and empire count after each iteration, and the iterations it ran
     history, lengths = [], np.zeros(s, dtype=int)
     for iteration in range(1, config.max_iterations + 1):
-        roulette, steps, trials, fresh = draw(rngs, active, m, n)
+        roulette, steps, trials, fresh = draw(generators, stream, active, m, n)
         rulers = _rulers(owner, imperialist)
         moving = (rulers != countries) & active[:, None]
         assimilate(positions, rulers, moving, steps, box)
@@ -375,11 +364,13 @@ def _run_block(lp: DeterministicLP, config: IcaConfig, seeds, block) -> list[Run
 
 
 def _check_invariants(positions, costs, owner, imperialist, alive, bounds) -> None:
-    # explicit raises rather than asserts, so the checks also run under python -O; the row check
-    # comes first, as a label past the block would not gather, and a seat of another row is a wrong seat
-    if not ((owner // alive.shape[1] == np.arange(len(owner))[:, None]).all() and np.take(alive, owner).all()):
+    # explicit raises rather than asserts, so the checks also run under python -O; each row check comes first,
+    # as a label or seat past the block would not gather, a negative one would wrap, and one of another row is wrong
+    rows = np.arange(len(owner))[:, None]
+    if not ((owner // alive.shape[1] == rows).all() and np.take(alive, owner).all()):
         raise RuntimeError("ICA invariant violated: a country belongs to no live empire of its row")
-    if not (np.take(owner, imperialist) == np.arange(alive.size).reshape(alive.shape))[alive].all():
+    if not ((imperialist // owner.shape[1] == rows).all()
+            and (np.take(owner, imperialist) == np.arange(alive.size).reshape(alive.shape))[alive].all()):
         raise RuntimeError("ICA invariant violated: an imperialist does not belong to its own empire")
     if not ((positions >= 0.0).all() and (positions <= bounds).all()):
         raise RuntimeError("ICA invariant violated: a country lies outside the box")

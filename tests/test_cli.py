@@ -442,9 +442,9 @@ def test_a_failing_later_level_runs_no_search_on_the_earlier_ones(tmp_path, caps
     initialized = []
     initialize = ica.initialize
 
-    def counted_initialize(config, bounds, rngs):
-        initialized.append(len(rngs))
-        return initialize(config, bounds, rngs)
+    def counted_initialize(config, bounds, generators, stream):
+        initialized.append(len(stream))
+        return initialize(config, bounds, generators, stream)
 
     monkeypatch.setattr(ica, "draw", no_draw)
     monkeypatch.setattr(ica, "initialize", counted_initialize)
@@ -880,7 +880,8 @@ SOLVE_FLAGS = {
     "--solver": mostly(["ica", "ica", "exact"], ["simplex", ""]),
     "--seeds": SEEDS,
     "--iters": mostly(["0", "1", "3"], ["-1", "x", "2.5"]),
-    "--countries": mostly(["2", "5", "12", "30"], ["0", "-4", "x", "1" + "0" * 400]),
+    # each valid count exceeds the default 10 imperialists and every valid --imperialists value, so it reaches the search
+    "--countries": mostly(["12", "13", "20", "30"], ["0", "-4", "x", "1" + "0" * 400]),
     "--imperialists": mostly(["1", "3", "11"], ["0", "-1", "x"]),
     "--revolution": mostly(["0", "0.2", "1"], ["-0.1", "2", "nan", "x"]),
     "--epsilon": mostly(["0.05", "1e-300", "0.09999999999999999"], ["0", "0.1", "nan", "inf", "x"]),

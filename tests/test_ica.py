@@ -142,8 +142,8 @@ def test_paper_parameter_defaults():
 
 def test_initialize_deterministic_and_bounded():
     cfg = ica.IcaConfig(n_countries=20, n_imperialists=3)
-    pos_a = ica.initialize(cfg, U5, [np.random.default_rng(5), np.random.default_rng(6)])
-    pos_b = ica.initialize(cfg, U5, [np.random.default_rng(5), np.random.default_rng(6)])
+    pos_a = ica.initialize(cfg, U5, [np.random.default_rng(5), np.random.default_rng(6)], np.array([0, 1]))
+    pos_b = ica.initialize(cfg, U5, [np.random.default_rng(5), np.random.default_rng(6)], np.array([0, 1]))
     assert pos_a.tobytes() == pos_b.tobytes()
     assert pos_a.shape == (2, 20, 5)
     assert np.all(pos_a >= 0) and np.all(pos_a <= U5)
@@ -151,7 +151,7 @@ def test_initialize_deterministic_and_bounded():
     assert pos_a[1].tobytes() == np.random.default_rng(6).uniform(0.0, U5, size=(20, 5)).tobytes()
     # rows holding one generator share its one draw, each row in its own copy
     rng = np.random.default_rng(5)
-    shared = ica.initialize(cfg, U5, [rng, rng])
+    shared = ica.initialize(cfg, U5, [rng], np.array([0, 0]))
     shared[0] += 1.0
     assert shared[1].tobytes() == pos_a[0].tobytes()
     twin = np.random.default_rng(5)
@@ -161,7 +161,7 @@ def test_initialize_deterministic_and_bounded():
 
 def test_initialize_degenerate_box():
     cfg = ica.IcaConfig(n_countries=8, n_imperialists=2)
-    positions = ica.initialize(cfg, np.zeros(3), [np.random.default_rng(0)])
+    positions = ica.initialize(cfg, np.zeros(3), [np.random.default_rng(0)], np.array([0]))
     assert np.all(positions == 0.0)
 
 
@@ -204,8 +204,8 @@ def test_apportionment_sums_exactly():
 
 def test_form_empires_partition():
     cfg = ica.IcaConfig(n_countries=100, n_imperialists=10)
-    costs = sum_cost(ica.initialize(cfg, U5, [np.random.default_rng(1)]))
-    owner, imperialist = ica.form_empires(costs, cfg, [np.random.default_rng(2)])
+    costs = sum_cost(ica.initialize(cfg, U5, [np.random.default_rng(1)], np.array([0])))
+    owner, imperialist = ica.form_empires(costs, cfg, [np.random.default_rng(2)], np.array([0]))
     assert owner.shape == (1, 100) and imperialist.shape == (1, 10)
     # empire k is ruled by the k-th best country and owns it
     assert imperialist[0].tolist() == np.argsort(costs[0], kind="stable")[:10].tolist()
@@ -220,13 +220,13 @@ def test_form_empires_gives_each_row_its_own_labels_and_seats():
     # rows 0 and 2 share seed 3's generator, as the rows of one seed in a block do
     cfg = ica.IcaConfig(n_countries=20, n_imperialists=4)
     seeds = [3, 4, 3]
-    costs = sum_cost(ica.initialize(cfg, U5, [np.random.default_rng(s) for s in (1, 2, 5)]))
+    costs = sum_cost(ica.initialize(cfg, U5, [np.random.default_rng(s) for s in (1, 2, 5)], np.arange(3)))
     generators = {seed: np.random.default_rng(seed) for seed in seeds}
-    owner, imperialist = ica.form_empires(costs, cfg, [generators[seed] for seed in seeds])
+    owner, imperialist = ica.form_empires(costs, cfg, list(generators.values()), np.array([0, 1, 0]))
     rows = np.arange(3)[:, None]
     assert (owner // 4 == rows).all() and (imperialist // 20 == rows).all()
     for row, seed in enumerate(seeds):
-        alone = ica.form_empires(costs[row:row + 1], cfg, [np.random.default_rng(seed)])
+        alone = ica.form_empires(costs[row:row + 1], cfg, [np.random.default_rng(seed)], np.array([0]))
         assert (owner[row] - 4 * row).tolist() == alone[0][0].tolist()
         assert (imperialist[row] - 20 * row).tolist() == alone[1][0].tolist()
 
@@ -234,7 +234,7 @@ def test_form_empires_gives_each_row_its_own_labels_and_seats():
 def test_form_empires_single_imperialist():
     cfg = ica.IcaConfig(n_countries=7, n_imperialists=1)
     costs = np.array([[3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]])
-    owner, imperialist = ica.form_empires(costs, cfg, [np.random.default_rng(0)])
+    owner, imperialist = ica.form_empires(costs, cfg, [np.random.default_rng(0)], np.array([0]))
     assert imperialist.tolist() == [[1]]  # the first of the two cost-1 countries
     assert owner.tolist() == [[0] * 7]
 
@@ -248,7 +248,7 @@ def test_draw_follows_the_per_seed_stream():
     active = np.array([True, False, True])
     for seed in range(20):
         rngs = [np.random.default_rng(seed + i) for i in range(3)]
-        roulette, steps, trials, fresh = ica.draw(rngs, active, n_countries, n)
+        roulette, steps, trials, fresh = ica.draw(rngs, np.arange(3), active, n_countries, n)
         assert roulette.shape == (3,) and trials.shape == (3, 6)
         assert steps.shape == fresh.shape == (3, 6, 3)
         for i, rng in enumerate(rngs):
@@ -268,12 +268,12 @@ def test_draw_follows_the_per_seed_stream():
     # numbers, a stopped row zeros, and the stream moves by exactly one draw
     rng, ref = np.random.default_rng(9), np.random.default_rng(9)
     for active in ([True, False], [False, True], [True, True]):
-        roulette, steps, trials, fresh = ica.draw([rng, rng], np.array(active), n_countries, n)
+        roulette, steps, trials, fresh = ica.draw([rng], np.array([0, 0]), np.array(active), n_countries, n)
         u = ref.random(1 + n_countries * (2 * n + 1))
         for i, on in enumerate(active):
             got = np.concatenate([roulette[i:i + 1], np.dstack([steps, trials[..., None], fresh])[i].ravel()])
             assert got.tobytes() == (u if on else np.zeros_like(u)).tobytes()
-    ica.draw([rng, rng], np.array([False, False]), n_countries, n)
+    ica.draw([rng], np.array([0, 0]), np.array([False, False]), n_countries, n)
     assert rng.random() == ref.random()
 
 
@@ -307,7 +307,7 @@ def test_revolve_rate_extremes():
     colony = np.arange(7) > 0
     for rate, moved in ((0.0, False), (1.0, True)):
         positions = np.full((1, 7, 4), 5.0)
-        _, _, trials, fresh = ica.draw([np.random.default_rng(0)], np.array([True]), 7, 4)
+        _, _, trials, fresh = ica.draw([np.random.default_rng(0)], np.array([0]), np.array([True]), 7, 4)
         chosen = colony & (trials < rate)
         assert chosen[0].tolist() == [False] + [moved] * 6
         ica.revolve(positions, chosen, fresh, bounds)
@@ -321,7 +321,7 @@ def test_revolve_deterministic():
 
     def snapshot(seed):
         positions = np.full((1, 9, 3), 2.0)
-        _, _, trials, fresh = ica.draw([np.random.default_rng(seed)], np.array([True]), 9, 3)
+        _, _, trials, fresh = ica.draw([np.random.default_rng(seed)], np.array([0]), np.array([True]), 9, 3)
         ica.revolve(positions, (np.arange(9) > 0) & (trials < 0.5), fresh, bounds)
         return positions.tobytes()
 
@@ -499,6 +499,13 @@ def test_check_invariants_catches_each_violation():
     seat[0, 1] = 5  # the first seed's empire 1 seated on the second seed's country 1
     with pytest.raises(RuntimeError, match="its own empire"):
         ica._check_invariants(positions, costs, owner, seat, alive, bounds)
+    # a seat past the block would not gather, and a negative one would wrap to the block's last
+    # country, which belongs to the second seed's empire 1
+    for country in (8, -1):
+        seat = imperialist.copy()
+        seat[1, 1] = country
+        with pytest.raises(RuntimeError, match="its own empire"):
+            ica._check_invariants(positions, costs, owner, seat, alive, bounds)
     outside = positions.copy()
     outside[1, 3, 1] = -1e-9
     with pytest.raises(RuntimeError, match="box"):
@@ -526,6 +533,7 @@ def test_invariant_check_survives_python_O():
             (inside, costs, owner, np.array([[0, 2]])),
             (np.array([[[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 6.0]]]), costs, owner, imperialist),
             (inside, np.array([[0.0, 4.0, 2.0, 3.0]]), owner, imperialist),
+            (inside, np.array([[0.0, 3.0, 2.0, 1.0]]), owner, np.array([[0, -1]])),
         ]:
             try:
                 ica._check_invariants(positions, costs, owner, imperialist, alive, bounds)
@@ -542,6 +550,7 @@ def test_invariant_check_survives_python_O():
     assert "does not belong to its own empire" in lines[2]
     assert "outside the box" in lines[3]
     assert "weaker than one of its colonies" in lines[4]
+    assert "does not belong to its own empire" in lines[5]
 
 
 # --- full runs -----------------------------------------------------------------
@@ -561,7 +570,7 @@ def test_run_refuses_a_huge_draw_buffer_before_allocating(lp01):
 def test_draw_and_refuse_share_the_draw_layout(lp01, monkeypatch):
     # draw takes exactly _draw_size numbers from an active row's generator
     rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-    ica.draw([rng], np.array([True]), 7, 3)
+    ica.draw([rng], np.array([0]), np.array([True]), 7, 3)
     twin.random(ica._draw_size(7, 3))
     assert rng.bit_generator.state == twin.bit_generator.state
     # and refuse sizes the buffer from it, naming n_countries
@@ -625,7 +634,7 @@ def test_run_takes_any_sequence_of_integer_seeds(lp01, seeds):
 
 def test_run_zero_iterations_returns_initial_best(lp01):
     [report] = ica.run(lp01, config=ica.IcaConfig(max_iterations=0), seeds=[42])
-    positions = ica.initialize(ica.IcaConfig(), lp01.upper_bounds, [np.random.default_rng(42)])
+    positions = ica.initialize(ica.IcaConfig(), lp01.upper_bounds, [np.random.default_rng(42)], np.array([0]))
     assert report.best_cost == -penalized_objective_batch(lp01, positions[0], ica.IcaConfig()).max()
     assert report.history.shape == (0, 2)
 
@@ -792,17 +801,22 @@ def test_a_paper_sweep_draws_each_seeds_numbers_once(monkeypatch):
 
     initialize = ica.initialize
 
-    def counted_initialize(config, bounds, rngs):
-        initialized.append((len(rngs), len({id(rng) for rng in rngs})))
-        return initialize(config, bounds, rngs)
+    def counted_initialize(config, bounds, generators, stream):
+        initialized.append((len(stream), len(generators), stream.tolist()))
+        return initialize(config, bounds, generators, stream)
 
     monkeypatch.setattr(np.random, "default_rng", lambda seed: Counting(np.random.PCG64(seed)))
     monkeypatch.setattr(ica, "initialize", counted_initialize)
     reports = ica.run(lp, seeds=range(1, 21))
     # the 4 rows of a seed share its generator: 20 of them, each drawing 1 + 100 * 11
     # numbers per iteration, where one generator per row would draw 2,202,000
-    assert initialized == [(80, 20)] and {len(r.history) for r in reports} == {25}
+    assert initialized == [(80, 20, list(range(20)) * 4)] and {len(r.history) for r in reports} == {25}
     assert len(drawn) == 20 * 25 and sum(drawn) == 550_500
+    # a repeated seed's rows share the generator of its first appearance, at every level
+    initialized.clear()
+    drawn.clear()
+    ica.run(lp, ica.IcaConfig(max_iterations=1), seeds=[5, 1, 3, 1])
+    assert initialized == [(16, 3, [0, 1, 2, 1] * 4)] and drawn == [1 + 100 * 11] * 3
 
 
 # --- metamorphic referee ---------------------------------------------------------------

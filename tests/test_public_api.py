@@ -1,9 +1,10 @@
 """The names other code relies on: the benchmark tracer's targets, every
-__all__, the README's Python examples, and the library's argument contract."""
+__all__, the README's Python examples and ICA signatures, and the library's argument contract."""
 
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import math
 import re
 import warnings
@@ -63,6 +64,15 @@ def test_readme_python_blocks_print_what_their_comments_say(capsys):
                 for line in block.splitlines() if line.startswith("print(")]
     assert len(expected) == 4
     assert [line.split() for line in capsys.readouterr().out.splitlines()] == expected
+
+
+def test_readme_ica_signatures_name_each_parameter_in_order():
+    # every `ica.name(a, b, ...)` the README writes out is that function's parameter list
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    written = re.findall(r"`ica\.(\w+)\(([^()`]*)\)`", readme)
+    assert {"initialize", "form_empires", "draw", "revolve"} <= {name for name, _ in written}
+    for name, params in written:
+        assert params.split(", ") == list(inspect.signature(getattr(ica, name)).parameters), name
 
 
 # --- the library's argument contract (README, "Argument errors") -----------------
