@@ -171,13 +171,15 @@ def _emit(sweep, args, meta) -> None:
         text = render_json(sweep, meta)
     else:
         text = render_table(sweep)
-    if args.out is not None:
-        try:
+    try:
+        if args.out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             args.out.write_text(text)
-        except OSError as exc:
-            raise ValidationError(f"--out: cannot write {args.out}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        where = "stdout: cannot write the report" if args.out is None else f"--out: cannot write {args.out}"
+        raise ValidationError(f"{where}: {exc.strerror}") from None
 
 
 def _config(args) -> ica.IcaConfig:

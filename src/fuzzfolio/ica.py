@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, is_finite, is_number, shown
-from .model import DeterministicLP, objective
+from .model import MAX_DRAW_BYTES, DeterministicLP, objective
 from .penalty import penalized_objective_batch, penalized_objective_bound, repair
 
 __all__ = ["IcaConfig", "RunReport", "initialize", "form_empires", "draw", "assimilate", "revolve", "exchange",
@@ -46,9 +46,6 @@ ASSIMILATION_BETA = 2.0
 
 # most (level, seed) rows evolved together; it bounds memory and cannot change a result
 ROW_BLOCK = 128
-
-# refuse rejects a row block whose S-row draw buffer exceeds this many bytes; draw holds G + 1 <= S + 1 rows beside it
-MAX_DRAW_BYTES = 2 * 2**30
 
 # what an IcaConfig field holds, by the type of its default: numpy scalars pass, and a bool is no number
 _KINDS = {int: ("an integer", lambda v: is_number(v, numbers.Integral)), float: ("a real number", is_number),

@@ -41,6 +41,10 @@ __all__ = [
     "necessity_certificate",
 ]
 
+# the largest draw buffer in bytes: necessity_certificate's samples, or an ICA row block's S rows
+# (ica.refuse sizes those; ica.draw holds G + 1 <= S + 1 more rows beside them)
+MAX_DRAW_BYTES = 2 * 2**30
+
 
 @dataclass(frozen=True)
 class PortfolioInstance:
@@ -186,10 +190,9 @@ def residuals(lp: DeterministicLP, x: Sequence[float]) -> ResidualReport:
 class CertificateReport:
     """Empirical check of the reformulation at one allocation.
 
-    ``probability`` estimates Pr{ necessity(Z(t) >= f) >= eta } from seeded
-    normal draws, by the formulas of observe, weighted_sum and the scalar
-    necessity closed form applied to the draw vector, with no reuse of the
-    reformulated coefficients.
+    ``probability`` estimates Pr{ necessity(Z(t) >= f) >= eta } over seeded normal draws t, with no
+    reuse of the reformulated coefficients: Z(t) has the left peak a0(t) = sum_j w_j (r0_j + t r2_j) and
+    the left spread b = sum_j w_j beta_j, so its necessity is 1 for f <= a0 - b, (a0 - f) / b up to a0, 0 above.
     """
 
     threshold: float
@@ -216,6 +219,9 @@ def necessity_certificate(
     """
     if not (is_number(n_samples, numbers.Integral) and n_samples >= 1):
         raise ValidationError(f"n_samples must be a positive integer, got {shown(n_samples, repr)}", field="n_samples")
+    if n_samples > MAX_DRAW_BYTES // 8:  # counted in samples, as 8 * an np.int64 count can wrap
+        raise ValidationError(f"n_samples must be at most {MAX_DRAW_BYTES // 8}, got {shown(n_samples)}",
+                              field="n_samples")
     rng = np.random.default_rng(rng)
     lp = reformulate(instance, levels)
     crisp_value = objective(lp, x)

@@ -9,8 +9,6 @@ a pure function of the grid, so identical command lines yield identical bytes.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import statistics
 from typing import NamedTuple, Sequence
@@ -86,14 +84,11 @@ def _allocation_texts(x: np.ndarray, spec: str, sep: str) -> list[str]:
 
 
 def render_csv(sweep: Sweep) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    # no cell holds a comma, quote, CR or LF (%.12g numbers, nan, inf, seeds, true/false, empty for None, the
+    # fixed words, ;-joined allocations) and no line is one empty cell, so csv.writer would quote none of them
     exact = None if sweep.exact_x is None else _allocation_texts(sweep.exact_x, "%.12g", ";")
-    for row in _rows(sweep, exact, _allocation_texts(sweep.ica_x, "%.12g", ";")):
-        # allocation, the last column, is text already
-        writer.writerow([*map(_fmt, row[:-1]), row[-1]])
-    return buf.getvalue()
+    rows = _rows(sweep, exact, _allocation_texts(sweep.ica_x, "%.12g", ";"))
+    return "\n".join([",".join(CSV_COLUMNS), *(",".join([*map(_fmt, row[:-1]), row[-1]]) for row in rows), ""])
 
 
 def render_json(sweep: Sweep, meta: dict) -> str:

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -44,6 +45,11 @@ def parse_csv(text):
 
 
 # --- instance files -----------------------------------------------------------
+
+def test_an_unknown_bundled_name_is_refused():
+    with pytest.raises(ValidationError, match=r"^no bundled instance named 'nope'; available: \['paper_table1'\]$"):
+        bundled_instance("nope")
+
 
 def test_bundled_fixture_matches_published_parameters():
     inst = bundled_instance("paper_table1")
@@ -238,6 +244,10 @@ BAD_INSTANCES = {
     "huge_r2.json": PAPER_JSON.replace('"r1": 1.4, "r2": 0.5,', '"r1": 1.4, "r2": 1.7e308,').encode(),
     # deeper than the JSON decoder's recursion limit
     "deep.json": b"[" * 100_000 + b"]" * 100_000,
+    # JSON of the wrong shape: no object, no asset, bounds that are no array
+    "not_object.json": b"[1]",
+    "no_assets.json": re.sub(r'"assets": \[.*?\]', '"assets": []', PAPER_JSON, flags=re.S).encode(),
+    "bounds_not_array.json": PAPER_JSON.replace('"upper_bounds": [60, 60, 60, 60, 60]', '"upper_bounds": 60').encode(),
 }
 
 
@@ -754,6 +764,9 @@ def test_invalid_ica_flag_exits_2_with_one_line(flags, named, capsys):
     (["solve", "--solver", "ica", "--seeds", "-3"], "--seeds"),
     (["reproduce-paper", "--seeds=-2..1"], "--seeds"),
     (["solve", "--instance", "{tmp}/deep.json"], "{tmp}/deep.json"),
+    (["solve", "--instance", "{tmp}/not_object.json"], "{tmp}/not_object.json"),
+    (["solve", "--instance", "{tmp}/no_assets.json"], "{tmp}/no_assets.json"),
+    (["solve", "--instance", "{tmp}/bounds_not_array.json"], "{tmp}/bounds_not_array.json"),
 ])
 # a numpy warning would print lines of its own before the error line
 @pytest.mark.filterwarnings("error")
@@ -762,6 +775,26 @@ def test_invalid_level_or_out_flag_exits_2_with_one_line(argv, named, tmp_path, 
         (tmp_path / name).write_bytes(content)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert_one_line_error(*run_cli(argv, capsys), named.format(tmp=tmp_path))
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_a_report_stdout_cannot_take_exits_2_with_one_line(failing, capsys, monkeypatch):
+    class FullStdout:
+        def write(self, text):
+            self.fail("write")
+            return len(text)
+
+        def flush(self):
+            self.fail("flush")
+
+        def fail(self, call):
+            if call == failing:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    code, out, err = run_cli(["solve"], capsys)
+    assert_one_line_error(code, out, err, "stdout")
+    assert err == "error: stdout: cannot write the report: No space left on device\n"
 
 
 def assert_one_line_error(code, out, err, named):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -406,6 +407,26 @@ def test_certificate_checks_n_samples_first(table1, n_samples, monkeypatch):
     with pytest.raises(ValidationError, match="^n_samples must be a positive integer, got ") as info:
         necessity_certificate(table1, ConfidenceLevels(0.4, 0.4), [20.0, 0.0, 60.0, 60.0, 60.0], n_samples=n_samples)
     assert info.value.field == "n_samples"
+
+
+def test_certificate_refuses_a_huge_draw_buffer_before_allocating(table1, monkeypatch):
+    levels, x = ConfidenceLevels(0.4, 0.4), [20.0, 0.0, 60.0, 60.0, 60.0]
+    # 7.11 PiB, past numpy's largest dimension, past the float range, and an int too long to write as text
+    tracemalloc.start()
+    try:
+        for n_samples in (10**15, 2**63, 10**400, 10**5000):
+            with pytest.raises(ValidationError, match="^n_samples must be at most 268435456, got ") as info:
+                necessity_certificate(table1, levels, x, n_samples=n_samples)
+            assert info.value.field == "n_samples"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the limit is a buffer of 8-byte draws: a smaller one moves it, and a buffer at the limit is drawn
+    monkeypatch.setattr("fuzzfolio.model.MAX_DRAW_BYTES", 8 * 100)
+    assert necessity_certificate(table1, levels, x, n_samples=100).n_samples == 100
+    with pytest.raises(ValidationError, match="^n_samples must be at most 100, got 101$"):
+        necessity_certificate(table1, levels, x, n_samples=101)
 
 
 def test_certificate_rejects_negative_weights_and_non_finite_peaks(table1):

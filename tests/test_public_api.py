@@ -116,7 +116,8 @@ BAD = {
     "upper_bounds": st.sampled_from([[1.0] * 4, [1.0] * 6, [1.0, -1.0, 1.0, 1.0, 1.0], [math.nan] * 5,
                                      ["1"] * 5, [None] * 5, [True] * 5, [LONG] * 5]),
     "seeds": st.sampled_from([[-1], [1.5], ["1"], [True], [np.float64(2.0)], 7, None, "12"]),
-    "n_samples": st.sampled_from([0, -3, 2.5, 1e4, "10", None, True]),
+    # counts whose draws numpy cannot shape (2**63) or the host cannot hold (10**15)
+    "n_samples": st.sampled_from([0, -3, 2.5, 1e4, "10", None, True, 2**63, 10**15, HUGE_COUNT]),
     "x": st.sampled_from([np.negative, lambda x: x[:-1], lambda x: x * math.nan, lambda x: np.append(x, 1.0)]),
     "path": st.sampled_from([".", "missing/inst.json"]),
 }
