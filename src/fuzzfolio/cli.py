@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -178,6 +179,10 @@ def _emit(sweep, args, meta) -> None:
         else:
             args.out.write_text(text)
     except OSError as exc:
+        if args.out is None:
+            # a failed write leaves its bytes buffered, and the interpreter flushes stdout again at exit
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         where = "stdout: cannot write the report" if args.out is None else f"--out: cannot write {args.out}"
         raise ValidationError(f"{where}: {exc.strerror}") from None
 

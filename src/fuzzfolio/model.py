@@ -41,8 +41,8 @@ __all__ = [
     "necessity_certificate",
 ]
 
-# the largest draw buffer in bytes: necessity_certificate's samples, or an ICA row block's S rows
-# (ica.refuse sizes those; ica.draw holds G + 1 <= S + 1 more rows beside them)
+# the largest draw buffer in bytes: necessity_certificate's peak, about six sample-long float arrays, or an ICA
+# row block's S rows (ica.refuse sizes those; ica.draw holds G + 1 <= S + 1 more rows beside them)
 MAX_DRAW_BYTES = 2 * 2**30
 
 
@@ -219,8 +219,8 @@ def necessity_certificate(
     """
     if not (is_number(n_samples, numbers.Integral) and n_samples >= 1):
         raise ValidationError(f"n_samples must be a positive integer, got {shown(n_samples, repr)}", field="n_samples")
-    if n_samples > MAX_DRAW_BYTES // 8:  # counted in samples, as 8 * an np.int64 count can wrap
-        raise ValidationError(f"n_samples must be at most {MAX_DRAW_BYTES // 8}, got {shown(n_samples)}",
+    if n_samples > MAX_DRAW_BYTES // 48:  # t, a0, the shoulder, np.where's two results and masks at once
+        raise ValidationError(f"n_samples must be at most {MAX_DRAW_BYTES // 48}, got {shown(n_samples)}",
                               field="n_samples")
     rng = np.random.default_rng(rng)
     lp = reformulate(instance, levels)

@@ -84,11 +84,12 @@ def _allocation_texts(x: np.ndarray, spec: str, sep: str) -> list[str]:
 
 
 def render_csv(sweep: Sweep) -> str:
-    # no cell holds a comma, quote, CR or LF (%.12g numbers, nan, inf, seeds, true/false, empty for None, the
-    # fixed words, ;-joined allocations) and no line is one empty cell, so csv.writer would quote none of them
+    # no cell holds a comma, quote, CR or LF and no line is one empty cell (README, CSV schema): none needs quoting
     exact = None if sweep.exact_x is None else _allocation_texts(sweep.exact_x, "%.12g", ";")
     rows = _rows(sweep, exact, _allocation_texts(sweep.ica_x, "%.12g", ";"))
-    return "\n".join([",".join(CSV_COLUMNS), *(",".join([*map(_fmt, row[:-1]), row[-1]]) for row in rows), ""])
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join([*map(_fmt, row[:-1]), row[-1]]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def render_json(sweep: Sweep, meta: dict) -> str:

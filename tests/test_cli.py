@@ -778,8 +778,11 @@ def test_invalid_level_or_out_flag_exits_2_with_one_line(argv, named, tmp_path, 
 
 
 @pytest.mark.parametrize("failing", ["write", "flush"])
-def test_a_report_stdout_cannot_take_exits_2_with_one_line(failing, capsys, monkeypatch):
+def test_a_report_stdout_cannot_take_exits_2_with_one_line(failing, capsys, monkeypatch, tmp_path):
     class FullStdout:
+        def fileno(self):
+            return fd
+
         def write(self, text):
             self.fail("write")
             return len(text)
@@ -791,10 +794,43 @@ def test_a_report_stdout_cannot_take_exits_2_with_one_line(failing, capsys, monk
             if call == failing:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(sys, "stdout", FullStdout())
-    code, out, err = run_cli(["solve"], capsys)
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code, out, err = run_cli(["solve"], capsys)
+        # the failing stream's descriptor now leads to the null device
+        os.write(fd, b"left buffered")
+    finally:
+        os.close(fd)
     assert_one_line_error(code, out, err, "stdout")
     assert err == "error: stdout: cannot write the report: No space left on device\n"
+    assert (tmp_path / "stdout").read_bytes() == b""
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["reproduce-paper", "--format", "csv"]])
+@pytest.mark.parametrize("sink", ["/dev/full", "closed pipe"])
+def test_a_report_a_real_stdout_cannot_take_exits_2_with_one_line(argv, sink):
+    # the interpreter flushes stdout again at exit: a byte a failed write left buffered would fail
+    # there too, print "Exception ignored" and exit 120; the table is buffered whole, the CSV is not
+    if sink == "closed pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    else:
+        stdout = os.open(sink, os.O_WRONLY)
+    try:
+        done = run_cli_process(argv, stdout=stdout)
+    finally:
+        os.close(stdout)
+    reason = os.strerror(errno.EPIPE if sink == "closed pipe" else errno.ENOSPC)
+    assert (done.returncode, done.stderr) == (2, f"error: stdout: cannot write the report: {reason}\n")
+
+
+def run_cli_process(argv, **kwargs):
+    src = Path(fuzzfolio.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as by default
+    return subprocess.run([sys.executable, "-m", "fuzzfolio.cli", *argv], env=env, stderr=subprocess.PIPE,
+                          text=True, timeout=60, **kwargs)
 
 
 def assert_one_line_error(code, out, err, named):
@@ -812,11 +848,8 @@ def test_a_non_finite_level_is_named_by_its_token(capsys):
     line = "error: --levels: level 'nan' is not finite\n"
     for _ in range(12):
         assert run_cli(argv, capsys) == (2, "", line)
-    src = Path(fuzzfolio.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     for _ in range(2):
-        done = subprocess.run([sys.executable, "-m", "fuzzfolio.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = run_cli_process(argv, stdout=subprocess.PIPE)
         assert (done.returncode, done.stdout, done.stderr) == (2, "", line)
 
 

@@ -415,15 +415,23 @@ def test_certificate_refuses_a_huge_draw_buffer_before_allocating(table1, monkey
     tracemalloc.start()
     try:
         for n_samples in (10**15, 2**63, 10**400, 10**5000):
-            with pytest.raises(ValidationError, match="^n_samples must be at most 268435456, got ") as info:
+            with pytest.raises(ValidationError, match="^n_samples must be at most 44739242, got ") as info:
                 necessity_certificate(table1, levels, x, n_samples=n_samples)
             assert info.value.field == "n_samples"
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # the limit is a buffer of 8-byte draws: a smaller one moves it, and a buffer at the limit is drawn
-    monkeypatch.setattr("fuzzfolio.model.MAX_DRAW_BYTES", 8 * 100)
+    # the limit counts six arrays of 8-byte samples, as many as a certificate holds at once
+    tracemalloc.start()
+    try:
+        necessity_certificate(table1, levels, x, n_samples=2**18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**18
+    # a smaller limit moves it, and a count at the limit is drawn
+    monkeypatch.setattr("fuzzfolio.model.MAX_DRAW_BYTES", 48 * 100)
     assert necessity_certificate(table1, levels, x, n_samples=100).n_samples == 100
     with pytest.raises(ValidationError, match="^n_samples must be at most 100, got 101$"):
         necessity_certificate(table1, levels, x, n_samples=101)
