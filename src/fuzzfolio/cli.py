@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import math
 import os
 import sys
@@ -173,13 +174,15 @@ def _emit(sweep, args, meta) -> None:
     else:
         text = render_table(sweep)
     try:
-        if args.out is None:
+        if args.out is not None:
+            args.out.write_text(text)
+        elif sys.stdout is None:  # the interpreter's stdout when fd 1 was closed at start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
             sys.stdout.write(text)
             sys.stdout.flush()
-        else:
-            args.out.write_text(text)
     except OSError as exc:
-        if args.out is None:
+        if args.out is None and sys.stdout is not None:
             # a failed write leaves its bytes buffered, and the interpreter flushes stdout again at exit
             with open(os.devnull, "w") as null:
                 os.dup2(null.fileno(), sys.stdout.fileno())

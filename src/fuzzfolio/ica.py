@@ -321,7 +321,7 @@ def _run_block(lp: DeterministicLP, config: IcaConfig, seeds, block) -> list[Run
             return
         x = np.take(positions.reshape(s * m, n), index, axis=0)
         row = index // m
-        batch = DeterministicLP(coefficients[row], lp.total_fund, bounds, thresholds[row], lp.levels)
+        batch = DeterministicLP(coefficients.take(row, axis=0), lp.total_fund, bounds, thresholds.take(row), lp.levels)
         np.put(costs, index, -penalized_objective_batch(batch, x, config))
         i = costs.argmin(axis=1)
         better = costs[rows, i] < best_cost

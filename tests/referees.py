@@ -2,8 +2,9 @@
 
 The grid necessity measure checks the closed form of the reformulation,
 the lattice brute force and the LP duality certificate check the greedy
-exact solver (the certificate also bounds every ICA row), and the scalar
-loops and masks check the array paths that replaced them, the per-entry
+exact solver (the certificate also bounds every ICA row), the scalar
+loops and masks check the array paths that replaced them, numpy's
+pairwise order one term at a time checks the column-wise row sums, the per-entry
 formatter the renderers' one-operation allocation text, and the
 row-by-row renderers the column renderers of a sweep's grid.  The
 metamorphic relations check ICA and the greedy fill without pinned bytes.
@@ -192,6 +193,36 @@ def scalar_repair(x, m0: float, upper) -> np.ndarray:
             x = x * (m0 / float(x.sum()))
         x = np.clip(x, 0.0, upper)
     return x
+
+
+def pairwise_sum(values) -> float:
+    """numpy's float64 add.reduce of one run of values, one addition at a time: its initial 0.0 plus
+    numpy's pairwise sum, which adds below 8 terms in turn, up to 128 in eight running sums combined
+    pairwise and then the rest in turn, and splits a longer run at half its length rounded down to a
+    multiple of 8.  The penalized objective's row sums must have these bits."""
+    def pairwise(v: list) -> float:
+        n = len(v)
+        if n < 8:
+            total = -0.0
+            for term in v:
+                total += term
+            return total
+        if n <= 128:
+            acc = v[:8]
+            i = 8
+            while i + 8 <= n:
+                for j in range(8):
+                    acc[j] += v[i + j]
+                i += 8
+            total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+            for term in v[i:]:
+                total += term
+            return total
+        half = n // 2
+        half -= half % 8
+        return pairwise(v[:half]) + pairwise(v[half:])
+
+    return 0.0 + pairwise([float(term) for term in values])
 
 
 def scaled(lp: DeterministicLP, relation: str, k: int) -> tuple[DeterministicLP, float]:

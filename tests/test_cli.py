@@ -825,12 +825,20 @@ def test_a_report_a_real_stdout_cannot_take_exits_2_with_one_line(argv, sink):
     assert (done.returncode, done.stderr) == (2, f"error: stdout: cannot write the report: {reason}\n")
 
 
-def run_cli_process(argv, **kwargs):
+@pytest.mark.parametrize("argv", [["solve"], ["reproduce-paper", "--format", "csv"]])
+def test_a_report_with_stdout_closed_at_start_up_exits_2_with_one_line(argv):
+    # with fd 1 closed when the interpreter starts, sys.stdout is None rather than a stream
+    done = run_cli_process(argv, launcher=["sh", "-c", 'exec "$0" "$@" >&-'])
+    reason = os.strerror(errno.EBADF)
+    assert (done.returncode, done.stderr) == (2, f"error: stdout: cannot write the report: {reason}\n")
+
+
+def run_cli_process(argv, launcher=(), **kwargs):
     src = Path(fuzzfolio.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as by default
-    return subprocess.run([sys.executable, "-m", "fuzzfolio.cli", *argv], env=env, stderr=subprocess.PIPE,
-                          text=True, timeout=60, **kwargs)
+    return subprocess.run([*launcher, sys.executable, "-m", "fuzzfolio.cli", *argv], env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
 
 
 def assert_one_line_error(code, out, err, named):

@@ -11,11 +11,12 @@ from fuzzfolio.ica import IcaConfig
 from fuzzfolio.model import ConfidenceLevels, DeterministicLP, objective
 from fuzzfolio.penalty import (
     INEQ_FACTOR,
+    _row_sums,
     penalized_objective_batch,
     penalized_objective_bound,
     repair,
 )
-from referees import scalar_repair
+from referees import pairwise_sum, scalar_repair
 
 LEVELS = ConfidenceLevels(0.5, 0.5)
 
@@ -94,6 +95,41 @@ def test_batch_rows_do_not_depend_on_the_batch(n):
     for _ in range(300):
         a, b = sorted(rng.choice(301, size=2, replace=False))
         assert penalized_objective_batch(lp, xs[a:b], cfg).tobytes() == batch[a:b].tobytes()
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_row_sums_are_bitwise_numpys_and_the_referees():
+    # every n in 1..300 takes all three branches (below 8 terms, up to 128, split above); the
+    # magnitudes span 1e-300..1e300, so an addition out of numpy's order changes the bits
+    rng = np.random.default_rng(30)
+    for n in range(1, 301):
+        for shape in [(n,), (3, n), (2, 2, n)]:
+            wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, shape)
+            wide[rng.random(shape) < 0.1] = 0.0
+            wide[rng.random(shape) < 0.1] = -0.0
+            extremes = rng.choice([np.inf, -np.inf, 1.7e308, -1.7e308], size=shape)
+            special = np.where(rng.random(shape) < 0.05, extremes, wide)
+            zeros = rng.choice([0.0, -0.0], size=shape)
+            for a in (wide, special, zeros, np.full(shape, -0.0)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, want = _row_sums(a), a.sum(axis=-1)
+                assert bits(got) == bits(want), (n, shape)
+                assert bits(got) == bits([pairwise_sum(row) for row in a.reshape(-1, n)]), (n, shape)
+
+
+@pytest.mark.parametrize("n", [5, 20, 200])
+def test_one_allocation_gives_a_float_and_a_batch_an_array(n):
+    rng = np.random.default_rng(n)
+    lp = make_lp(rng.normal(1.0, 0.5, size=n), 100.0, np.full(n, 60.0), threshold=40.0 * n)
+    xs = rng.uniform(0.0, 60.0, size=(4, n))
+    one = penalized_objective_batch(lp, xs[0], IcaConfig(enforce_threshold=True))
+    batch = penalized_objective_batch(lp, xs, IcaConfig(enforce_threshold=True))
+    assert type(one) is np.float64
+    assert type(batch) is np.ndarray and batch.shape == (4,) and batch.dtype == np.float64
+    assert bits(batch[0]) == bits(one)
 
 
 def test_bound_covers_the_box_and_overflows_to_inf():
