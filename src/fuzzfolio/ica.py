@@ -6,7 +6,8 @@ normalized power.  Each iteration: colonies drift toward their
 imperialist (assimilation), some are randomly redrawn (revolution), a
 colony that overtakes its imperialist swaps roles (exchange), and the
 weakest empire loses its weakest colony to a roulette-selected rival
-(competition), collapsing once it has none left.
+(competition), collapsing once it has none left; a newcomer that overtakes
+the rival's imperialist takes its seat, as a second exchange would.
 
 A row is one (level, seed) pair of a run, and all rows evolve together: for
 S rows of N countries over n assets, positions (S, N, n) and costs (S, N),
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, is_finite, is_number, shown
-from .model import MAX_DRAW_BYTES, DeterministicLP, objective
+from .model import MAX_DRAW_BYTES, DeterministicLP
 from .penalty import penalized_objective_batch, penalized_objective_bound, repair
 
 __all__ = ["IcaConfig", "RunReport", "initialize", "form_empires", "draw", "assimilate", "revolve", "exchange",
@@ -114,44 +115,42 @@ def initialize(config: IcaConfig, bounds: np.ndarray, generators: Sequence[np.ra
 def form_empires(costs: np.ndarray, config: IcaConfig, generators: Sequence[np.random.Generator], stream: np.ndarray):
     """Split each row's population into empires with power-proportional colony counts, one colony permutation
     per generator for the rows of its stream: block-wide owner (S, N) and imperialist (S, K), seat k the k-th best."""
-    k = config.n_imperialists
-    owner, imperialist = np.empty(costs.shape, dtype=np.intp), np.empty((len(stream), k), dtype=np.intp)
-    permutations = [rng.permutation(costs.shape[1] - k) for rng in generators]
-    for s, g in enumerate(stream):
-        ranked = np.argsort(costs[s], kind="stable")
-        imperialist[s] = ranked[:k]
-        owner[s, ranked[:k]] = np.arange(k)
-        colonists = ranked[k:]
-        counts = _largest_remainder(_power_shares(costs[s, ranked[:k]]), colonists.size)
-        owner[s, colonists[permutations[g]]] = np.repeat(np.arange(k), counts)
-    rows = np.arange(len(stream))[:, None]
-    return owner + k * rows, imperialist + costs.shape[1] * rows
+    (s, m), k = costs.shape, config.n_imperialists
+    permutations = np.stack([rng.permutation(m - k) for rng in generators])
+    ranked = np.argsort(costs, axis=1, kind="stable")
+    imperialist, colonists = ranked[:, :k], np.take_along_axis(ranked[:, k:], permutations[stream], axis=1)
+    counts = _largest_remainder(_power_shares(np.take_along_axis(costs, imperialist, axis=1)), m - k)
+    owner = np.empty((s, m), dtype=np.intp)
+    np.put_along_axis(owner, imperialist, np.arange(k), axis=1)
+    # each row's colonists, in its permuted order, take label 0 counts[0] times, then label 1, and so on
+    np.put_along_axis(owner, colonists, np.repeat(np.tile(np.arange(k), s), counts.ravel()).reshape(s, m - k), axis=1)
+    rows = np.arange(s)[:, None]
+    return owner + k * rows, imperialist + m * rows
 
 
 def _power_shares(costs: np.ndarray) -> np.ndarray:
-    # normalized cost c_n - max(c); both it and its sum are <= 0, so the
-    # shares are nonnegative and sum to 1.  All-equal costs would divide
-    # zero by zero; fall back to uniform shares.
-    normalized = costs - costs.max()
-    total = normalized.sum()
-    if total == 0.0:
-        return np.full(costs.size, 1.0 / costs.size)
-    return normalized / total
+    # along the last axis, normalized cost c_n - max(c); both it and its sum
+    # are <= 0, so the shares are nonnegative and sum to 1.  All-equal costs
+    # would divide zero by zero; they get uniform shares.
+    normalized = costs - costs.max(axis=-1, keepdims=True)
+    total = normalized.sum(axis=-1, keepdims=True)
+    return np.divide(normalized, total, out=np.full(costs.shape, 1.0 / costs.shape[-1]), where=total != 0.0)
 
 
-def _largest_remainder(shares: np.ndarray, total: int) -> list[int]:
-    # floor the quotas, then hand out the leftover by descending
-    # fractional part so the counts sum to the colony pool exactly
+def _largest_remainder(shares: np.ndarray, total: int) -> np.ndarray:
+    # along the last axis, floor the quotas, then hand out the leftover by
+    # descending fractional part so the counts sum to the colony pool exactly
     quotas = shares * total
     counts = np.floor(quotas).astype(int)
-    order = np.argsort(-(quotas - counts), kind="stable")
-    counts[order[: total - int(counts.sum())]] += 1
-    return counts.tolist()
+    order = np.argsort(-(quotas - counts), axis=-1, kind="stable")
+    leftover = np.arange(order.shape[-1]) < total - counts.sum(axis=-1, keepdims=True)  # by place in the order
+    np.put_along_axis(counts, order, np.take_along_axis(counts, order, axis=-1) + leftover, axis=-1)
+    return counts
 
 
 def _rulers(owner: np.ndarray, imperialist: np.ndarray) -> np.ndarray:
     """The block-wide index of the imperialist ruling each country (S, N); an imperialist rules itself."""
-    return np.take(imperialist, owner)
+    return imperialist.take(owner)
 
 
 def _colonies(owner: np.ndarray, imperialist: np.ndarray) -> np.ndarray:
@@ -181,7 +180,7 @@ def draw(generators: Sequence[np.random.Generator], stream: np.ndarray, active: 
 def assimilate(positions: np.ndarray, rulers: np.ndarray, moving: np.ndarray, steps, bounds) -> None:
     """Move each country flagged in ``moving`` (S, N) toward its ruler by the given steps, in place."""
     s, m, n = positions.shape
-    moved = np.take(positions.reshape(s * m, n), rulers, axis=0)  # the targets, moved in place
+    moved = positions.reshape(s * m, n).take(rulers, axis=0)  # the targets, moved in place
     np.subtract(moved, positions, out=moved)
     np.multiply(moved, ASSIMILATION_BETA * steps, out=moved)
     np.add(moved, positions, out=moved)
@@ -191,7 +190,8 @@ def assimilate(positions: np.ndarray, rulers: np.ndarray, moving: np.ndarray, st
 def revolve(positions: np.ndarray, chosen: np.ndarray, fresh: np.ndarray, bounds) -> None:
     """Replace each country flagged in ``chosen`` (S, N) by its fresh position in the
     unit box scaled to the bounds, in place."""
-    positions[chosen] = bounds * fresh[chosen]
+    at = np.divmod(np.flatnonzero(chosen), chosen.shape[1])  # rows and columns, cheaper than a 2-D mask
+    positions[at] = bounds * fresh[at]
 
 
 def exchange(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray) -> None:
@@ -208,20 +208,19 @@ def exchange(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray) -> N
     first = np.full(s * k + 1, costs.size)
     np.minimum.at(first, labels[tied], tied)
     lowest, first = lowest[:-1].reshape(s, k), first[:-1].reshape(s, k)
-    swap = lowest < np.take(costs, imperialist)
+    swap = lowest < costs.take(imperialist)
     imperialist[swap] = first[swap]
 
 
-def _powers(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray, config: IcaConfig) -> np.ndarray:
-    """Total cost of each empire (S, K); higher means weaker."""
+def _powers(costs, owner, imperialist, colony: np.ndarray, config: IcaConfig) -> np.ndarray:
+    """Total cost of each empire (S, K), given which countries are colonies (S, N); higher means weaker."""
     s, k = imperialist.shape
-    colony = _colonies(owner, imperialist)
     labels = owner.ravel()
     # bincount adds each label's weights in index order, so every empire's
     # colony sum runs left to right over that row's countries alone
     sums = np.bincount(labels, np.where(colony, costs, 0.0).ravel(), s * k).reshape(s, k)
     counts = np.bincount(labels, colony.ravel(), s * k).reshape(s, k)
-    ruler = np.take(costs, imperialist)
+    ruler = costs.take(imperialist)
     return np.where(counts > 0, ruler + config.epsilon * (sums / np.maximum(counts, 1)), ruler)
 
 
@@ -231,13 +230,19 @@ def compete(costs, owner, imperialist, alive, roulette: np.ndarray, config: IcaC
 
     The weakest empire is the first of largest power; it loses its first
     colony of highest cost and takes no part in the roulette.  Left with
-    no colonies it collapses, its imperialist joining the winner.
+    no colonies it collapses, its imperialist joining the winner.  compete
+    runs after ``exchange``, so every live imperialist is at least as
+    strong as each of its colonies.  Only the winner gains countries, so
+    an exchange after it could only seat one of the winner's newcomers:
+    compete seats the first of lowest cost if it is strictly better than
+    the winner's imperialist.
     """
-    rows = np.flatnonzero(alive.sum(axis=1) > 1)
-    powers, live = _powers(costs, owner, imperialist, config)[rows], alive[rows]
-    weakest = np.where(live, powers, -np.inf).argmax(axis=1)
-    candidate = live.copy()
-    candidate[np.arange(rows.size), weakest] = False
+    rows, k = np.arange(len(alive)), alive.shape[1]
+    colony = _colonies(owner, imperialist)
+    powers = _powers(costs, owner, imperialist, colony, config)
+    weakest = np.where(alive, powers, -np.inf).argmax(axis=1)
+    candidate = alive.copy()
+    candidate[rows, weakest] = False
     # a candidate's weight is how far its power lies below the weakest
     # candidate's (all 1 when the powers are equal); the first candidate
     # whose running total exceeds roulette x total wins, and one always
@@ -245,16 +250,23 @@ def compete(costs, owner, imperialist, alive, roulette: np.ndarray, config: IcaC
     top = np.where(candidate, powers, -np.inf).max(axis=1, keepdims=True)
     running = np.cumsum(np.where(candidate, top - powers, 0.0), axis=1)
     running = np.where(running[:, -1:] == 0.0, np.cumsum(candidate, axis=1), running)
-    winner = (candidate & (running > roulette[rows, None] * running[:, -1:])).argmax(axis=1)
+    winner = (candidate & (running > roulette[:, None] * running[:, -1:])).argmax(axis=1)
 
-    offset = alive.shape[1] * rows  # row r's empire labels start at K r; weakest and winner are columns
-    lost = (owner[rows] == (offset + weakest)[:, None]) & _colonies(owner, imperialist)[rows]
-    worst = np.where(lost, costs[rows], -np.inf).argmax(axis=1)
-    moves = lost.any(axis=1)
-    owner[rows[moves], worst[moves]] = (offset + winner)[moves]
-    fall = lost.sum(axis=1) <= 1
-    np.put(owner, imperialist[rows[fall], weakest[fall]], (offset + winner)[fall])
-    alive[rows[fall], weakest[fall]] = False
+    loser, winner = k * rows + weakest, k * rows + winner  # row r's empire labels start at K r
+    lost = (owner == loser[:, None]) & colony
+    worst = np.where(lost, costs, -np.inf).argmax(axis=1) + owner.shape[1] * rows  # a block-wide country
+    contested, n_lost = alive.sum(axis=1) > 1, lost.sum(axis=1)
+    moves, fall = contested & (n_lost > 0), contested & (n_lost <= 1)
+    fallen = imperialist.take(loser)
+    owner.put(worst[moves], winner[moves])
+    owner.put(fallen[fall], winner[fall])
+    alive.put(loser[fall], False)
+    # the newcomers' costs, inf for one not gained; the lower index wins a tie
+    flat = costs.ravel()
+    worst_cost, fallen_cost = np.where(moves, flat.take(worst), np.inf), np.where(fall, flat.take(fallen), np.inf)
+    newcomer = np.where((fallen_cost < worst_cost) | ((fallen_cost == worst_cost) & (fallen < worst)), fallen, worst)
+    seat = np.minimum(worst_cost, fallen_cost) < flat.take(imperialist.take(winner))
+    imperialist.put(winner[seat], newcomer[seat])
 
 
 def refuse(lp: DeterministicLP, config: IcaConfig, n_rows: int) -> None:
@@ -319,10 +331,10 @@ def _run_block(lp: DeterministicLP, config: IcaConfig, seeds, block) -> list[Run
         index = np.flatnonzero(moved)
         if index.size == 0:
             return
-        x = np.take(positions.reshape(s * m, n), index, axis=0)
+        x = positions.reshape(s * m, n).take(index, axis=0)
         row = index // m
         batch = DeterministicLP(coefficients.take(row, axis=0), lp.total_fund, bounds, thresholds.take(row), lp.levels)
-        np.put(costs, index, -penalized_objective_batch(batch, x, config))
+        costs.put(index, -penalized_objective_batch(batch, x, config))
         i = costs.argmin(axis=1)
         better = costs[rows, i] < best_cost
         best_cost[better] = costs[rows, i][better]
@@ -345,7 +357,6 @@ def _run_block(lp: DeterministicLP, config: IcaConfig, seeds, block) -> list[Run
         tracked(revolting)
         exchange(costs, owner, imperialist)
         compete(costs, owner, imperialist, alive, roulette, config)
-        exchange(costs, owner, imperialist)
         n_empires = alive.sum(axis=1)
         history.append(np.stack([best_cost, n_empires], axis=1))
         lengths[active] = iteration
@@ -356,7 +367,9 @@ def _run_block(lp: DeterministicLP, config: IcaConfig, seeds, block) -> list[Run
 
     history = np.array(history).reshape(-1, s, 2)
     repaired = repair(best_position, lp.total_fund, bounds)
-    return [RunReport(x, float(best_cost[i]), objective(lp[level[i]], x), history[:t, i].copy(), seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # as model.objective: each row's c . x, one dot product each
+        objectives = (coefficients[:, None, :] @ repaired[:, :, None])[:, 0, 0].tolist()
+    return [RunReport(x, float(best_cost[i]), objectives[i], history[:t, i].copy(), seed)
             for i, (x, seed, t) in enumerate(zip(repaired, block_seeds, lengths))]
 
 
@@ -364,12 +377,12 @@ def _check_invariants(positions, costs, owner, imperialist, alive, bounds) -> No
     # explicit raises rather than asserts, so the checks also run under python -O; each row check comes first,
     # as a label or seat past the block would not gather, a negative one would wrap, and one of another row is wrong
     rows = np.arange(len(owner))[:, None]
-    if not ((owner // alive.shape[1] == rows).all() and np.take(alive, owner).all()):
+    if not ((owner // alive.shape[1] == rows).all() and alive.take(owner).all()):
         raise RuntimeError("ICA invariant violated: a country belongs to no live empire of its row")
     if not ((imperialist // owner.shape[1] == rows).all()
-            and (np.take(owner, imperialist) == np.arange(alive.size).reshape(alive.shape))[alive].all()):
+            and (owner.take(imperialist) == np.arange(alive.size).reshape(alive.shape))[alive].all()):
         raise RuntimeError("ICA invariant violated: an imperialist does not belong to its own empire")
     if not ((positions >= 0.0).all() and (positions <= bounds).all()):
         raise RuntimeError("ICA invariant violated: a country lies outside the box")
-    if not (np.take(costs, _rulers(owner, imperialist)) <= costs).all():
+    if not (costs.take(_rulers(owner, imperialist)) <= costs).all():
         raise RuntimeError("ICA invariant violated: an imperialist is weaker than one of its colonies")

@@ -3,7 +3,7 @@
 The grid necessity measure checks the closed form of the reformulation,
 the lattice brute force and the LP duality certificate check the greedy
 exact solver (the certificate also bounds every ICA row), the scalar
-loops and masks check the array paths that replaced them, numpy's
+loops, masks and row-by-row ICA phases check the array paths that replaced them, numpy's
 pairwise order one term at a time checks the column-wise row sums, the per-entry
 formatter the renderers' one-operation allocation text, and the
 row-by-row renderers the column renderers of a sweep's grid.  The
@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from fuzzfolio import ica
 from fuzzfolio.fuzzy import LRFuzzyNumber, RandomFactor
 from fuzzfolio.model import DeterministicLP
 from fuzzfolio.oracle import ExactSolution
@@ -252,6 +253,48 @@ def mask_exchange(costs: np.ndarray, owner: np.ndarray, imperialist: np.ndarray)
     best = colony_costs.argmin(axis=2)
     swap = colony_costs.min(axis=2) < np.take_along_axis(costs, imperialist, axis=1)
     imperialist[swap] = best[swap]
+
+
+def form_empires_rows(costs: np.ndarray, config, generators, stream: np.ndarray):
+    """ica.form_empires one row at a time: each row ranks its countries, seats
+    its k best and deals its colonists, in its generator's permutation, out
+    in power-proportional counts."""
+    k = config.n_imperialists
+    owner, imperialist = np.empty(costs.shape, dtype=np.intp), np.empty((len(stream), k), dtype=np.intp)
+    permutations = [rng.permutation(costs.shape[1] - k) for rng in generators]
+    for s, g in enumerate(stream):
+        ranked = np.argsort(costs[s], kind="stable")
+        imperialist[s] = ranked[:k]
+        owner[s, ranked[:k]] = np.arange(k)
+        colonists = ranked[k:]
+        counts = ica._largest_remainder(ica._power_shares(costs[s, ranked[:k]]), colonists.size)
+        owner[s, colonists[permutations[g]]] = np.repeat(np.arange(k), counts)
+    rows = np.arange(len(stream))[:, None]
+    return owner + k * rows, imperialist + costs.shape[1] * rows
+
+
+def compete_rows(costs, owner, imperialist, alive, roulette: np.ndarray, config) -> None:
+    """ica.compete over the rows with two or more empires, without the newcomer
+    seat: followed by ica.exchange, it leaves what ica.compete leaves."""
+    rows = np.flatnonzero(alive.sum(axis=1) > 1)
+    colony = ica._colonies(owner, imperialist)
+    powers, live = ica._powers(costs, owner, imperialist, colony, config)[rows], alive[rows]
+    weakest = np.where(live, powers, -np.inf).argmax(axis=1)
+    candidate = live.copy()
+    candidate[np.arange(rows.size), weakest] = False
+    top = np.where(candidate, powers, -np.inf).max(axis=1, keepdims=True)
+    running = np.cumsum(np.where(candidate, top - powers, 0.0), axis=1)
+    running = np.where(running[:, -1:] == 0.0, np.cumsum(candidate, axis=1), running)
+    winner = (candidate & (running > roulette[rows, None] * running[:, -1:])).argmax(axis=1)
+
+    offset = alive.shape[1] * rows
+    lost = (owner[rows] == (offset + weakest)[:, None]) & colony[rows]
+    worst = np.where(lost, costs[rows], -np.inf).argmax(axis=1)
+    moves = lost.any(axis=1)
+    owner[rows[moves], worst[moves]] = (offset + winner)[moves]
+    fall = lost.sum(axis=1) <= 1
+    np.put(owner, imperialist[rows[fall], weakest[fall]], (offset + winner)[fall])
+    alive[rows[fall], weakest[fall]] = False
 
 
 class SweepRow(NamedTuple):

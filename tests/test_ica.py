@@ -14,11 +14,12 @@ import pytest
 from fuzzfolio import ica
 from fuzzfolio.errors import ValidationError
 from fuzzfolio.io import bundled_instance
-from fuzzfolio.model import ConfidenceLevels, reformulate, residuals
+from fuzzfolio.io import load_instance
+from fuzzfolio.model import ConfidenceLevels, objective, reformulate, residuals
 from fuzzfolio.oracle import solve_exact
 from fuzzfolio.penalty import penalized_objective_batch
 from instgen import random_instance
-from referees import dual_bound, mask_exchange, scaled
+from referees import compete_rows, dual_bound, form_empires_rows, mask_exchange, scaled
 
 U5 = np.full(5, 60.0)
 
@@ -199,7 +200,7 @@ def test_apportionment_sums_exactly():
     # a tie in the remainders goes to the first share, also past the 16 entries that numpy's
     # quicksort insertion-sorts: weights 1, 2, 1, ..., 1 leave one colony for eight remainders of 0.44
     weights = np.array([1.0, 2.0] * 8 + [1.0])
-    assert ica._largest_remainder(weights / weights.sum(), 18) == [1, 2] + [1] * 15
+    assert ica._largest_remainder(weights / weights.sum(), 18).tolist() == [1, 2] + [1] * 15
 
 
 def test_form_empires_partition():
@@ -212,7 +213,7 @@ def test_form_empires_partition():
     assert owner[0, imperialist[0]].tolist() == list(range(10))
     colonies = np.setdiff1d(np.arange(100), imperialist[0])
     counts = np.bincount(owner[0, colonies], minlength=10)
-    assert counts.tolist() == ica._largest_remainder(ica._power_shares(costs[0, imperialist[0]]), 90)
+    assert counts.tolist() == ica._largest_remainder(ica._power_shares(costs[0, imperialist[0]]), 90).tolist()
     assert costs[0, imperialist[0]].max() <= costs[0, colonies].min()
 
 
@@ -229,6 +230,32 @@ def test_form_empires_gives_each_row_its_own_labels_and_seats():
         alone = ica.form_empires(costs[row:row + 1], cfg, [np.random.default_rng(seed)], np.array([0]))
         assert (owner[row] - 4 * row).tolist() == alone[0][0].tolist()
         assert (imperialist[row] - 20 * row).tolist() == alone[1][0].tolist()
+
+
+def test_form_empires_is_the_row_referee():
+    # integer costs tie often (some at -0.0), some rows are all equal, k runs from 1 to N - 1, and
+    # generators repeat seeds; up to 299 seats, so the power shares' sums take numpy's pairwise blocks
+    rng = np.random.default_rng(31)
+    for trial in range(300):
+        m = int(rng.integers(2, 40 if trial % 10 else 300))
+        k = int([1, m - 1, rng.integers(1, m)][trial % 3])
+        s = int(rng.integers(1, 7))
+        costs = rng.integers(-3, 4, size=(s, m)).astype(float) if trial % 2 else rng.normal(0.0, 1e3, size=(s, m))
+        costs[(costs == 0.0) & (rng.random((s, m)) < 0.5)] = -0.0
+        costs[rng.random(s) < 0.2] = 2.5
+        seeds = rng.integers(4, size=int(rng.integers(1, s + 1))).tolist()
+        stream = rng.integers(len(seeds), size=s)
+        config = ica.IcaConfig(n_countries=m, n_imperialists=k)
+        got = [np.random.default_rng(seed) for seed in seeds]
+        want = [np.random.default_rng(seed) for seed in seeds]
+        owner, imperialist = ica.form_empires(costs, config, got, stream)
+        want_owner, want_imperialist = form_empires_rows(costs, config, want, stream)
+        assert owner.tobytes() == want_owner.tobytes() and imperialist.tobytes() == want_imperialist.tobytes()
+        # each generator drew one permutation of the colonists, as the referee's did
+        for a, b, seed in zip(got, want, seeds):
+            once = np.random.default_rng(seed)
+            once.permutation(m - k)
+            assert a.bit_generator.state == b.bit_generator.state == once.bit_generator.state
 
 
 def test_form_empires_single_imperialist():
@@ -316,6 +343,15 @@ def test_revolve_rate_extremes():
         assert np.all(positions <= bounds)
 
 
+def test_revolve_writes_the_chosen_countries_of_any_layout():
+    rng = np.random.default_rng(6)
+    chosen, fresh, bounds = rng.random((3, 7)) < 0.5, rng.random((3, 7, 4)), np.full(4, 2.0)
+    want = rng.random((3, 7, 4))
+    for positions in (want.copy(), np.asfortranarray(want), want.copy()[:, ::-1][:, ::-1]):
+        ica.revolve(positions, chosen, fresh, bounds)
+        assert positions.tolist() == np.where(chosen[..., None], bounds * fresh, want).tolist()
+
+
 def test_revolve_deterministic():
     bounds = np.full(3, 10.0)
 
@@ -389,19 +425,73 @@ def test_exchange_is_the_mask_referee(seed):
     assert (seats - m * rows).tolist() == want.tolist()
 
 
+def _post_exchange(rng, s, m, k):
+    # _random_empires with block-wide labels and seats, its live empires flagged, after one
+    # exchange: every live imperialist is at least as strong as each of its colonies.  Costs
+    # near +-100 let an empire's colony mean outweigh a one-cost gap between imperialists.
+    costs, owner, imperialist = _random_empires(rng, s, m, k)
+    offset = rng.choice([0.0, -100.0, 100.0])
+    if offset:
+        costs += offset
+    rows = np.arange(s)[:, None]
+    owner, imperialist = owner + k * rows, imperialist + m * rows
+    alive = np.zeros((s, k), dtype=bool)
+    alive.put(owner, True)
+    ica.exchange(costs, owner, imperialist)
+    return costs, owner, imperialist, alive
+
+
+def test_compete_seats_what_an_exchange_after_it_would():
+    # on post-exchange states, compete leaves what the row-by-row compete and a full exchange
+    # leave; the tally makes sure the states reach each case of the newcomer seat
+    rng = np.random.default_rng(17)
+    config = ica.IcaConfig()
+    seen = dict.fromkeys(["colony seat", "fallen seat", "tied newcomers", "tie with the seat", "collapse",
+                          "one empire"], 0)
+    for _ in range(1500):
+        m = int(rng.integers(2, 16))
+        k = int(rng.integers(1, min(m, 6) + 1))
+        costs, owner, imperialist, alive = _post_exchange(rng, int(rng.integers(1, 5)), m, k)
+        roulette = rng.random(len(costs))
+        start = owner.copy(), alive.copy()
+        want = owner.copy(), imperialist.copy(), alive.copy()
+        compete_rows(costs, *want, roulette, config)
+        before = want[1].copy()
+        ica.exchange(costs, want[0], want[1])
+        ica.compete(costs, owner, imperialist, alive, roulette, config)
+        assert owner.tobytes() == want[0].tobytes()
+        assert imperialist.tobytes() == want[1].tobytes()
+        assert alive.tobytes() == want[2].tobytes()
+        # a row's newcomers are adjacent, in country order
+        newcomers = np.flatnonzero(start[0] != owner)
+        label = owner.ravel()[newcomers]
+        cost, seat_cost = costs.ravel()[newcomers], costs.ravel()[before.ravel()[label]]
+        seated = newcomers == imperialist.ravel()[label]
+        fallen = np.isin(newcomers, before[start[1] & ~alive])
+        pair = label[:-1] == label[1:]
+        seen["colony seat"] += int((seated & ~fallen).sum())
+        seen["fallen seat"] += int((seated & fallen).sum())
+        seen["tied newcomers"] += int((pair & (cost[:-1] == cost[1:]) & (cost[:-1] < seat_cost[:-1])).sum())
+        seen["tie with the seat"] += int((cost == seat_cost).sum())
+        seen["collapse"] += int((start[1] & ~alive).sum())
+        seen["one empire"] += int((start[1].sum(axis=1) == 1).sum())
+    assert all(seen.values()), seen
+
+
 def test_empire_power():
     cfg = ica.IcaConfig(epsilon=0.05)
     _, costs, owner, imperialist, _ = state([10.0, 20.0, 30.0, 10.0], [0, 1, 2], [3])
-    assert ica._powers(costs, owner, imperialist, cfg)[0] == pytest.approx([11.25, 10.0])
+    colony = ica._colonies(owner, imperialist)
+    assert ica._powers(costs, owner, imperialist, colony, cfg)[0] == pytest.approx([11.25, 10.0])
     tiny = ica.IcaConfig(epsilon=1e-9)
-    assert ica._powers(costs, owner, imperialist, tiny)[0, 0] == pytest.approx(10.0, abs=1e-6)
+    assert ica._powers(costs, owner, imperialist, colony, tiny)[0, 0] == pytest.approx(10.0, abs=1e-6)
     # the colony mean adds the colonies left to right in index order
     rng = np.random.default_rng(4)
     costs = rng.normal(0.0, 1e3, size=(3, 40))
     costs[:, 0] = costs.min(axis=1) - 1.0
     owner = np.repeat(np.arange(3)[:, None], 40, axis=1)  # row r's one empire has label r
     imperialist = np.array([[0], [40], [80]])  # and the first country of its row as its seat
-    for row, got in zip(costs, ica._powers(costs, owner, imperialist, cfg)[:, 0]):
+    for row, got in zip(costs, ica._powers(costs, owner, imperialist, ica._colonies(owner, imperialist), cfg)[:, 0]):
         total = functools.reduce(operator.add, row[1:].tolist(), 0.0)
         assert got == row[0] + cfg.epsilon * (total / 39)
 
@@ -690,6 +780,33 @@ def test_run_evaluates_no_empty_batch(lp01, monkeypatch):
     iterations = max(len(r.history) for r in reports)
     assert len(batches) == 1 + iterations
     assert all(rows > 0 for rows, _ in batches)
+
+
+def test_run_makes_one_exchange_per_iteration(lp01, monkeypatch):
+    # compete seats the winner's newcomers itself, so no second exchange follows it
+    calls = []
+    _record(monkeypatch, "exchange", calls, lambda args, _: None)
+    reports = ica.run(lp01, seeds=[4, 5, 6])
+    assert len(calls) == 25 == max(len(r.history) for r in reports)
+    calls.clear()
+    [report] = ica.run(lp01, COLLAPSING, [2])
+    assert len(calls) == len(report.history) < 500
+
+
+@pytest.mark.parametrize("instance, levels, config, seeds", [
+    ("paper_table1", (0.1, 0.4, 0.7, 0.9), ica.IcaConfig(), range(1, 21)),
+    ("frontier_100.json", (0.05, 0.5, 0.95), ica.IcaConfig(n_countries=60, n_imperialists=6, max_iterations=40),
+     range(1, 4)),
+], ids=["paper-levels", "frontier_100"])
+def test_every_best_objective_is_the_model_objective(instance, levels, config, seeds):
+    # run takes all of a block's objectives in one stacked product; each must keep model.objective's bits
+    if instance.endswith(".json"):
+        instance = load_instance(Path(__file__).parent / "data" / instance)
+    else:
+        instance = bundled_instance(instance)
+    lp = reformulate(instance, [ConfidenceLevels(v, v) for v in levels])
+    for i, report in enumerate(ica.run(lp, config, seeds)):
+        assert report.best_objective.hex() == objective(lp[i // len(seeds)], report.best_position).hex()
 
 
 def test_run_trace_monotone_and_conserving(lp01):
