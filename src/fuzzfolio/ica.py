@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError, is_finite, is_number, shown
-from .model import MAX_DRAW_BYTES, DeterministicLP
+from .model import MAX_DRAW_BYTES, DeterministicLP, _row_sums
 from .penalty import penalized_objective_batch, penalized_objective_bound, repair
 
 __all__ = ["IcaConfig", "RunReport", "initialize", "form_empires", "draw", "assimilate", "revolve", "exchange",
@@ -367,8 +367,8 @@ def _run_block(lp: DeterministicLP, config: IcaConfig, seeds, block) -> list[Run
 
     history = np.array(history).reshape(-1, s, 2)
     repaired = repair(best_position, lp.total_fund, bounds)
-    with np.errstate(over="ignore", invalid="ignore"):  # as model.objective: each row's c . x, one dot product each
-        objectives = (coefficients[:, None, :] @ repaired[:, :, None])[:, 0, 0].tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # as model.objective
+        objectives = _row_sums(coefficients * repaired).tolist()
     return [RunReport(x, float(best_cost[i]), objectives[i], history[:t, i].copy(), seed)
             for i, (x, seed, t) in enumerate(zip(repaired, block_seeds, lengths))]
 

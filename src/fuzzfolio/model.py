@@ -159,7 +159,29 @@ def objective(lp: DeterministicLP, x: Sequence[float]) -> float:
         raise ValidationError(f"expected a one-level LP and an (n,) allocation, got {lp.coefficients.shape} "
                               f"and {x.shape}", field="x")
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(lp.coefficients @ x)
+        return float(_row_sums(lp.coefficients * x))
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1) bit for bit, a column at a time, without numpy's inner loop per row (most of the sum at
+    a few assets), in numpy's pairwise order: below 8 terms in turn; to 128 in eight running sums, combined
+    pairwise, then the rest in turn; above 128, two parts split at n // 2 rounded down to a multiple of 8.
+    The + 0.0 is numpy's initial value: it makes an all -0.0 sum +0.0 and changes no other sum."""
+    n = a.shape[-1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sums(a[..., :half]) + _row_sums(a[..., half:])
+    if n < 8:
+        total, done = a[..., 0] + 0.0, 1
+    else:
+        done, r = n - n % 8, a[..., :8] + 0.0
+        for i in range(8, done, 8):
+            r += a[..., i:i + 8]
+        total = (r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3])
+        total = total + ((r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7]))
+    for j in range(done, n):
+        total = total + a[..., j]  # a new array: numpy adds in place to a small one more slowly
+    return total
 
 
 # feasibility tolerances of residuals: budget equality, threshold, box bounds

@@ -12,7 +12,8 @@ coordinate ends partially filled.  No general simplex is needed, and a
 small trusted base beats one for refereeing the metaheuristic.  The
 caller's instance guarantees that the bounds absorb the budget: sum(U) >= M0.
 At L levels the fill is one row-wise sort, running subtraction and
-scatter; one level is the L = 1 case of the same fill.
+scatter; one level is the L = 1 case of the same fill.  Each optimum
+c . x is model._row_sums of the products, the sum model.objective takes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import DeterministicLP
+from .model import DeterministicLP, _row_sums
 
 __all__ = ["ExactSolution", "solve_exact"]
 
@@ -46,8 +47,8 @@ def solve_exact(lp: DeterministicLP) -> ExactSolution:
     """
     one = lp.coefficients.ndim == 1
     c = lp.coefficients.reshape(-1, lp.n)
-    # a -inf fund left clips to 0
-    with np.errstate(over="ignore"):
+    # a -inf fund left clips to 0; an overflowing row's sum can add inf to -inf
+    with np.errstate(over="ignore", invalid="ignore"):
         order = np.argsort(-c, axis=-1, kind="stable")
         caps = lp.upper_bounds[order]
         # the fund left before each asset, subtracted left to right
@@ -56,9 +57,7 @@ def solve_exact(lp: DeterministicLP) -> ExactSolution:
         np.clip(left, 0.0, caps, out=left)
         x = caps  # the spent caps buffer: one (L, n) array fewer at the peak
         np.put_along_axis(x, order, left, axis=-1)
-        # (1, n) @ (n, 1) per level: numpy takes the dot kernel of c_i @ x_i, so
-        # each objective is rounded as at one level
-        obj = (c[:, None, :] @ x[:, :, None])[:, 0, 0]
+        obj = _row_sums(np.multiply(c, x, out=left))  # the spent left buffer: no (L, n) temporary at the peak
     if not np.isfinite(obj).all():
         level = lp.levels if one else lp.levels[np.isfinite(obj).argmin()]
         raise ValidationError(

@@ -4,7 +4,8 @@ Box bounds are not penalized; the optimizer clamps positions instead.
 The return-threshold constraint can be genuinely unsatisfiable at high
 confidence levels, so by default it is reported post hoc rather than
 penalized; the ``IcaConfig`` field ``enforce_threshold`` restores the
-fully penalized form.
+fully penalized form.  Each c . x is model._row_sums of the products, as
+in model.objective, so a cost never depends on the CPU's BLAS kernel.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import DeterministicLP
+from .model import DeterministicLP, _row_sums
 
 if TYPE_CHECKING:  # for annotations only: ica imports this module at load time
     from .ica import IcaConfig
@@ -30,7 +31,7 @@ def penalized_objective_batch(lp: DeterministicLP, x: np.ndarray, config: IcaCon
     x = np.asarray(x, dtype=float)
     # a row's value must not depend on its batch: a matrix-vector product rounds a row by its place
     # in it, and ** 2.0 calls pow on one allocation's scalar; _row_sums adds as .sum(axis=-1) does
-    value = _row_sums(x * lp.coefficients)
+    value = _row_sums(lp.coefficients * x)
     drift = _row_sums(x) - lp.total_fund
     penalty = config.eq_factor * (drift * drift)
     if config.enforce_threshold:
@@ -39,32 +40,10 @@ def penalized_objective_batch(lp: DeterministicLP, x: np.ndarray, config: IcaCon
     return value - penalty
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=-1) bit for bit, a column at a time, without numpy's inner loop per row (most of the sum at
-    a few assets), in numpy's pairwise order: below 8 terms in turn; to 128 in eight running sums, combined
-    pairwise, then the rest in turn; above 128, two parts split at n // 2 rounded down to a multiple of 8.
-    The + 0.0 is numpy's initial value: it makes an all -0.0 sum +0.0 and changes no other sum."""
-    n = a.shape[-1]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sums(a[..., :half]) + _row_sums(a[..., half:])
-    if n < 8:
-        total, done = a[..., 0] + 0.0, 1
-    else:
-        done, r = n - n % 8, a[..., :8] + 0.0
-        for i in range(8, done, 8):
-            r += a[..., i:i + 8]
-        total = (r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3])
-        total = total + ((r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7]))
-    for j in range(done, n):
-        total = total + a[..., j]  # a new array: numpy adds in place to a small one more slowly
-    return total
-
-
 def penalized_objective_bound(lp: DeterministicLP, config: IcaConfig) -> float:
     """Upper bound on |penalized objective| over the box at any of lp's levels; inf when it overflows."""
     with np.errstate(over="ignore"):
-        value = np.abs(lp.coefficients) @ lp.upper_bounds
+        value = _row_sums(np.abs(lp.coefficients) * lp.upper_bounds)
         drift = max(lp.total_fund, float(lp.upper_bounds.sum()) - lp.total_fund)
         bound = value + config.eq_factor * drift * drift
         if config.enforce_threshold:

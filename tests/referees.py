@@ -200,7 +200,7 @@ def pairwise_sum(values) -> float:
     """numpy's float64 add.reduce of one run of values, one addition at a time: its initial 0.0 plus
     numpy's pairwise sum, which adds below 8 terms in turn, up to 128 in eight running sums combined
     pairwise and then the rest in turn, and splits a longer run at half its length rounded down to a
-    multiple of 8.  The penalized objective's row sums must have these bits."""
+    multiple of 8.  Every c . x the program computes (model._row_sums) must have these bits."""
     def pairwise(v: list) -> float:
         n = len(v)
         if n < 8:

@@ -1,4 +1,5 @@
-"""Acceptance gate: one test and one printed PASS/FAIL line per criterion.
+"""Acceptance gate: one test and one printed PASS/FAIL line per criterion,
+and where the published objectives that criterion 2 compares with come from.
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines live.
 """
@@ -11,7 +12,7 @@ import pytest
 
 from fuzzfolio import ica
 from fuzzfolio.cli import PUBLISHED_RESULTS, main
-from fuzzfolio.fuzzy import LRFuzzyNumber, necessity_geq_scalar
+from fuzzfolio.fuzzy import LRFuzzyNumber, necessity_geq_scalar, normal_quantile
 from fuzzfolio.io import bundled_instance
 from fuzzfolio.model import ConfidenceLevels, DeterministicLP, necessity_certificate, reformulate
 from fuzzfolio.oracle import solve_exact
@@ -27,6 +28,10 @@ EXPECTED_ALLOCATIONS = {
     0.7: [20.0, 0.0, 60.0, 60.0, 60.0],
     0.9: [0.0, 60.0, 60.0, 20.0, 60.0],
 }
+
+# the two-decimal normal-table value of T* = Phi^-1(1 - lambda) at which each published objective is the
+# exact optimum to the cent; at 0.7 it is one table row off, as plain rounding of -0.5244 gives -0.52
+TABLE_QUANTILES = {0.1: 1.28, 0.4: 0.25, 0.7: -0.53, 0.9: -1.28}
 
 
 @contextmanager
@@ -78,6 +83,28 @@ def test_criterion_2_exact_objectives(lps):
             published = PUBLISHED_RESULTS[lv]
             got = solve_exact(lps[lv]).objective
             assert abs(got - published) / published <= 0.005, f"level {lv}: {got} vs {published}"
+
+
+def hand_lp(instance, level, t_star):
+    """The coupled level's LP written out: c_j = r0_j + T* r2_j - eta beta_j and the target's threshold,
+    in reformulate's term order, with eta taken through 1 - eta as reformulate takes it."""
+    eta = 1.0 - (1.0 - level)
+    c = np.array([a.r0 + t_star * a.r2 - eta * a.beta for a in instance.assets])
+    t = instance.target
+    return DeterministicLP(c, instance.total_fund, np.array(instance.upper_bounds),
+                           t.r0 + t_star * t.r2 - t.beta * eta, ConfidenceLevels(level, level))
+
+
+def test_published_objectives_are_optima_at_table_quantiles(table1, lps):
+    for lv in LEVELS:
+        # with the code's own T*, the hand formula is reformulate's, bit for bit
+        lp, hand = lps[lv], hand_lp(table1, lv, normal_quantile(1.0 - lv, table1.factor))
+        assert hand.coefficients.tobytes() == lp.coefficients.tobytes(), f"level {lv}"
+        assert np.float64(hand.threshold).tobytes() == np.float64(lp.threshold).tobytes(), f"level {lv}"
+        # with a table's T*, its exact optimum is the published value, at criterion 1's allocation
+        sol = solve_exact(hand_lp(table1, lv, TABLE_QUANTILES[lv]))
+        assert round(sol.objective, 2) == PUBLISHED_RESULTS[lv], f"level {lv}: {sol.objective}"
+        assert sol.x.tolist() == EXPECTED_ALLOCATIONS[lv], f"level {lv}"
 
 
 def test_criterion_3_threshold_pattern(lps):

@@ -26,11 +26,19 @@ Two longer ICA runs are pinned by sha256 too (``ica_runs.sha256``, written
 before the phases evaluated only the countries that moved): the default
 20-seed ``reproduce-paper`` sweep, and three levels of the 100-asset
 instance, the only pinned ICA run whose row sums are pairwise.
+
+The three JSON outputs print every objective by repr.  Their pins
+(``reproduce_seeds_1_2.json`` and the ``reproduce_paper.json`` and
+``frontier_100_levels_1000.json`` digests) were rewritten when every c . x
+became numpy's pairwise row sum instead of a BLAS product, whose summation
+order is the CPU kernel's; the -O test also runs under two other OpenBLAS
+kernels to keep it so.
 """
 
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -107,9 +115,16 @@ def test_ica_run_matches_its_digest(argv, name, tmp_path, monkeypatch):
     _run_in_process(argv, name, tmp_path, monkeypatch)
 
 
-def test_pinned_outputs_survive_python_O(tmp_path):
+@pytest.mark.parametrize("coretype", ["", "Haswell", "Prescott"], ids=lambda v: v or "unset")
+def test_pinned_outputs_survive_python_O(coretype, blas, tmp_path):
     # -O strips asserts, so the child only writes every case's output, in one
-    # process, and this process compares them
+    # process, and this process compares them.  A DYNAMIC_ARCH OpenBLAS sums a
+    # product in its kernel's order, which OPENBLAS_CORETYPE picks in the child:
+    # no pinned byte may follow it
+    if coretype and not ("DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+                         and platform.machine().lower() in ("x86_64", "amd64")):
+        pytest.skip(f"OPENBLAS_CORETYPE={coretype} picks no kernel: numpy's BLAS is {blas.get('name', 'unknown')}, "
+                    f"not a DYNAMIC_ARCH OpenBLAS on x86-64")
     src = Path(fuzzfolio.__file__).resolve().parents[1]
     code = textwrap.dedent("""
         import json, sys
@@ -118,6 +133,9 @@ def test_pinned_outputs_survive_python_O(tmp_path):
     """)
     outs = [tmp_path / name for _, name in CASES]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
     done = subprocess.run([sys.executable, "-O", "-W", "error::RuntimeWarning", "-c", code],
                           input=json.dumps([[*argv, "--out", str(out)] for (argv, _), out in zip(CASES, outs)]),
                           cwd=DATA, env=env, capture_output=True, text=True, timeout=120)

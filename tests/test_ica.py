@@ -799,7 +799,8 @@ def test_run_makes_one_exchange_per_iteration(lp01, monkeypatch):
      range(1, 4)),
 ], ids=["paper-levels", "frontier_100"])
 def test_every_best_objective_is_the_model_objective(instance, levels, config, seeds):
-    # run takes all of a block's objectives in one stacked product; each must keep model.objective's bits
+    # run and model.objective both sum c * x with model._row_sums, so each objective keeps its bits by
+    # construction; this pins that no report takes a second summation
     if instance.endswith(".json"):
         instance = load_instance(Path(__file__).parent / "data" / instance)
     else:

@@ -8,7 +8,7 @@ from fuzzfolio.model import ConfidenceLevels, DeterministicLP, objective, reform
 from fuzzfolio.oracle import solve_exact
 from fuzzfolio.penalty import repair
 from instgen import random_instance
-from referees import brute_force, dual_check, scaled
+from referees import brute_force, dual_check, pairwise_sum, scaled
 
 LEVELS = ConfidenceLevels(0.5, 0.5)
 
@@ -72,7 +72,7 @@ def test_greedy_fill_matches_the_per_asset_loop():
                                    rng.uniform(0.01, 1.0) * u.sum()])), float(u.sum()))
         stacked = solve_exact(DeterministicLP(c, m0, u, np.full(k, -1e9), (LEVELS,) * k))
         want = np.array([greedy_loop(make_lp(row, m0, u)) for row in c])
-        objectives = np.array([float(c_i @ x_i) for c_i, x_i in zip(c, want)])
+        objectives = np.array([pairwise_sum(c_i * x_i) for c_i, x_i in zip(c, want)])
         assert stacked.x.tobytes() == want.tobytes()
         assert stacked.objective.tobytes() == objectives.tobytes()
         assert dual_check(DeterministicLP(c, m0, u, np.full(k, -1e9), (LEVELS,) * k), stacked.x).all()

@@ -8,14 +8,8 @@ from hypothesis import strategies as st
 
 from fuzzfolio.errors import ValidationError
 from fuzzfolio.ica import IcaConfig
-from fuzzfolio.model import ConfidenceLevels, DeterministicLP, objective
-from fuzzfolio.penalty import (
-    INEQ_FACTOR,
-    _row_sums,
-    penalized_objective_batch,
-    penalized_objective_bound,
-    repair,
-)
+from fuzzfolio.model import ConfidenceLevels, DeterministicLP, _row_sums, objective
+from fuzzfolio.penalty import INEQ_FACTOR, penalized_objective_batch, penalized_objective_bound, repair
 from referees import pairwise_sum, scalar_repair
 
 LEVELS = ConfidenceLevels(0.5, 0.5)

@@ -1,6 +1,8 @@
 """The names other code relies on: the benchmark tracer's targets, every
-__all__, the README's Python examples and ICA signatures, and the library's argument contract."""
+__all__, the README's Python examples and ICA signatures, and the library's argument contract;
+and the one summation of c . x, which no BLAS product in src/ may bypass."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -48,6 +50,20 @@ def test_top_level_names():
     assert sorted(fuzzfolio.__all__) == [
         "BudgetInfeasibleError", "ConfidenceLevels", "IcaConfig", "ValidationError", "bundled_instance",
         "load_instance", "necessity_certificate", "reformulate", "solve_exact", "write_instance"]
+
+
+def test_src_takes_no_blas_product():
+    # a BLAS product sums in its CPU kernel's order, so a printed c . x would depend on the host; every
+    # sum of products goes through model._row_sums, in numpy's pairwise order
+    blas = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
+    found = []
+    for path in sorted(Path(fuzzfolio.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno}: @")
+            elif isinstance(node, (ast.Name, ast.Attribute)) and getattr(node, "id", getattr(node, "attr", "")) in blas:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
 
 
 def test_readme_python_blocks_print_what_their_comments_say(capsys):
