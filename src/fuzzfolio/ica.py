@@ -17,11 +17,11 @@ each row's stream (S,), its index into the block's generators, one per
 distinct seed.  owner and imperialist are block-wide: row s's labels are
 s K ... s K + K - 1 and its countries s N ... s N + N - 1, so each names its
 row.  The phases only move countries or relabel empires; ``run`` alone
-evaluates costs, each at its row's level, in one batch of all rows each
-time: every country after initialization, then the countries each move
-changed.  A row never depends on the rows it runs with: a random phase draws
-once per generator for the rows of its stream (see ``draw``), and every
-reduction and cost runs over its row alone.  A row left with one empire
+evaluates costs, each from its row's coefficients and floor, in one batch of
+all rows each time: every country after initialization, then the countries
+each move changed.  A row never depends on the rows it runs with: a random
+phase draws once per generator for the rows of its stream (see ``draw``), and
+every reduction and cost runs over its row alone.  A row left with one empire
 stops.  Costs are minimized (cost = -penalized objective): lower is stronger.
 """
 
@@ -301,10 +301,7 @@ def run(lp: DeterministicLP, config: IcaConfig = IcaConfig(), seeds: Sequence[in
     if not (isinstance(seeds, Sequence) and all(is_number(s, numbers.Integral) and s >= 0 for s in seeds)):
         raise ValidationError(f"seeds must be a sequence of non-negative integers, got {shown(seeds, repr):.60}",
                               field="seeds")
-    if lp.coefficients.ndim == 1:  # one level is the L = 1 case
-        lp = DeterministicLP(lp.coefficients[None], lp.total_fund, lp.upper_bounds,
-                             np.array([lp.threshold]), (lp.levels,))
-    rows = np.arange(len(lp.coefficients) * len(seeds))
+    rows = np.arange(np.size(lp.threshold) * len(seeds))  # one threshold per level, a float at one level
     refuse(lp, config, rows.size)
     return [report for start in range(0, rows.size, ROW_BLOCK)
             for report in _run_block(lp, config, seeds, rows[start:start + ROW_BLOCK])]
@@ -316,8 +313,8 @@ def _run_block(lp: DeterministicLP, config: IcaConfig, seeds, block) -> list[Run
     stream_of = {}  # each distinct seed's generator index, in order of first appearance
     stream = np.array([stream_of.setdefault(seed, len(stream_of)) for seed in block_seeds], dtype=np.intp)
     generators = [np.random.default_rng(seed) for seed in stream_of]
-    coefficients, thresholds, bounds = lp.coefficients[level], lp.threshold[level], lp.upper_bounds
-    s, m, n = len(block), config.n_countries, lp.n
+    coefficients, thresholds = lp.coefficients.reshape(-1, lp.n)[level], np.reshape(lp.threshold, -1)[level]
+    bounds, s, m, n = lp.upper_bounds, len(block), config.n_countries, lp.n
     box = np.tile(bounds, (m, 1))  # (N, n), so the clip and the box check run over whole rows of countries
     rows = np.arange(s)
     countries = np.arange(s * m).reshape(s, m)  # each country's block-wide index
@@ -333,8 +330,8 @@ def _run_block(lp: DeterministicLP, config: IcaConfig, seeds, block) -> list[Run
             return
         x = positions.reshape(s * m, n).take(index, axis=0)
         row = index // m
-        batch = DeterministicLP(coefficients.take(row, axis=0), lp.total_fund, bounds, thresholds.take(row), lp.levels)
-        costs.put(index, -penalized_objective_batch(batch, x, config))
+        costs.put(index, -penalized_objective_batch(coefficients.take(row, axis=0), x, thresholds.take(row),
+                                                    lp.total_fund, config))
         i = costs.argmin(axis=1)
         better = costs[rows, i] < best_cost
         best_cost[better] = costs[rows, i][better]

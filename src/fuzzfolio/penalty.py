@@ -25,17 +25,18 @@ __all__ = ["penalized_objective_batch", "penalized_objective_bound", "repair"]
 INEQ_FACTOR = 0.5
 
 
-def penalized_objective_batch(lp: DeterministicLP, x: np.ndarray, config: IcaConfig) -> np.ndarray:
-    """c . x minus the penalty charges, for one allocation (n,) or a batch (k, n); a batch
-    may carry one coefficient row (k, n) and one threshold (k,) per allocation."""
+def penalized_objective_batch(c: np.ndarray, x, threshold, total_fund: float, config: IcaConfig) -> np.ndarray:
+    """c . x minus the penalty charges on the budget total_fund and the return floor threshold: one
+    allocation x (n,) against c (n,) and a float floor, or each row of x (k, n) against its own row of
+    c (k, n) and its floor in threshold (k,); one c (n,) and a float floor also serve every row."""
     x = np.asarray(x, dtype=float)
     # a row's value must not depend on its batch: a matrix-vector product rounds a row by its place
     # in it, and ** 2.0 calls pow on one allocation's scalar; _row_sums adds as .sum(axis=-1) does
-    value = _row_sums(lp.coefficients * x)
-    drift = _row_sums(x) - lp.total_fund
+    value = _row_sums(c * x)
+    drift = _row_sums(x) - total_fund
     penalty = config.eq_factor * (drift * drift)
     if config.enforce_threshold:
-        shortfall = np.maximum(0.0, lp.threshold - value)
+        shortfall = np.maximum(0.0, threshold - value)
         penalty = penalty + INEQ_FACTOR * (shortfall * shortfall)
     return value - penalty
 

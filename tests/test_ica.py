@@ -725,7 +725,8 @@ def test_run_takes_any_sequence_of_integer_seeds(lp01, seeds):
 def test_run_zero_iterations_returns_initial_best(lp01):
     [report] = ica.run(lp01, config=ica.IcaConfig(max_iterations=0), seeds=[42])
     positions = ica.initialize(ica.IcaConfig(), lp01.upper_bounds, [np.random.default_rng(42)], np.array([0]))
-    assert report.best_cost == -penalized_objective_batch(lp01, positions[0], ica.IcaConfig()).max()
+    c, floor, fund = lp01.coefficients, lp01.threshold, lp01.total_fund
+    assert report.best_cost == -penalized_objective_batch(c, positions[0], floor, fund, ica.IcaConfig()).max()
     assert report.history.shape == (0, 2)
 
 

@@ -40,28 +40,30 @@ def test_feasible_point_pays_nothing():
     lp = make_lp([2.0, 1.0], 10.0, [8.0, 8.0], threshold=5.0)
     cfg = IcaConfig(enforce_threshold=True)
     x = [6.0, 4.0]
-    assert penalized_objective_batch(lp, x, cfg) == objective(lp, x)
+    assert penalized_objective_batch(lp.coefficients, x, lp.threshold, lp.total_fund, cfg) == objective(lp, x)
 
 
 def test_budget_violation_charge():
     lp = make_lp([2.0, 1.0], 10.0, [8.0, 8.0], threshold=-100.0)
     cfg = IcaConfig(eq_factor=1000.0, enforce_threshold=False)
     x = [7.0, 4.0]  # budget off by exactly 1
-    assert penalized_objective_batch(lp, x, cfg) == pytest.approx(objective(lp, x) - 1000.0)
+    got = penalized_objective_batch(lp.coefficients, x, lp.threshold, lp.total_fund, cfg)
+    assert got == pytest.approx(objective(lp, x) - 1000.0)
 
 
 def test_zero_allocation_charge():
     lp = make_lp([2.0] * 5, 200.0, [60.0] * 5)
     cfg = IcaConfig(eq_factor=1000.0, enforce_threshold=False)
-    assert penalized_objective_batch(lp, np.zeros(5), cfg) == pytest.approx(-4e7)
+    got = penalized_objective_batch(lp.coefficients, np.zeros(5), lp.threshold, lp.total_fund, cfg)
+    assert got == pytest.approx(-4e7)
 
 
 def test_threshold_charge_only_when_enforced():
     lp = make_lp([1.0, 1.0], 10.0, [8.0, 8.0], threshold=50.0)
     x = [6.0, 4.0]  # objective 10, shortfall 40
-    off = penalized_objective_batch(lp, x, IcaConfig(enforce_threshold=False))
+    off = penalized_objective_batch(lp.coefficients, x, lp.threshold, lp.total_fund, IcaConfig(enforce_threshold=False))
     assert off == pytest.approx(10.0)
-    on = penalized_objective_batch(lp, x, IcaConfig(enforce_threshold=True))
+    on = penalized_objective_batch(lp.coefficients, x, lp.threshold, lp.total_fund, IcaConfig(enforce_threshold=True))
     assert on == pytest.approx(10.0 - INEQ_FACTOR * 40.0**2)
 
 
@@ -69,9 +71,9 @@ def test_batch_matches_scalar():
     lp = make_lp([2.0, 1.0, 0.5], 10.0, [8.0, 8.0, 8.0], threshold=9.0)
     cfg = IcaConfig(eq_factor=3.0, enforce_threshold=True)
     xs = np.random.default_rng(0).uniform(0, 8, size=(20, 3))
-    batch = penalized_objective_batch(lp, xs, cfg)
+    batch = penalized_objective_batch(lp.coefficients, xs, lp.threshold, lp.total_fund, cfg)
     for row, got in zip(xs, batch):
-        assert got == pytest.approx(penalized_objective_batch(lp, row, cfg))
+        assert got == pytest.approx(penalized_objective_batch(lp.coefficients, row, lp.threshold, lp.total_fund, cfg))
 
 
 @pytest.mark.parametrize("n", [5, 50])
@@ -82,13 +84,15 @@ def test_batch_rows_do_not_depend_on_the_batch(n):
     lp = make_lp(rng.normal(1.0, 0.5, size=n), 100.0, np.full(n, 60.0), threshold=40.0 * n)
     cfg = IcaConfig(enforce_threshold=True)
     xs = rng.uniform(0.0, 60.0, size=(300, n))
-    batch = penalized_objective_batch(lp, xs, cfg)
+    batch = penalized_objective_batch(lp.coefficients, xs, lp.threshold, lp.total_fund, cfg)
     for i, row in enumerate(xs):
-        assert penalized_objective_batch(lp, row, cfg).tobytes() == batch[i].tobytes()
-        assert penalized_objective_batch(lp, xs[i:i + 1], cfg).tobytes() == batch[i:i + 1].tobytes()
+        one = penalized_objective_batch(lp.coefficients, row, lp.threshold, lp.total_fund, cfg)
+        alone = penalized_objective_batch(lp.coefficients, xs[i:i + 1], lp.threshold, lp.total_fund, cfg)
+        assert one.tobytes() == batch[i].tobytes() and alone.tobytes() == batch[i:i + 1].tobytes()
     for _ in range(300):
         a, b = sorted(rng.choice(301, size=2, replace=False))
-        assert penalized_objective_batch(lp, xs[a:b], cfg).tobytes() == batch[a:b].tobytes()
+        part = penalized_objective_batch(lp.coefficients, xs[a:b], lp.threshold, lp.total_fund, cfg)
+        assert part.tobytes() == batch[a:b].tobytes()
 
 
 def bits(values) -> bytes:
@@ -119,8 +123,9 @@ def test_one_allocation_gives_a_float_and_a_batch_an_array(n):
     rng = np.random.default_rng(n)
     lp = make_lp(rng.normal(1.0, 0.5, size=n), 100.0, np.full(n, 60.0), threshold=40.0 * n)
     xs = rng.uniform(0.0, 60.0, size=(4, n))
-    one = penalized_objective_batch(lp, xs[0], IcaConfig(enforce_threshold=True))
-    batch = penalized_objective_batch(lp, xs, IcaConfig(enforce_threshold=True))
+    cfg = IcaConfig(enforce_threshold=True)
+    one = penalized_objective_batch(lp.coefficients, xs[0], lp.threshold, lp.total_fund, cfg)
+    batch = penalized_objective_batch(lp.coefficients, xs, lp.threshold, lp.total_fund, cfg)
     assert type(one) is np.float64
     assert type(batch) is np.ndarray and batch.shape == (4,) and batch.dtype == np.float64
     assert bits(batch[0]) == bits(one)
@@ -132,7 +137,8 @@ def test_bound_covers_the_box_and_overflows_to_inf():
     xs = np.vstack([corners, np.random.default_rng(1).uniform(0, 8, size=(200, 3))])
     for enforce in (False, True):
         cfg = IcaConfig(eq_factor=3.0, enforce_threshold=enforce)
-        assert np.abs(penalized_objective_batch(lp, xs, cfg)).max() <= penalized_objective_bound(lp, cfg)
+        values = penalized_objective_batch(lp.coefficients, xs, lp.threshold, lp.total_fund, cfg)
+        assert np.abs(values).max() <= penalized_objective_bound(lp, cfg)
     huge = make_lp([1.0, 1.0], 1e200, [1e200, 1e200])
     assert penalized_objective_bound(huge, IcaConfig()) == math.inf
 
@@ -153,7 +159,8 @@ def test_penalty_dominance_via_doubling():
         factor = 1e-6
         for _ in range(80):
             cfg = IcaConfig(eq_factor=factor)
-            if penalized_objective_batch(lp, y, cfg) > penalized_objective_batch(lp, x, cfg):
+            if (penalized_objective_batch(lp.coefficients, y, lp.threshold, lp.total_fund, cfg)
+                    > penalized_objective_batch(lp.coefficients, x, lp.threshold, lp.total_fund, cfg)):
                 break
             factor *= 2
         else:

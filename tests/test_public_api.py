@@ -1,4 +1,4 @@
-"""The names other code relies on: the benchmark tracer's targets, every
+"""The names other code relies on: the benchmark tracer's targets and its reading of the cost batch, every
 __all__, the README's Python examples and ICA signatures, and the library's argument contract;
 and the one summation of c . x, which no BLAS product in src/ may bypass."""
 
@@ -54,16 +54,48 @@ def test_top_level_names():
 
 def test_src_takes_no_blas_product():
     # a BLAS product sums in its CPU kernel's order, so a printed c . x would depend on the host; every
-    # sum of products goes through model._row_sums, in numpy's pairwise order
-    blas = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
+    # sum of products goes through model._row_sums, in numpy's pairwise order.  Each name below, and
+    # numpy.linalg's norm of one vector, gives other bytes under another OpenBLAS kernel (numpy 2.4.6), so
+    # no linalg name may appear either, nor any of them imported, renamed or not
+    blas = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot", "vecdot", "matvec", "vecmat", "correlate",
+            "convolve", "cov", "corrcoef", "linalg"}
+    spelled = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name", ast.ImportFrom: "module"}
     found = []
     for path in sorted(Path(fuzzfolio.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), path.name)):
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
                 found.append(f"{path.name}:{node.lineno}: @")
-            elif isinstance(node, (ast.Name, ast.Attribute)) and getattr(node, "id", getattr(node, "attr", "")) in blas:
+            elif type(node) in spelled and blas.intersection(str(getattr(node, spelled[type(node)])).split(".")):
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
+
+
+def test_the_tracer_counts_every_allocation_the_cost_batches_take(monkeypatch):
+    # the benchmark reads a cost batch's allocations as its second argument: every country once, then per
+    # iteration one batch of the colonies that assimilated and one of those that revolted
+    for module in MODULES:  # the tracer wraps each name in every fuzzfolio module loaded when it installs
+        importlib.import_module(f"fuzzfolio.{module}")
+    moved = []
+    for name, flags in (("assimilate", 2), ("revolve", 1)):  # the argument that flags the moved countries
+        def recording(*args, original=getattr(ica, name), flags=flags):
+            moved.append(int(args[flags].sum()))
+            return original(*args)
+        monkeypatch.setattr(ica, name, recording)
+    levels = [fuzzfolio.ConfidenceLevels(v, v) for v in (0.1, 0.7)]
+    lp = fuzzfolio.reformulate(fuzzfolio.bundled_instance("paper_table1"), levels)
+    seeds, config = (1, 2, 3), ica.IcaConfig()
+    tracer = _tracer().Tracer()
+    tracer.begin()
+    tracer.install()
+    try:
+        reports = ica.run(lp, config, seeds)
+    finally:
+        tracer.uninstall()
+    layers = tracer.summary(1.0)
+    iterations = max(len(r.history) for r in reports)
+    assert len(moved) == 2 * iterations
+    assert layers["penalty.penalized_objective_batch.rows"] == 2 * len(seeds) * config.n_countries + sum(moved)
+    assert layers["penalty.penalized_objective_batch.calls"] == 1 + 2 * iterations
 
 
 def test_readme_python_blocks_print_what_their_comments_say(capsys):
